@@ -20,7 +20,7 @@ from .tensor import FeatureMap
 from .upsampler import AllocationTally, kernel_apply_fns, track_allocations
 
 MAX_SIDE = 512
-MAX_CHANNELS = 256
+MAX_CHANNELS = 384
 EQUIVALENCE_TOL = 1e-5
 
 

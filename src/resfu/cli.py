@@ -19,6 +19,7 @@ from .selfcheck import run_selfcheck
 from .tensor import TensorFormatError, load_tensor, save_tensor
 from .upsampler import (
     RatioMismatch,
+    RowNotNormalized,
     UpsampleConfig,
     generate_params,
     innerprod_upsample,
@@ -177,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ShapeMismatch, ChannelGroupMismatch, RatioMismatch) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except CheckFailed as err:
+    except (CheckFailed, RowNotNormalized) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -10,8 +10,9 @@ Conventions used throughout:
 * results are stored as float32; group norms and 1x1 convolutions compute
   in float64 one pixel block at a time, so they make no float64 copy of
   their map; box sums, Gaussian smoothing and softmax compute in float64;
-  resizes compute in the dtype of their input, and the paired difference
-  contraction of a score block (resfu.pcdc) in float32;
+  resizes compute in the dtype of their input, in L2-sized row tiles
+  (TILE_BYTES), and the paired difference contraction of a score block
+  (resfu.pcdc) in float32;
 * all kernels are pure functions and bit-reproducible: parallel execution
   only ever splits work into fixed-size row chunks whose layout does not
   depend on the thread count, and each chunk writes a disjoint output slice;
@@ -114,22 +115,60 @@ def axis_linear_coords(n_in: int, n_out: int):
     return lo, hi, pos - lo
 
 
+# Bytes of one row tile of the streamed kernels (linear resize, fused kernel
+# application): small enough that a tile and its temporary stay in L2.
+TILE_BYTES = 1 << 18
+
+
+def tile_rows(row_bytes: int) -> int:
+    """Rows of a tile whose rows hold `row_bytes` bytes each (at least 1)."""
+    return max(1, TILE_BYTES // max(1, row_bytes))
+
+
+def lerp_take(src: np.ndarray, lo: np.ndarray, hi: np.ndarray, frac: np.ndarray, axis: int,
+              dst: np.ndarray, tmp: np.ndarray) -> None:
+    """dst = take(src, lo) * (1 - frac) + take(src, hi) * frac along `axis`.
+
+    The products and the sum round exactly as the allocating expression
+    does, in the dtype of the operands; `tmp` is a C-contiguous buffer of
+    dst's shape, and dst may be any view.
+    """
+    np.take(src, lo, axis=axis, out=tmp, mode="clip")
+    np.multiply(tmp, 1 - frac, out=dst)
+    np.take(src, hi, axis=axis, out=tmp, mode="clip")
+    tmp *= frac
+    dst += tmp
+
+
 def _resize_linear(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bilinear resize of an (H, W, C) array, dtype preserved."""
-    h, w, _ = arr.shape
+    """Separable bilinear resize of an (H, W, C) array, dtype preserved.
+
+    Runs in output row tiles through reused tile buffers, so the only
+    output-sized allocation is the result.
+    """
+    h, w, c = arr.shape
     r0, r1, tr = axis_linear_coords(h, out_h)
     c0, c1, tc = axis_linear_coords(w, out_w)
     tr = tr.astype(arr.dtype)[:, None, None]
     tc = tc.astype(arr.dtype)[None, :, None]
-    rows = arr[r0] * (1 - tr) + arr[r1] * tr
-    return rows[:, c0] * (1 - tc) + rows[:, c1] * tc
+    out = np.empty((out_h, out_w, c), arr.dtype)
+    step = min(out_h, tile_rows(out_w * c * arr.itemsize))
+    rows = np.empty((step, w, c), arr.dtype)
+    rows_tmp = np.empty_like(rows)
+    cols_tmp = np.empty((step, out_w, c), arr.dtype)
+    for i0 in range(0, out_h, step):
+        i1 = min(i0 + step, out_h)
+        n = i1 - i0
+        lerp_take(arr, r0[i0:i1], r1[i0:i1], tr[i0:i1], 0, rows[:n], rows_tmp[:n])
+        lerp_take(rows[:n], c0, c1, tc, 1, out[i0:i1], cols_tmp[:n])
+    return out
 
 
 def bilinear_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     """Resize with half-pixel-center bilinear interpolation."""
     out_h = _require_size("out_h", out_h)
     out_w = _require_size("out_w", out_w)
-    return FeatureMap(_resize_linear(src.data, out_h, out_w))
+    return FeatureMap.adopt(_resize_linear(src.data, out_h, out_w))
 
 
 def nearest_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:

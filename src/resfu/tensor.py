@@ -18,7 +18,10 @@ The .rsft file format is the same payload behind a fixed 24-byte header:
 
 followed by exactly 4*H*W*C payload bytes, little-endian float32, in the
 offset order above.  Serialization is bit-exact: deserialize(serialize(m))
-reproduces every payload byte.
+reproduces every payload byte.  save_tensor writes the same bytes as
+serialize without building them: the header, then the payload straight from
+the map's buffer through a memoryview, so saving copies no payload byte on a
+little-endian host.
 """
 
 from __future__ import annotations
@@ -124,19 +127,18 @@ class FeatureMap:
         return f"FeatureMap({self.height}x{self.width}x{self.channels})"
 
 
+def _header(fmap: FeatureMap) -> bytes:
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, 0, 3, fmap.height, fmap.width, fmap.channels)
+
+
+def _payload(fmap: FeatureMap) -> memoryview:
+    """Byte view of the little-endian payload; a copy only on big-endian hosts."""
+    return memoryview(fmap.data.astype("<f4", copy=False)).cast("B")
+
+
 def serialize(fmap: FeatureMap) -> bytes:
     """Encode a FeatureMap as .rsft bytes (24-byte header + payload)."""
-    header = _HEADER.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        DTYPE_FLOAT32,
-        0,
-        3,
-        fmap.height,
-        fmap.width,
-        fmap.channels,
-    )
-    return header + fmap.data.astype("<f4", copy=False).tobytes()
+    return _header(fmap) + _payload(fmap)
 
 
 def read_tensor_at(buf, offset: int) -> tuple[FeatureMap, int]:
@@ -183,8 +185,11 @@ def deserialize(buf) -> FeatureMap:
 
 
 def save_tensor(path, fmap: FeatureMap) -> None:
+    """Write serialize(fmap) to `path`: the header, then the payload straight
+    from the map's buffer, with no copy of the payload in between."""
     with open(path, "wb") as fh:
-        fh.write(serialize(fmap))
+        fh.write(_header(fmap))
+        fh.write(_payload(fmap))
 
 
 def load_tensor(path) -> FeatureMap:

@@ -129,6 +129,20 @@ class TestUpsample:
     def test_kernel_mismatch_exits_three(self, workspace):
         assert cli.main(upsample_args(workspace, **{"--kernel": "5"})) == 3
 
+    def test_nan_pixel_fails_row_check_and_exits_one(self, workspace, capsys):
+        # group-norm statistics pool over the whole map, so one NaN pixel
+        # makes every kernel row NaN; the row-sum check must catch that
+        x = load_tensor(workspace / "x.rsft").data.copy()
+        x[3, 4, 2] = np.nan
+        save_tensor(workspace / "nan.rsft", FeatureMap(x))
+        with np.errstate(invalid="ignore"):
+            rc = cli.main(upsample_args(workspace, **{"--input": str(workspace / "nan.rsft")}))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not (workspace / "out.rsft").exists()
+
 
 class TestVisualize:
     def test_pca_image(self, workspace):

@@ -1,6 +1,7 @@
 """Container-format tests: header layout, offset convention, round trips, error paths."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,28 @@ def test_file_round_trip(tmp_path):
     path = tmp_path / "m.rsft"
     save_tensor(path, fmap)
     assert load_tensor(path) == fmap
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (7, 1, 5), (16, 9, 33)])
+def test_saved_file_bytes_equal_serialize(tmp_path, shape):
+    fmap = FeatureMap(np.random.default_rng(1).standard_normal(shape).astype(np.float32))
+    path = tmp_path / "m.rsft"
+    save_tensor(path, fmap)
+    assert path.read_bytes() == serialize(fmap)
+
+
+def test_save_copies_no_payload(tmp_path):
+    # a 4 MiB map: a single payload copy would exceed the bound fourfold
+    fmap = FeatureMap(np.random.default_rng(2).standard_normal((32, 32, 1024)).astype(np.float32))
+    path = tmp_path / "big.rsft"
+    tracemalloc.start()
+    try:
+        save_tensor(path, fmap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert path.stat().st_size == HEADER_SIZE + fmap.data.nbytes
 
 
 class TestRejects:

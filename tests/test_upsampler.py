@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resfu.guided_filter import guided_filter
-from resfu.ops import ShapeMismatch, bilinear_resize, gather_neighbors, softmax_rows
+from resfu.ops import ShapeMismatch, bilinear_resize, gather_neighbors, softmax_rows, tile_rows
 from resfu.oracle import max_rel_error
 from resfu.pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
 from resfu.tensor import FeatureMap
@@ -250,11 +250,38 @@ class TestKernelApplyFns:
             fused = kernel_apply_fns(weights, x, 4, fused=True, threads=threads)
             assert np.array_equal(fused.data, naive.data)
 
+    @pytest.mark.parametrize(
+        "ratio,h,w,c,kernel,tile",
+        [
+            (4, 3, 4, 2100, 3, 1),  # one-row tiles; 12 rows, less than a chunk
+            (4, 11, 18, 48, 3, 18),  # 18-row tiles; 44 rows = one chunk + 12
+            (8, 2, 3, 5, 5, None),  # pad 16 = out_h: every halo row clamps
+            (8, 1, 2, 3, 3, None),  # pad 8 = out_h
+        ],
+    )
+    def test_fused_equals_naive_across_tiles(self, ratio, h, w, c, kernel, tile):
+        if tile is not None:
+            assert tile_rows(4 * w * ratio * c) == tile
+        rng = np.random.default_rng(27)
+        x = rand_map(rng, h, w, c)
+        weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, kernel * kernel))
+        naive = kernel_apply_fns(weights, x, ratio, kernel, fused=False)
+        for threads in (1, 3):
+            fused = kernel_apply_fns(weights, x, ratio, kernel, fused=True, threads=threads)
+            assert np.array_equal(fused.data, naive.data)
+
     def test_unnormalized_rows_rejected(self):
         x = fm(np.ones((2, 2, 1)))
         weights = FeatureMap(np.full((4, 4, 9), 0.2, np.float32))
         with pytest.raises(RowNotNormalized):
             kernel_apply_fns(weights, x, 2)
+
+    def test_nan_weight_rejected(self):
+        x = fm(np.ones((2, 2, 1)))
+        weights = self._one_hot(4, 4).data.copy()
+        weights[1, 2, 4] = np.nan
+        with pytest.raises(RowNotNormalized):
+            kernel_apply_fns(FeatureMap(weights), x, 2)
 
     def test_dim_checks(self):
         x = fm(np.ones((2, 2, 1)))
