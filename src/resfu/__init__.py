@@ -35,6 +35,7 @@ from .tensor import (
     serialize,
 )
 from .upsampler import (
+    NonFiniteInput,
     ProjectionParams,
     RatioMismatch,
     ResfuParams,
@@ -53,6 +54,7 @@ __all__ = [
     "FeatureMap",
     "GroupNormAffine",
     "GuidedFilterConfig",
+    "NonFiniteInput",
     "PcdcBlockParams",
     "PcdcParams",
     "ProjectionParams",

@@ -2,13 +2,15 @@
 definition-literal difference convolution.
 
 Before any timing, the fused and naive outputs are compared; a disagreement
-aborts the run (the numbers would be meaningless).  Timings are mean wall
-time over `iters` runs after two warmups.
+aborts the run (the numbers would be meaningless).  Those two first calls
+also run under tracemalloc, whose peak (output included) is reported per
+path.  Timings are mean wall time over `iters` runs after two warmups.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ from .ops import ShapeMismatch, softmax_rows
 from .oracle import max_rel_error, oracle_pcdc_direct
 from .pcdc import PcdcParams, pcdc_layer
 from .tensor import FeatureMap
-from .upsampler import AllocationTally, kernel_apply_fns, track_allocations
+from .upsampler import kernel_apply_fns
 
 MAX_SIDE = 512
 MAX_CHANNELS = 384
@@ -39,8 +41,17 @@ class BenchRow:
 class BenchReport:
     rows: tuple[BenchRow, ...]
     equivalence_error: float
-    naive_alloc: AllocationTally
-    fused_alloc: AllocationTally
+    naive_peak: int  # tracemalloc peak bytes of one call
+    fused_peak: int
+
+
+def _traced(fn):
+    """fn() and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _timed(fn, iters: int) -> float:
@@ -66,10 +77,8 @@ def run_bench(h: int, w: int, c: int, ratio: int, iters: int, seed: int = 0) -> 
     x = FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32))
     weights = softmax_rows(FeatureMap(rng.standard_normal((h * ratio, w * ratio, 9)).astype(np.float32)))
 
-    with track_allocations() as fused_alloc:
-        fused = kernel_apply_fns(weights, x, ratio, fused=True)
-    with track_allocations() as naive_alloc:
-        naive = kernel_apply_fns(weights, x, ratio, fused=False)
+    fused, fused_peak = _traced(lambda: kernel_apply_fns(weights, x, ratio, fused=True))
+    naive, naive_peak = _traced(lambda: kernel_apply_fns(weights, x, ratio, fused=False))
     equivalence = max_rel_error(fused.astype64(), naive.astype64())
     if equivalence > EQUIVALENCE_TOL:
         raise CheckFailed(
@@ -96,4 +105,4 @@ def run_bench(h: int, w: int, c: int, ratio: int, iters: int, seed: int = 0) -> 
             iters,
         ),
     )
-    return BenchReport(rows, equivalence, naive_alloc, fused_alloc)
+    return BenchReport(rows, equivalence, naive_peak, fused_peak)

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen-weights, upsample, visualize, selfcheck, bench.  Exit
-codes are a stable contract: 0 success, 1 a correctness check failed,
-2 file/parse problems (the failing path is named on stderr), 3 shape or
-ratio mismatches.
+codes are a stable contract: 0 success, 1 a correctness check failed
+(including NaN or Inf in an input), 2 file/parse problems (the failing path
+is named on stderr), 3 shape or ratio mismatches.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from .params_io import load_params, save_params
 from .selfcheck import run_selfcheck
 from .tensor import TensorFormatError, load_tensor, save_tensor
 from .upsampler import (
+    NonFiniteInput,
     RatioMismatch,
     RowNotNormalized,
     UpsampleConfig,
+    check_guide,
     generate_params,
     innerprod_upsample,
     run_pipeline,
@@ -43,7 +45,7 @@ def _load_params_checked(path):
 
 
 def _cmd_gen_weights(args) -> int:
-    params = generate_params(args.cin, args.cguide, UpsampleConfig(ratio=1, seed=args.seed))
+    params = generate_params(args.cin, args.cguide, seed=args.seed)
     save_params(args.out, params)
     print(f"wrote {args.out}")
     return 0
@@ -53,20 +55,16 @@ def _cmd_upsample(args) -> int:
     x = _load_tensor_checked(args.input)
     y = _load_tensor_checked(args.guide)
     params = _load_params_checked(args.weights)
-    cfg = UpsampleConfig(ratio=args.ratio, kernel=args.kernel)
+    cfg = UpsampleConfig(ratio=args.ratio)
+    if args.kernel != params.kernel:
+        raise ShapeMismatch(f"--kernel {args.kernel}, but {args.weights} holds kernel {params.kernel}")
     fused = args.fused == "true"
     threads = max(1, args.threads)
 
-    if y.height != cfg.ratio * x.height or y.width != cfg.ratio * x.width:
-        raise RatioMismatch(
-            f"guide is {y.height}x{y.width}, ratio {cfg.ratio} on {x.height}x{x.width} "
-            f"input implies {cfg.ratio * x.height}x{cfg.ratio * x.width}"
-        )
-
-    if args.baseline == "bilinear":
-        out = bilinear_resize(x, y.height, y.width)
-    elif args.baseline == "nearest":
-        out = nearest_resize(x, y.height, y.width)
+    if args.baseline in ("bilinear", "nearest"):
+        check_guide(x, y, cfg.ratio)
+        resize = bilinear_resize if args.baseline == "bilinear" else nearest_resize
+        out = resize(x, y.height, y.width)
     elif args.baseline == "innerprod":
         out = innerprod_upsample(x, y, params, cfg, fused=fused, threads=threads)
     else:
@@ -109,9 +107,8 @@ def _cmd_bench(args) -> int:
     print(f"fused vs naive: max rel err {report.equivalence_error:.3e} (tol {EQUIVALENCE_TOL:g})")
     for row in report.rows:
         print(f"{row.name:18s} {row.mean_seconds * 1e3:10.3f} ms/iter  (iters={row.iters})")
-    for label, tally in (("naive", report.naive_alloc), ("fused", report.fused_alloc)):
-        parts = ", ".join(f"{k}={v}B" for k, v in sorted(tally.by_label.items()))
-        print(f"peak temporaries ({label}): {tally.total()}B  [{parts}]")
+    for label, peak in (("naive", report.naive_peak), ("fused", report.fused_peak)):
+        print(f"tracemalloc peak ({label}): {peak}B")
     return 0
 
 
@@ -133,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ups.add_argument("--guide", required=True, help="high-resolution guide .rsft")
     ups.add_argument("--weights", required=True, help=".rsfw bundle")
     ups.add_argument("--ratio", type=int, required=True)
-    ups.add_argument("--kernel", type=int, default=3)
+    ups.add_argument("--kernel", type=int, default=3, help="must match the bundle's kernel size")
     ups.add_argument("--baseline", choices=["bilinear", "nearest", "innerprod"], default=None,
                      help="replace the similarity pipeline with a baseline")
     ups.add_argument("--fused", choices=["true", "false"], default="true")
@@ -178,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ShapeMismatch, ChannelGroupMismatch, RatioMismatch) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (CheckFailed, RowNotNormalized) as err:
+    except (CheckFailed, RowNotNormalized, NonFiniteInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -2,9 +2,11 @@
 central finite differences.
 
 Everything here runs on raw float64 arrays: finite differences at 32-bit
-would drown the comparison in rounding noise, so this module keeps its own
-64-bit forward evaluations (same definitions as the production kernels) and
-differentiates those.  Only the difference convolution and the
+would drown the comparison in rounding noise.  The forward evaluations are
+the production kernels themselves, pcdc._pcdc_core and ops._resize_linear,
+which compute in the dtype they are given; the backward passes are derived
+by hand and share no code with them, so a finite-difference check compares
+two independent sides.  Only the difference convolution and the
 softmax-kernel application get backward passes; training the full pipeline
 is out of scope.
 """
@@ -15,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ShapeMismatch, axis_linear_coords, neighbor_offsets
+from .ops import ShapeMismatch, _resize_linear, axis_linear_coords, neighbor_offsets
 from .oracle import max_rel_error
+from .pcdc import _pcdc_core
 
 FD_STEP = 1e-5
 FD_TOLERANCE = 1e-6
@@ -54,43 +57,16 @@ def _clamped_indices(h, w, offsets, dilation):
     ]
 
 
-def _pcdc_forward(q, k, weight, bias, groups, dilation):
-    h, w, d_total = q.shape
-    ksq, in_per, l_out = weight.shape
-    kernel = int(round(ksq**0.5))
-    out_per = l_out // groups
-    wsum = weight.sum(axis=0)
-    index_maps = _clamped_indices(h, w, neighbor_offsets(kernel, dilation), 1)
-
-    out = np.broadcast_to(bias, (h, w, l_out)).astype(np.float64).copy()
-    for g in range(groups):
-        ds = slice(g * in_per, (g + 1) * in_per)
-        ls = slice(g * out_per, (g + 1) * out_per)
-        acc = -q[:, :, ds] @ wsum[:, ls]
-        for n, (ri, ci) in enumerate(index_maps):
-            acc += k[ri, ci][:, :, ds] @ weight[n][:, ls]
-        out[:, :, ls] += acc
-    return out
-
-
 def _softmax64(scores):
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _bilinear64(x, out_h, out_w):
-    h, w, _ = x.shape
-    r_lo, r_hi, r_t = axis_linear_coords(h, out_h)
-    c_lo, c_hi, c_t = axis_linear_coords(w, out_w)
-    rows = x[r_lo] * (1 - r_t)[:, None, None] + x[r_hi] * r_t[:, None, None]
-    return rows[:, c_lo] * (1 - c_t)[None, :, None] + rows[:, c_hi] * c_t[None, :, None]
-
-
 def _kernel_apply_forward(scores, x, ratio, kernel):
     out_h, out_w, _ = scores.shape
     weights = _softmax64(scores)
-    x_up = _bilinear64(x, out_h, out_w)
+    x_up = _resize_linear(x, out_h, out_w)
     out = np.zeros_like(x_up)
     for n, (ri, ci) in enumerate(_clamped_indices(out_h, out_w, neighbor_offsets(kernel, ratio), 1)):
         out += weights[:, :, n : n + 1] * x_up[ri, ci]
@@ -205,7 +181,7 @@ def kernel_apply_backward(upstream, weights, x, ratio: int, kernel: int = 3):
             f"upstream {upstream.shape}, weights {weights.shape}, and value {x.shape} disagree"
         )
     index_maps = _clamped_indices(out_h, out_w, neighbor_offsets(kernel, ratio), 1)
-    x_up = _bilinear64(x, out_h, out_w)
+    x_up = _resize_linear(x, out_h, out_w)
 
     d_post = np.empty_like(weights)
     d_x_up = np.zeros_like(x_up)
@@ -240,8 +216,8 @@ def check_pcdc_gradients(seed: int = 0, probes: int = DEFAULT_PROBES) -> list[Gr
         def loss(arr):
             parts = {"q": q, "k": k, "weight": weight, "bias": bias, name: arr}
             return float(
-                (proj * _pcdc_forward(parts["q"], parts["k"], parts["weight"], parts["bias"],
-                                      groups, dilation)).sum()
+                (proj * _pcdc_core(parts["q"], parts["k"], parts["weight"], parts["bias"],
+                                   groups, dilation)).sum()
             )
 
         return loss

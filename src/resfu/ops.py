@@ -356,25 +356,6 @@ def relu(src: FeatureMap) -> FeatureMap:
     return FeatureMap.adopt(np.maximum(src.data, np.float32(0)))
 
 
-@dataclass(frozen=True)
-class NeighborhoodTensor:
-    """Per-pixel gathered neighbor features, shape (pixels, neighbors, channels)."""
-
-    data: np.ndarray
-
-    @property
-    def pixels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def neighbors(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
-
 def neighbor_offsets(kernel: int, dilation: int) -> list[tuple[int, int]]:
     """Row-major (di, dj) offsets of the dilated KxK neighborhood."""
     if kernel < 1 or kernel % 2 == 0:
@@ -385,8 +366,9 @@ def neighbor_offsets(kernel: int, dilation: int) -> list[tuple[int, int]]:
     return [(di * dilation, dj * dilation) for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)]
 
 
-def gather_neighbors(src: FeatureMap, kernel: int, dilation: int = 1) -> NeighborhoodTensor:
-    """Gather the dilated KxK neighborhood of every pixel (clamped at edges).
+def gather_neighbors(src: FeatureMap, kernel: int, dilation: int = 1) -> np.ndarray:
+    """Gather the dilated KxK neighborhood of every pixel (clamped at edges)
+    into a (pixels, neighbors, channels) float32 array.
 
     Slot n of pixel (i, j) holds src at (i + dilation*di, j + dilation*dj)
     for the n-th row-major offset, indices clamped to the map.
@@ -400,7 +382,7 @@ def gather_neighbors(src: FeatureMap, kernel: int, dilation: int = 1) -> Neighbo
         ri = np.clip(rows + di, 0, h - 1)
         ci = np.clip(cols + dj, 0, w - 1)
         out[:, n, :] = src.data[ri, ci].reshape(h * w, c)
-    return NeighborhoodTensor(out)
+    return out
 
 
 def softmax_rows(scores: SimilarityScores) -> SimilarityScores:

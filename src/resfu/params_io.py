@@ -134,7 +134,10 @@ def deserialize_params(buf) -> ResfuParams:
         offset += 4
         if len(view) - offset < name_len:
             raise TruncatedPayload("bundle ends inside an entry name")
-        name = bytes(view[offset : offset + name_len]).decode("utf-8")
+        try:
+            name = str(view[offset : offset + name_len], "utf-8")
+        except UnicodeDecodeError as err:
+            raise TensorFormatError(f"bundle entry name at offset {offset} is not UTF-8: {err}") from err
         offset += name_len
         if name in tensors:
             raise TensorFormatError(f"duplicate bundle entry {name!r}")

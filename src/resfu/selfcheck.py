@@ -146,12 +146,11 @@ def check_constant_preservation(seed: int = 0, bundles: int = 20) -> list[CheckR
     for i in range(bundles):
         c_in = int(rng.integers(1, 9))
         c_guide = int(rng.integers(1, 9))
-        cfg = UpsampleConfig(ratio=2, seed=seed * 1000 + i)
-        params = generate_params(c_in, c_guide, cfg)
+        params = generate_params(c_in, c_guide, seed=seed * 1000 + i)
         level = rng.uniform(-3.0, 3.0, c_in).astype(np.float32)
         x = FeatureMap(np.broadcast_to(level, (5, 5, c_in)).copy())
         y = _rand_map(rng, 10, 10, c_guide)
-        res = run_pipeline(x, y, params, cfg)
+        res = run_pipeline(x, y, params, UpsampleConfig(ratio=2))
         worst_const = max(worst_const, float(np.max(np.abs(res.output.data - level))))
         row_sums = res.kernels.astype64().sum(axis=2)
         worst_rows = max(worst_rows, float(np.max(np.abs(row_sums - 1.0))))
@@ -165,13 +164,13 @@ def check_degenerate_scores(seed: int = 0) -> CheckResult:
     """Zeroed score blocks collapse the pipeline to a dilated box mean."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    params = zeroed_score_params(generate_params(5, 3, seed=seed))
     for ratio in (2, 4, 8):
-        params = zeroed_score_params(generate_params(5, 3, UpsampleConfig(ratio=ratio, seed=seed)))
         x = _rand_map(rng, 6, 6, 5)
         y = _rand_map(rng, 6 * ratio, 6 * ratio, 3)
-        out = resfu_upsample(x, y, params, UpsampleConfig(ratio=ratio, seed=seed))
+        out = resfu_upsample(x, y, params, UpsampleConfig(ratio=ratio))
         x_up = bilinear_resize(x, 6 * ratio, 6 * ratio)
-        want = gather_neighbors(x_up, 3, ratio).data.astype(np.float64).mean(axis=1)
+        want = gather_neighbors(x_up, 3, ratio).astype(np.float64).mean(axis=1)
         worst = max(worst, max_rel_error(out.astype64().reshape(-1, 5), want))
     return CheckResult("degenerate-score-box-mean", worst, 1e-5, "ratios 2/4/8")
 
@@ -264,7 +263,7 @@ def check_format_round_trips(seed: int = 0, bundles: int = 100) -> list[CheckRes
     for i in range(bundles):
         c_in = int(rng.integers(1, 13))
         c_guide = int(rng.integers(1, 13))
-        params = generate_params(c_in, c_guide, UpsampleConfig(ratio=2, seed=seed * 500 + i))
+        params = generate_params(c_in, c_guide, seed=seed * 500 + i)
         blob = serialize_params(params)
         if serialize_params(deserialize_params(blob)) != blob:
             failures += 1
@@ -274,7 +273,7 @@ def check_format_round_trips(seed: int = 0, bundles: int = 100) -> list[CheckRes
     round_trip = CheckResult("format-round-trips", float(failures), EXACT, f"{bundles} bundles")
 
     with tempfile.TemporaryDirectory() as tmp:
-        params = generate_params(4, 3, UpsampleConfig(ratio=2, seed=seed))
+        params = generate_params(4, 3, seed=seed)
         corrupt = bytearray(serialize_params(params))
         corrupt[:4] = b"XXXX"
         w_path = os.path.join(tmp, "corrupt.rsfw")
@@ -308,7 +307,7 @@ def check_weights_file(path: str) -> CheckResult:
         rng = np.random.default_rng(0)
         out = resfu_upsample(
             _rand_map(rng, 4, 4, c_in), _rand_map(rng, 8, 8, c_guide),
-            params, UpsampleConfig(ratio=2, kernel=params.kernel),
+            params, UpsampleConfig(ratio=2),
         )
         finite = bool(np.isfinite(out.data).all())
         return CheckResult("weights-file-loads", 0.0 if finite else 1.0, EXACT, path)

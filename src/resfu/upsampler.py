@@ -12,21 +12,23 @@ guide y (H x W x c), the pipeline is:
     kernels <- softmax_rows(s_s + s_d)
     out_i   <- sum_n kernels[i, n] * x_up[N(i)_n]
 
-Neighborhoods are K x K with dilation equal to the upsampling ratio, taken
-on the high-resolution grids ("fine-grained neighbor selection"); both score
-branches use the same dilation.  The value gather runs either naively
-(materialize x_up = bilinear_resize(x)) or fused: bilinear samples are
-computed on demand per row chunk into buffers each worker allocates once per
-call, and the taps accumulate straight into the output in row tiles sized to
-stay in L2 (ops.TILE_BYTES), so the full H x W x C upsampled buffer never
-exists and no output-sized temporary is allocated.  Both paths round every
-output element identically, so their outputs are equal bit for bit.
+run_pipeline is the one path through these stages.  Every upsampling entry
+point starts with check_guide, which rejects a guide that is not ratio times
+the input's size and NaN or Inf in either map.  Neighborhoods are K x K, K
+taken from the parameter bundle, with dilation equal to the upsampling
+ratio, on the high-resolution grids ("fine-grained neighbor selection");
+both score branches use the same dilation.  The value gather runs either
+naively (materialize x_up = bilinear_resize(x)) or fused: bilinear samples
+are computed on demand per row chunk into buffers each worker allocates once
+per call, and the taps accumulate straight into the output in row tiles
+sized to stay in L2 (ops.TILE_BYTES), so the full H x W x C upsampled buffer
+never exists and no output-sized temporary is allocated.  Both paths round
+every output element identically, so their outputs are equal bit for bit.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from math import prod
 
@@ -58,6 +60,7 @@ PCDC_GROUPS = 4  # G
 COMPRESSOR_HIDDEN = 128
 NORM_GROUPS = 4
 NORM_EPS = 1e-5
+KERNEL = 3  # K of generated bundles
 
 
 class RatioMismatch(Exception):
@@ -66,6 +69,31 @@ class RatioMismatch(Exception):
 
 class RowNotNormalized(Exception):
     """Kernel weights were not softmax-normalized before application."""
+
+
+class NonFiniteInput(Exception):
+    """The input or the guide holds a NaN or an infinite value."""
+
+
+def _check_ratio(ratio) -> int:
+    if not isinstance(ratio, (int, np.integer)) or ratio < 1:
+        raise RatioMismatch(f"ratio must be an integer >= 1, got {ratio!r}")
+    return int(ratio)
+
+
+def check_guide(x: FeatureMap, y: FeatureMap, ratio: int) -> None:
+    """Entry check of every upsampling path: the guide is `ratio` times the
+    input in both dimensions, and neither map holds NaN or Inf (group-norm
+    statistics pool the whole map, so one bad pixel would spoil every
+    output)."""
+    if y.height != ratio * x.height or y.width != ratio * x.width:
+        raise RatioMismatch(
+            f"guide is {y.height}x{y.width}, ratio {ratio} on {x.height}x{x.width} "
+            f"input implies {ratio * x.height}x{ratio * x.width}"
+        )
+    for name, fmap in (("input", x), ("guide", y)):
+        if not np.isfinite(fmap.data).all():
+            raise NonFiniteInput(f"{name} holds NaN or infinite values")
 
 
 @dataclass(frozen=True)
@@ -118,17 +146,12 @@ class ResfuParams:
 
 @dataclass(frozen=True)
 class UpsampleConfig:
+    """The upsampling ratio; the kernel size comes from the parameters."""
+
     ratio: int
-    kernel: int = 3
-    seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.ratio, (int, np.integer)) or self.ratio < 1:
-            raise RatioMismatch(f"ratio must be an integer >= 1, got {self.ratio!r}")
-        if self.kernel < 1 or self.kernel % 2 == 0:
-            raise ShapeMismatch(f"kernel size must be odd and >= 1, got {self.kernel}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ShapeMismatch(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        _check_ratio(self.ratio)
 
 
 def project_qk(x: FeatureMap, y: FeatureMap, proj: ProjectionParams) -> tuple[FeatureMap, FeatureMap]:
@@ -147,62 +170,15 @@ def _with_dilation(block: PcdcBlockParams, dilation: int) -> PcdcBlockParams:
     return replace(block, pcdc=replace(block.pcdc, dilation=dilation))
 
 
-def compute_similarity(q: FeatureMap, k_up: FeatureMap, q_gs: FeatureMap,
-                       params: ResfuParams, ratio: int, threads: int = 1) -> SimilarityScores:
-    """Sum of the two branch scores; both branches run at dilation = ratio.
-
-    The semantic branch compares the guided-filtered query against the
-    upsampled key; the detail branch compares the query against its own
-    Gaussian smoothing.
-    """
-    q_gf = guided_filter(q, k_up, params.gf)
-    s_s = pcdc_block(q_gf, k_up, _with_dilation(params.block_s, ratio), threads)
-    s_d = pcdc_block(q, q_gs, _with_dilation(params.block_d, ratio), threads)
-    return FeatureMap(s_s.data + s_d.data)
-
-
 # --- kernel application with fine-grained neighbor selection ---------------
-
-_alloc_tallies: list["AllocationTally"] = []
-
-
-class AllocationTally:
-    """High-water byte counts of the large temporaries a call materializes."""
-
-    def __init__(self):
-        self.by_label: dict[str, int] = {}
-
-    def note(self, label: str, nbytes: int) -> None:
-        self.by_label[label] = max(self.by_label.get(label, 0), int(nbytes))
-
-    def total(self) -> int:
-        return sum(self.by_label.values())
-
-
-@contextmanager
-def track_allocations():
-    """Collect temporary-buffer sizes of kernel application runs."""
-    tally = AllocationTally()
-    _alloc_tallies.append(tally)
-    try:
-        yield tally
-    finally:
-        _alloc_tallies.pop()
-
-
-def _note_alloc(label: str, nbytes: int) -> None:
-    if _alloc_tallies:
-        _alloc_tallies[-1].note(label, nbytes)
 
 
 def _apply_naive(weights: np.ndarray, x: FeatureMap, ratio: int, kernel: int) -> np.ndarray:
     """Reference path: materialize the upsampled value map, then gather."""
     out_h, out_w = weights.shape[:2]
     x_up = bilinear_resize(x, out_h, out_w)
-    _note_alloc("naive/value_upsampled", x_up.data.nbytes)
     pad = (kernel - 1) // 2 * ratio
     padded = np.pad(x_up.data, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
-    _note_alloc("naive/value_padded", padded.nbytes)
     out = np.zeros((out_h, out_w, x.channels), np.float32)
     for n, (di, dj) in enumerate(neighbor_offsets(kernel, ratio)):
         view = padded[pad + di : pad + di + out_h, pad + dj : pad + dj + out_w]
@@ -242,9 +218,6 @@ def _apply_fused(weights: np.ndarray, x: FeatureMap, ratio: int, kernel: int, th
             local.strip = np.empty((strip_rows, out_w + 2 * pad, c), np.float32)
             local.rows = np.empty((2, strip_rows, w, c), np.float32)
             local.tile = np.empty((step, out_w, c), np.float32)
-            _note_alloc("fused/strip", local.strip.nbytes)
-            _note_alloc("fused/rows", local.rows.nbytes)
-            _note_alloc("fused/tile", local.tile.nbytes)
         return local.strip, local.rows, local.tile
 
     def work(r0, r1):
@@ -282,8 +255,7 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, kerne
     """
     if weights.channels != kernel * kernel:
         raise ShapeMismatch(f"weights carry {weights.channels} slots, kernel {kernel} needs {kernel * kernel}")
-    if not isinstance(ratio, (int, np.integer)) or ratio < 1:
-        raise RatioMismatch(f"ratio must be an integer >= 1, got {ratio!r}")
+    ratio = _check_ratio(ratio)
     if weights.height != ratio * x.height or weights.width != ratio * x.width:
         raise RatioMismatch(
             f"weights are {weights.height}x{weights.width} but ratio {ratio} on "
@@ -294,8 +266,8 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, kerne
     if not worst <= 1e-3:  # NaN fails too
         raise RowNotNormalized(f"kernel rows sum off by {worst:.3g}; run softmax_rows first")
     if fused:
-        return FeatureMap.adopt(_apply_fused(weights.data, x, int(ratio), kernel, threads))
-    return FeatureMap.adopt(_apply_naive(weights.data, x, int(ratio), kernel))
+        return FeatureMap.adopt(_apply_fused(weights.data, x, ratio, kernel, threads))
+    return FeatureMap.adopt(_apply_naive(weights.data, x, ratio, kernel))
 
 
 # --- end-to-end pipeline ----------------------------------------------------
@@ -319,14 +291,8 @@ class PipelineResult:
 
 def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
                  fused: bool = True, threads: int = 1) -> PipelineResult:
-    if y.height != cfg.ratio * x.height or y.width != cfg.ratio * x.width:
-        raise RatioMismatch(
-            f"guide is {y.height}x{y.width}, ratio {cfg.ratio} on {x.height}x{x.width} "
-            f"input implies {cfg.ratio * x.height}x{cfg.ratio * x.width}"
-        )
-    if params.kernel != cfg.kernel:
-        raise ShapeMismatch(f"params were built for kernel {params.kernel}, config says {cfg.kernel}")
-
+    """Run every stage once and keep each intermediate."""
+    check_guide(x, y, cfg.ratio)
     q, k = project_qk(x, y, params.proj)
     k_up = bilinear_resize(k, y.height, y.width)
     q_gf = guided_filter(q, k_up, params.gf)
@@ -335,7 +301,7 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     s_d = pcdc_block(q, q_gs, _with_dilation(params.block_d, cfg.ratio), threads)
     scores = FeatureMap(s_s.data + s_d.data)
     kernels = softmax_rows(scores)
-    output = kernel_apply_fns(kernels, x, cfg.ratio, cfg.kernel, fused=fused, threads=threads)
+    output = kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused, threads=threads)
     return PipelineResult(q, k, k_up, q_gf, q_gs, s_s, s_d, scores, kernels, output)
 
 
@@ -350,11 +316,10 @@ def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: in
     kept as the baseline the difference blocks are compared against."""
     if q.shape != k_up.shape:
         raise ShapeMismatch(f"query {q.shape} and key {k_up.shape} must match")
-    neighborhood = gather_neighbors(k_up, kernel, int(ratio))
     scores = np.einsum(
         "pd,pnd->pn",
         q.astype64().reshape(q.height * q.width, q.channels),
-        neighborhood.data.astype(np.float64),
+        gather_neighbors(k_up, kernel, int(ratio)).astype(np.float64),
     )
     return FeatureMap(scores.reshape(q.height, q.width, kernel * kernel))
 
@@ -363,15 +328,11 @@ def innerprod_upsample(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: U
                        fused: bool = True, threads: int = 1) -> FeatureMap:
     """Baseline pipeline with both score branches replaced by the
     inner-product similarity."""
-    if y.height != cfg.ratio * x.height or y.width != cfg.ratio * x.width:
-        raise RatioMismatch(
-            f"guide is {y.height}x{y.width}, ratio {cfg.ratio} on {x.height}x{x.width} "
-            f"input implies {cfg.ratio * x.height}x{cfg.ratio * x.width}"
-        )
+    check_guide(x, y, cfg.ratio)
     q, k = project_qk(x, y, params.proj)
     k_up = bilinear_resize(k, y.height, y.width)
-    kernels = softmax_rows(inner_product_scores(q, k_up, cfg.kernel, cfg.ratio))
-    return kernel_apply_fns(kernels, x, cfg.ratio, cfg.kernel, fused=fused, threads=threads)
+    kernels = softmax_rows(inner_product_scores(q, k_up, params.kernel, cfg.ratio))
+    return kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused, threads=threads)
 
 
 # --- deterministic parameter synthesis --------------------------------------
@@ -405,16 +366,20 @@ class _MixStream:
         return (bound * (2.0 * unit - 1.0)).astype(np.float32).reshape(shape)
 
 
-def generate_params(c_in: int, c_guide: int, cfg: UpsampleConfig) -> ResfuParams:
-    """Synthesize a deterministic parameter bundle.
+def generate_params(c_in: int, c_guide: int, seed: int = 0) -> ResfuParams:
+    """Synthesize a deterministic parameter bundle with K = KERNEL.
 
     Weights are uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)] from a seeded
     splitmix64 stream (drawn in serialization order); biases are zero, norm
     gains one, norm shifts zero.
     """
+    if c_in < 1 or c_guide < 1:
+        raise ShapeMismatch(f"channel counts must be >= 1, got c_in={c_in}, c_guide={c_guide}")
+    if not 0 <= int(seed) < 2**64:
+        raise ShapeMismatch(f"seed must fit in 64 unsigned bits, got {seed}")
     d, l_out, g = PROJ_DIM, PCDC_CHANNELS, PCDC_GROUPS
-    ksq = cfg.kernel * cfg.kernel
-    stream = _MixStream(cfg.seed)
+    ksq = KERNEL * KERNEL
+    stream = _MixStream(int(seed))
 
     proj = ProjectionParams(
         weight_q=stream.uniform((d, c_guide), 1.0 / np.sqrt(c_guide)),

@@ -3,6 +3,7 @@ mapping (0 ok, 1 failed check, 2 file/parse trouble, 3 shape/ratio trouble)."""
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ class TestGenWeights:
         assert f"wrote {out_b}" in capsys.readouterr().out
         assert out_a.read_bytes() == out_b.read_bytes()
         load_params(out_a)  # parses back
+
+    @pytest.mark.parametrize("flag", ["--cin", "--cguide"])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_channel_count_below_one_exits_three(self, tmp_path, capsys, flag, count):
+        args = {"--cin": "4", "--cguide": "2", flag: count}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            rc = cli.main(["gen-weights", *[p for pair in args.items() for p in pair],
+                           "--out", str(tmp_path / "w.rsfw")])
+        assert rc == 3
+        assert "channel counts must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "w.rsfw").exists()
 
     def test_unwritable_path_exits_two(self, tmp_path, capsys):
         rc = cli.main(["gen-weights", "--cin", "4", "--cguide", "2",
@@ -121,6 +134,26 @@ class TestUpsample:
         assert cli.main(upsample_args(workspace)) == 2
         assert "w.rsfw" in capsys.readouterr().err
 
+    def test_non_utf8_bundle_entry_name_exits_two(self, workspace, capsys):
+        blob = bytearray((workspace / "w.rsfw").read_bytes())
+        blob[16] = 0xFF  # first byte of the first entry name
+        (workspace / "w.rsfw").write_bytes(bytes(blob))
+        assert cli.main(upsample_args(workspace)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "w.rsfw" in err
+        assert "Traceback" not in err
+
+    def test_inf_guide_pixel_exits_one(self, workspace, capsys):
+        y = load_tensor(workspace / "y.rsft").data.copy()
+        y[5, 9, 1] = -np.inf
+        save_tensor(workspace / "inf.rsft", FeatureMap(y))
+        for baseline in ([], ["--baseline", "bilinear"], ["--baseline", "innerprod"]):
+            rc = cli.main(upsample_args(workspace, **{"--guide": str(workspace / "inf.rsft")}) + baseline)
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert "error: guide holds NaN or infinite values" in err
+        assert not (workspace / "out.rsft").exists()
+
     def test_guide_ratio_mismatch_exits_three(self, workspace, capsys):
         rc = cli.main(upsample_args(workspace, **{"--ratio": "4"}))
         assert rc == 3
@@ -186,7 +219,7 @@ class TestBenchCommand:
         assert rc == 0
         out = capsys.readouterr().out
         for token in ("fused vs naive", "fns-fused", "fns-naive", "pcdc-decomposed",
-                      "pcdc-direct", "peak temporaries (naive)", "peak temporaries (fused)"):
+                      "pcdc-direct", "tracemalloc peak (naive)", "tracemalloc peak (fused)"):
             assert token in out
 
     def test_out_of_bounds_exits_three(self, capsys):

@@ -13,11 +13,11 @@ from resfu.grad import (
     kernel_apply_backward,
     pcdc_backward,
     _kernel_apply_forward,
-    _pcdc_forward,
     _softmax64,
 )
 from resfu.ops import ShapeMismatch
 from resfu.oracle import max_rel_error
+from resfu.pcdc import _pcdc_core
 
 
 class TestFiniteDiff:
@@ -70,8 +70,8 @@ class TestPcdcBackward:
         def loss_with(**named):
             parts = {"q": q, "k": k, "weight": weight, "bias": bias, **named}
             return float(
-                (upstream * _pcdc_forward(parts["q"], parts["k"], parts["weight"],
-                                          parts["bias"], groups, dilation)).sum()
+                (upstream * _pcdc_core(parts["q"], parts["k"], parts["weight"],
+                                       parts["bias"], groups, dilation)).sum()
             )
 
         for arr, grad, name in ((q, d_q, "q"), (k, d_k, "k"), (weight, d_w, "weight"), (bias, d_b, "bias")):

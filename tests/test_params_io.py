@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resfu.params_io import (
     BUNDLE_ENTRY_NAMES,
@@ -15,15 +17,18 @@ from resfu.params_io import (
 )
 from resfu.tensor import (
     BadMagic,
+    FeatureMap,
     TensorFormatError,
     TruncatedPayload,
     UnsupportedVersion,
+    deserialize,
+    serialize,
 )
-from resfu.upsampler import UpsampleConfig, generate_params
+from resfu.upsampler import generate_params
 
 
-def bundle(seed=0, c_in=6, c_guide=4, ratio=2):
-    return generate_params(c_in=c_in, c_guide=c_guide, cfg=UpsampleConfig(ratio=ratio, seed=seed))
+def bundle(seed=0, c_in=6, c_guide=4):
+    return generate_params(c_in=c_in, c_guide=c_guide, seed=seed)
 
 
 class TestLayout:
@@ -130,3 +135,59 @@ class TestRejects:
         blob[tensor_at : tensor_at + 4] = b"XXXX"
         with pytest.raises(BadMagic):
             deserialize_params(bytes(blob))
+
+    def test_non_utf8_entry_name(self):
+        blob = bytearray(serialize_params(bundle()))
+        blob[16] = 0xFF  # first byte of the first entry name
+        with pytest.raises(TensorFormatError, match="UTF-8"):
+            deserialize_params(bytes(blob))
+
+
+def _header_bytes(blob, kind):
+    """Offsets of the header, name and length bytes of a serialized blob:
+    the bytes whose corruption the readers must notice."""
+    if kind == "rsft":
+        return list(range(24))
+    offsets, at = list(range(12)), 12
+    for _ in range(len(BUNDLE_ENTRY_NAMES)):
+        (name_len,) = struct.unpack_from("<I", blob, at)
+        h, w, c = struct.unpack_from("<3I", blob, at + 4 + name_len + 12)
+        offsets += range(at, at + 4 + name_len + 24)
+        at += 4 + name_len + 24 + 4 * h * w * c
+    return offsets
+
+
+_BLOBS = {
+    "rsft": (serialize(FeatureMap(np.arange(12, dtype=np.float32).reshape(2, 3, 2))), deserialize),
+    "rsfw": (serialize_params(bundle(c_in=2, c_guide=2)), deserialize_params),
+}
+_HEADERS = {kind: _header_bytes(blob, kind) for kind, (blob, _) in _BLOBS.items()}
+
+
+@st.composite
+def mutated_blobs(draw):
+    kind = draw(st.sampled_from(sorted(_BLOBS)))
+    blob = bytearray(_BLOBS[kind][0])
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["flip", "truncate", "extend"]))
+        if edit == "flip" and blob:
+            at = draw(st.sampled_from(_HEADERS[kind]) | st.integers(0, len(blob) - 1))
+            if at < len(blob):
+                blob[at] ^= draw(st.integers(1, 255))
+        elif edit == "truncate":
+            del blob[draw(st.integers(0, len(blob))):]
+        else:
+            blob += draw(st.binary(min_size=1, max_size=32))
+    return kind, bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_blobs())
+def test_mutated_blobs_raise_only_format_errors(case):
+    # flips (biased to header bytes), truncations and extensions of valid
+    # .rsft and .rsfw blobs: a reader may accept or raise TensorFormatError
+    kind, blob = case
+    try:
+        _BLOBS[kind][1](blob)
+    except TensorFormatError:
+        pass

@@ -18,7 +18,7 @@ from resfu.selfcheck import (
     check_weights_file,
     zeroed_score_params,
 )
-from resfu.upsampler import UpsampleConfig, generate_params
+from resfu.upsampler import generate_params
 
 
 class TestCheckResult:
@@ -34,7 +34,7 @@ class TestCheckResult:
 
 class TestZeroedScoreParams:
     def test_score_path_is_wiped_but_values_path_kept(self):
-        params = generate_params(6, 3, UpsampleConfig(ratio=2, seed=1))
+        params = generate_params(6, 3, seed=1)
         zeroed = zeroed_score_params(params)
         for block in (zeroed.block_s, zeroed.block_d):
             assert not np.any(block.pcdc.weight)
@@ -101,7 +101,7 @@ class TestRunBench:
 
     def test_fused_path_allocates_less(self):
         report = run_bench(h=16, w=16, c=8, ratio=4, iters=1, seed=1)
-        assert report.fused_alloc.total() < report.naive_alloc.total()
+        assert 0 < report.fused_peak < report.naive_peak
 
     @pytest.mark.parametrize(
         "kwargs",

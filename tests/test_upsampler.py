@@ -1,26 +1,39 @@
 """End-to-end pipeline: projections, score assembly, kernel application."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resfu import upsampler
 from resfu.guided_filter import guided_filter
-from resfu.ops import ShapeMismatch, bilinear_resize, gather_neighbors, softmax_rows, tile_rows
+from resfu.ops import (
+    GroupNormAffine,
+    ShapeMismatch,
+    bilinear_resize,
+    gather_neighbors,
+    neighbor_offsets,
+    softmax_rows,
+    tile_rows,
+)
 from resfu.oracle import max_rel_error
 from resfu.pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
+from resfu.selfcheck import zeroed_score_params
 from resfu.tensor import FeatureMap
 from resfu.upsampler import (
     PCDC_CHANNELS,
     PROJ_DIM,
+    NonFiniteInput,
     ProjectionParams,
     RatioMismatch,
     ResfuParams,
     RowNotNormalized,
     UpsampleConfig,
-    compute_similarity,
+    _apply_fused,
+    _apply_naive,
     generate_params,
     inner_product_scores,
     innerprod_upsample,
@@ -28,9 +41,7 @@ from resfu.upsampler import (
     project_qk,
     resfu_upsample,
     run_pipeline,
-    track_allocations,
 )
-from resfu.ops import GroupNormAffine
 
 
 def fm(values):
@@ -68,30 +79,6 @@ def small_params(rng, d=8, l_out=8, hidden=16, kernel=3):
         bias_k=rng.standard_normal(d).astype(np.float32) * 0.1,
     )
     return ResfuParams(proj=proj, block_s=block(), block_d=block())
-
-
-def zeroed_scores(params):
-    """Zero every weight/bias of both score blocks; scores collapse to 0."""
-
-    def wipe(block):
-        comp = block.comp
-        return dataclasses.replace(
-            block,
-            pcdc=dataclasses.replace(
-                block.pcdc,
-                weight=np.zeros_like(block.pcdc.weight),
-                bias=np.zeros_like(block.pcdc.bias),
-            ),
-            comp=dataclasses.replace(
-                comp,
-                conv1_weight=np.zeros_like(comp.conv1_weight),
-                conv1_bias=np.zeros_like(comp.conv1_bias),
-                conv2_weight=np.zeros_like(comp.conv2_weight),
-                conv2_bias=np.zeros_like(comp.conv2_bias),
-            ),
-        )
-
-    return dataclasses.replace(params, block_s=wipe(params.block_s), block_d=wipe(params.block_d))
 
 
 class TestProjectQk:
@@ -142,50 +129,40 @@ class TestProjectQk:
 
 
 class TestComputeSimilarity:
-    def _inputs(self, rng, h=6, w=5, d=8, ratio=2):
-        q = rand_map(rng, h, w, d)
-        k_up = rand_map(rng, h, w, d)
-        q_gs = rand_map(rng, h, w, d)
-        return q, k_up, q_gs
+    """The similarity scores as run_pipeline computes them."""
+
+    def _run(self, params, seed, h=4, w=5, ratio=2):
+        rng = np.random.default_rng(seed)
+        x = rand_map(rng, h, w, 6)
+        y = rand_map(rng, h * ratio, w * ratio, 5)
+        return run_pipeline(x, y, params, UpsampleConfig(ratio=ratio))
 
     def test_zeroed_blocks_zero_scores(self):
-        rng = np.random.default_rng(10)
-        params = zeroed_scores(small_params(rng))
-        q, k_up, q_gs = self._inputs(rng)
-        scores = compute_similarity(q, k_up, q_gs, params, ratio=2)
-        assert not scores.data.any()
+        res = self._run(zeroed_score_params(small_params(np.random.default_rng(10))), 10)
+        assert not res.scores.data.any()
 
     def test_zeroed_detail_branch_leaves_semantic_alone(self):
-        rng = np.random.default_rng(11)
-        params = small_params(rng)
-        lone = dataclasses.replace(params, block_d=zeroed_scores(params).block_d)
-        q, k_up, q_gs = self._inputs(rng)
-        both = compute_similarity(q, k_up, q_gs, lone, ratio=2)
-        q_gf = guided_filter(q, k_up, params.gf)
-        semantic = pcdc_block(
-            q_gf, k_up, dataclasses.replace(params.block_s, pcdc=dataclasses.replace(params.block_s.pcdc, dilation=2))
-        )
-        assert np.array_equal(both.data, semantic.data)
+        params = small_params(np.random.default_rng(11))
+        lone = dataclasses.replace(params, block_d=zeroed_score_params(params).block_d)
+        res = self._run(lone, 11)
+        assert not res.s_d.data.any()
+        assert np.array_equal(res.scores.data, res.s_s.data)
 
     def test_matches_staged_composition_bitwise(self):
-        rng = np.random.default_rng(12)
-        params = small_params(rng)
-        q, k_up, q_gs = self._inputs(rng, h=9, w=7)
-        got = compute_similarity(q, k_up, q_gs, params, ratio=3)
-        q_gf = guided_filter(q, k_up, params.gf)
+        params = small_params(np.random.default_rng(12))
+        res = self._run(params, 12, h=3, w=2, ratio=3)
+        q_gf = guided_filter(res.q, res.k_up, params.gf)
         dil = lambda blk: dataclasses.replace(blk, pcdc=dataclasses.replace(blk.pcdc, dilation=3))
-        s_s = pcdc_block(q_gf, k_up, dil(params.block_s))
-        s_d = pcdc_block(q, q_gs, dil(params.block_d))
-        assert np.array_equal(got.data, s_s.data + s_d.data)
+        s_s = pcdc_block(q_gf, res.k_up, dil(params.block_s))
+        s_d = pcdc_block(res.q, res.q_gs, dil(params.block_d))
+        assert np.array_equal(res.q_gf.data, q_gf.data)
+        assert np.array_equal(res.s_s.data, s_s.data)
+        assert np.array_equal(res.s_d.data, s_d.data)
+        assert np.array_equal(res.scores.data, s_s.data + s_d.data)
 
-    def test_pipeline_scores_match_compute_similarity(self):
-        rng = np.random.default_rng(13)
-        params = small_params(rng)
-        x = rand_map(rng, 4, 5, 6)
-        y = rand_map(rng, 8, 10, 5)
-        res = run_pipeline(x, y, params, UpsampleConfig(ratio=2))
-        again = compute_similarity(res.q, res.k_up, res.q_gs, params, ratio=2)
-        assert np.array_equal(res.scores.data, again.data)
+    def test_scores_are_sum_of_blocks(self):
+        res = self._run(small_params(np.random.default_rng(13)), 13)
+        assert np.array_equal(res.scores.data, res.s_s.data + res.s_d.data)
 
 
 class TestKernelApplyFns:
@@ -211,7 +188,7 @@ class TestKernelApplyFns:
         weights = FeatureMap(np.full((h, w, 9), 1.0 / 9.0, np.float32))
         out = kernel_apply_fns(weights, x, ratio)
         x_up = bilinear_resize(x, h, w)
-        want = gather_neighbors(x_up, 3, ratio).data.astype(np.float64).mean(axis=1)
+        want = gather_neighbors(x_up, 3, ratio).astype(np.float64).mean(axis=1)
         assert max_rel_error(out.astype64().reshape(-1, 4), want) <= 1e-6
 
     def test_ratio_one_center_identity(self):
@@ -228,7 +205,7 @@ class TestKernelApplyFns:
         for fused in (True, False):
             out = kernel_apply_fns(weights, x, ratio, fused=fused)
             x_up = bilinear_resize(x, 10, 12)
-            gathered = gather_neighbors(x_up, 3, ratio).data.astype(np.float64)
+            gathered = gather_neighbors(x_up, 3, ratio).astype(np.float64)
             want = np.einsum("pn,pnc->pc", weights.astype64().reshape(-1, 9), gathered)
             assert max_rel_error(out.astype64().reshape(-1, 3), want) <= 1e-5
 
@@ -293,22 +270,28 @@ class TestKernelApplyFns:
             kernel_apply_fns(self._one_hot(4, 4), x, 0)
 
     def test_fused_skips_full_upsampled_buffer(self):
+        # traced peak minus the output: the fused path's scratch stays below
+        # one upsampled map, the naive path holds more than one
         rng = np.random.default_rng(26)
-        x = rand_map(rng, 16, 16, 8)
-        weights = softmax_rows(rand_map(rng, 64, 64, 9))
-        with track_allocations() as naive_tally:
-            kernel_apply_fns(weights, x, 4, fused=False)
-        with track_allocations() as fused_tally:
-            kernel_apply_fns(weights, x, 4, fused=True)
-        assert naive_tally.by_label["naive/value_upsampled"] == 64 * 64 * 8 * 4
-        assert "naive/value_upsampled" not in fused_tally.by_label
-        assert fused_tally.total() < naive_tally.total()
+        x = rand_map(rng, 64, 64, 8)
+        weights = softmax_rows(rand_map(rng, 256, 256, 9)).data
+        one_map = 256 * 256 * 8 * 4
+        scratch = {}
+        for name, apply in (("fused", lambda: _apply_fused(weights, x, 4, 3, 1)),
+                            ("naive", lambda: _apply_naive(weights, x, 4, 3))):
+            tracemalloc.start()
+            try:
+                out = apply()
+                scratch[name] = tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+        assert scratch["fused"] < one_map < scratch["naive"]
 
 
 class TestResfuUpsample:
     def test_shape_contract(self):
         rng = np.random.default_rng(30)
-        params = generate_params(c_in=8, c_guide=4, cfg=UpsampleConfig(ratio=4))
+        params = generate_params(c_in=8, c_guide=4)
         out = resfu_upsample(rand_map(rng, 16, 16, 8), rand_map(rng, 64, 64, 4),
                              params, UpsampleConfig(ratio=4))
         assert out.shape == (64, 64, 8)
@@ -316,25 +299,25 @@ class TestResfuUpsample:
     @pytest.mark.parametrize("ratio", [2, 4, 8])
     def test_zeroed_scores_degenerate_box_mean(self, ratio):
         rng = np.random.default_rng(31)
-        params = zeroed_scores(generate_params(c_in=5, c_guide=3, cfg=UpsampleConfig(ratio=ratio)))
+        params = zeroed_score_params(generate_params(c_in=5, c_guide=3))
         x = rand_map(rng, 6, 6, 5)
         y = rand_map(rng, 6 * ratio, 6 * ratio, 3)
         out = resfu_upsample(x, y, params, UpsampleConfig(ratio=ratio))
         x_up = bilinear_resize(x, 6 * ratio, 6 * ratio)
-        want = gather_neighbors(x_up, 3, ratio).data.astype(np.float64).mean(axis=1)
+        want = gather_neighbors(x_up, 3, ratio).astype(np.float64).mean(axis=1)
         assert max_rel_error(out.astype64().reshape(-1, 5), want) <= 1e-5
 
     def test_constant_input_preserved(self):
         rng = np.random.default_rng(32)
         for seed in (0, 7):
-            params = generate_params(c_in=3, c_guide=4, cfg=UpsampleConfig(ratio=2, seed=seed))
+            params = generate_params(c_in=3, c_guide=4, seed=seed)
             const = fm(np.broadcast_to([1.5, -2.0, 0.25], (5, 4, 3)).copy())
-            out = resfu_upsample(const, rand_map(rng, 10, 8, 4), params, UpsampleConfig(ratio=2, seed=seed))
+            out = resfu_upsample(const, rand_map(rng, 10, 8, 4), params, UpsampleConfig(ratio=2))
             assert np.max(np.abs(out.data - const.data[0, 0])) <= 1e-5
 
     def test_kernel_rows_normalized(self):
         rng = np.random.default_rng(33)
-        params = generate_params(c_in=4, c_guide=3, cfg=UpsampleConfig(ratio=2))
+        params = generate_params(c_in=4, c_guide=3)
         res = run_pipeline(rand_map(rng, 5, 6, 4), rand_map(rng, 10, 12, 3),
                            params, UpsampleConfig(ratio=2))
         sums = res.kernels.astype64().sum(axis=2)
@@ -342,7 +325,7 @@ class TestResfuUpsample:
 
     def test_deterministic_across_runs_and_threads(self):
         rng = np.random.default_rng(34)
-        params = generate_params(c_in=6, c_guide=3, cfg=UpsampleConfig(ratio=4))
+        params = generate_params(c_in=6, c_guide=3)
         x = rand_map(rng, 8, 7, 6)
         y = rand_map(rng, 32, 28, 3)
         first = resfu_upsample(x, y, params, UpsampleConfig(ratio=4))
@@ -352,25 +335,32 @@ class TestResfuUpsample:
 
     def test_ratio_one_zeroed_scores_is_local_box_mean(self):
         rng = np.random.default_rng(35)
-        params = zeroed_scores(generate_params(c_in=4, c_guide=2, cfg=UpsampleConfig(ratio=1)))
+        params = zeroed_score_params(generate_params(c_in=4, c_guide=2))
         x = rand_map(rng, 7, 6, 4)
         out = resfu_upsample(x, rand_map(rng, 7, 6, 2), params, UpsampleConfig(ratio=1))
-        want = gather_neighbors(x, 3, 1).data.astype(np.float64).mean(axis=1)
+        want = gather_neighbors(x, 3, 1).astype(np.float64).mean(axis=1)
         assert max_rel_error(out.astype64().reshape(-1, 4), want) <= 1e-5
 
     def test_guide_dims_must_match_ratio(self):
         rng = np.random.default_rng(36)
-        params = generate_params(c_in=4, c_guide=2, cfg=UpsampleConfig(ratio=2))
+        params = generate_params(c_in=4, c_guide=2)
         with pytest.raises(RatioMismatch):
             resfu_upsample(rand_map(rng, 5, 5, 4), rand_map(rng, 10, 9, 2),
                            params, UpsampleConfig(ratio=2))
 
-    def test_kernel_config_must_match_params(self):
-        rng = np.random.default_rng(37)
-        params = generate_params(c_in=4, c_guide=2, cfg=UpsampleConfig(ratio=2))
-        with pytest.raises(ShapeMismatch):
-            resfu_upsample(rand_map(rng, 5, 5, 4), rand_map(rng, 10, 10, 2),
-                           params, UpsampleConfig(ratio=2, kernel=5))
+    def test_guide_with_inf_rejected_before_any_stage(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        params = generate_params(c_in=4, c_guide=2)
+        y = rand_map(rng, 10, 10, 2).data.copy()
+        y[7, 3, 1] = np.inf
+
+        def no_stage(*args):
+            raise AssertionError("a stage ran on a non-finite guide")
+
+        monkeypatch.setattr(upsampler, "project_qk", no_stage)
+        for upsample in (resfu_upsample, innerprod_upsample):
+            with pytest.raises(NonFiniteInput, match="guide"):
+                upsample(rand_map(rng, 5, 5, 4), FeatureMap(y), params, UpsampleConfig(ratio=2))
 
 
 class TestInnerProductScores:
@@ -394,14 +384,14 @@ class TestInnerProductScores:
         q = rand_map(rng, 6, 5, 4)
         k_up = rand_map(rng, 6, 5, 4)
         scores = inner_product_scores(q, k_up, kernel=3, ratio=3)
-        gathered = gather_neighbors(k_up, 3, 3).data.astype(np.float64)
+        gathered = gather_neighbors(k_up, 3, 3).astype(np.float64)
         flat_q = q.astype64().reshape(-1, 4)
         want = np.stack([(flat_q * gathered[:, n]).sum(axis=1) for n in range(9)], axis=1)
         assert max_rel_error(scores.astype64().reshape(-1, 9), want) <= 1e-6
 
     def test_baseline_pipeline_shapes_and_rows(self):
         rng = np.random.default_rng(43)
-        params = generate_params(c_in=3, c_guide=2, cfg=UpsampleConfig(ratio=2))
+        params = generate_params(c_in=3, c_guide=2)
         out = innerprod_upsample(rand_map(rng, 6, 5, 3), rand_map(rng, 12, 10, 2),
                                  params, UpsampleConfig(ratio=2))
         assert out.shape == (12, 10, 3)
@@ -411,14 +401,14 @@ class TestGenerateParams:
     def test_same_seed_bitwise_identical(self):
         from resfu.params_io import serialize_params
 
-        a = generate_params(c_in=8, c_guide=3, cfg=UpsampleConfig(ratio=2, seed=42))
-        b = generate_params(c_in=8, c_guide=3, cfg=UpsampleConfig(ratio=2, seed=42))
-        c = generate_params(c_in=8, c_guide=3, cfg=UpsampleConfig(ratio=2, seed=43))
+        a = generate_params(c_in=8, c_guide=3, seed=42)
+        b = generate_params(c_in=8, c_guide=3, seed=42)
+        c = generate_params(c_in=8, c_guide=3, seed=43)
         assert serialize_params(a) == serialize_params(b)
         assert serialize_params(a) != serialize_params(c)
 
     def test_biases_zero_norms_neutral(self):
-        p = generate_params(c_in=4, c_guide=5, cfg=UpsampleConfig(ratio=2, seed=9))
+        p = generate_params(c_in=4, c_guide=5, seed=9)
         assert not p.proj.bias_q.any() and not p.proj.bias_k.any()
         for block in (p.block_s, p.block_d):
             assert not block.pcdc.bias.any()
@@ -428,7 +418,7 @@ class TestGenerateParams:
                 assert not affine.beta.any()
 
     def test_weight_bounds(self):
-        p = generate_params(c_in=10, c_guide=7, cfg=UpsampleConfig(ratio=4, seed=5))
+        p = generate_params(c_in=10, c_guide=7, seed=5)
         d, l_out = PROJ_DIM, PCDC_CHANNELS
         assert np.max(np.abs(p.proj.weight_q)) <= 1 / np.sqrt(7)
         assert np.max(np.abs(p.proj.weight_k)) <= 1 / np.sqrt(10)
@@ -439,7 +429,7 @@ class TestGenerateParams:
             assert np.max(np.abs(block.comp.conv2_weight)) <= 1 / np.sqrt(128)
 
     def test_blocks_differ_between_branches(self):
-        p = generate_params(c_in=4, c_guide=4, cfg=UpsampleConfig(ratio=2, seed=0))
+        p = generate_params(c_in=4, c_guide=4, seed=0)
         assert not np.array_equal(p.block_s.pcdc.weight, p.block_d.pcdc.weight)
 
 
@@ -451,8 +441,22 @@ class TestConfigValidation:
             UpsampleConfig(ratio=2.5)
 
     def test_bad_kernel(self):
+        # the kernel size is carried by the parameters: 16 taps is no odd K
         with pytest.raises(ShapeMismatch):
-            UpsampleConfig(ratio=2, kernel=4)
+            PcdcParams(weight=np.zeros((16, 2, 4), np.float32), bias=np.zeros(4, np.float32), groups=2)
+        with pytest.raises(ShapeMismatch):
+            neighbor_offsets(4, 1)
+
+    @pytest.mark.parametrize("c_in,c_guide", [(0, 3), (-2, 3), (3, 0)])
+    def test_bad_channel_counts(self, c_in, c_guide):
+        with pytest.raises(ShapeMismatch):
+            generate_params(c_in=c_in, c_guide=c_guide)
+
+    def test_seed_must_fit_64_bits(self):
+        with pytest.raises(ShapeMismatch):
+            generate_params(c_in=2, c_guide=2, seed=2**64)
+        with pytest.raises(ShapeMismatch):
+            generate_params(c_in=2, c_guide=2, seed=-1)
 
     def test_block_channels_must_match_projection(self):
         rng = np.random.default_rng(50)
