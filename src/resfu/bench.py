@@ -92,13 +92,12 @@ def run_bench(h: int, w: int, c: int, ratio: int, iters: int, seed: int = 0) -> 
         weight=rng.standard_normal((9, depth // 4, depth)).astype(np.float32) * 0.3,
         bias=rng.standard_normal(depth).astype(np.float32) * 0.1,
         groups=4,
-        dilation=ratio,
     )
 
     rows = (
         BenchRow("fns-fused", _timed(lambda: kernel_apply_fns(weights, x, ratio, fused=True), iters), iters),
         BenchRow("fns-naive", _timed(lambda: kernel_apply_fns(weights, x, ratio, fused=False), iters), iters),
-        BenchRow("pcdc-decomposed", _timed(lambda: pcdc_layer(q, k, params), iters), iters),
+        BenchRow("pcdc-decomposed", _timed(lambda: pcdc_layer(q, k, params, ratio), iters), iters),
         BenchRow(
             "pcdc-direct",
             _timed(lambda: oracle_pcdc_direct(q, k, params.weight, params.bias, 4, ratio), iters),

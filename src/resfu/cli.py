@@ -59,16 +59,15 @@ def _cmd_upsample(args) -> int:
     if args.kernel != params.kernel:
         raise ShapeMismatch(f"--kernel {args.kernel}, but {args.weights} holds kernel {params.kernel}")
     fused = args.fused == "true"
-    threads = max(1, args.threads)
 
     if args.baseline in ("bilinear", "nearest"):
         check_guide(x, y, cfg.ratio)
         resize = bilinear_resize if args.baseline == "bilinear" else nearest_resize
         out = resize(x, y.height, y.width)
     elif args.baseline == "innerprod":
-        out = innerprod_upsample(x, y, params, cfg, fused=fused, threads=threads)
+        out = innerprod_upsample(x, y, params, cfg, fused=fused)
     else:
-        result = run_pipeline(x, y, params, cfg, fused=fused, threads=threads)
+        result = run_pipeline(x, y, params, cfg, fused=fused)
         out = result.output
         if args.dump_dir is not None:
             os.makedirs(args.dump_dir, exist_ok=True)
@@ -136,7 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ups.add_argument("--fused", choices=["true", "false"], default="true")
     ups.add_argument("--dump-dir", default=None,
                      help="also write pipeline intermediates here (full pipeline only)")
-    ups.add_argument("--threads", type=int, default=1)
+    ups.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored: resfu runs on the calling thread")
     ups.add_argument("--out", required=True, help="output .rsft path")
     ups.set_defaults(handler=_cmd_upsample)
 

@@ -3,8 +3,9 @@ central finite differences.
 
 Everything here runs on raw float64 arrays: finite differences at 32-bit
 would drown the comparison in rounding noise.  The forward evaluations are
-the production kernels themselves, pcdc._pcdc_core and ops._resize_linear,
-which compute in the dtype they are given; the backward passes are derived
+the production kernels themselves, pcdc._pcdc_core and the naive kernel
+application upsampler._apply_naive (after a float64 softmax), which compute
+in the dtype they are given; the backward passes are derived
 by hand and share no code with them, so a finite-difference check compares
 two independent sides.  Only the difference convolution and the
 softmax-kernel application get backward passes; training the full pipeline
@@ -20,6 +21,7 @@ import numpy as np
 from .ops import ShapeMismatch, _resize_linear, axis_linear_coords, neighbor_offsets
 from .oracle import max_rel_error
 from .pcdc import _pcdc_core
+from .upsampler import _apply_naive
 
 FD_STEP = 1e-5
 FD_TOLERANCE = 1e-6
@@ -45,7 +47,7 @@ class GradCheckReport:
         object.__setattr__(self, "passed", bool(self.max_rel_error <= self.tolerance))
 
 
-# --- 64-bit forward evaluations ---------------------------------------------
+# --- 64-bit helpers ---------------------------------------------------------
 
 
 def _clamped_indices(h, w, offsets, dilation):
@@ -61,16 +63,6 @@ def _softmax64(scores):
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _kernel_apply_forward(scores, x, ratio, kernel):
-    out_h, out_w, _ = scores.shape
-    weights = _softmax64(scores)
-    x_up = _resize_linear(x, out_h, out_w)
-    out = np.zeros_like(x_up)
-    for n, (ri, ci) in enumerate(_clamped_indices(out_h, out_w, neighbor_offsets(kernel, ratio), 1)):
-        out += weights[:, :, n : n + 1] * x_up[ri, ci]
-    return out
 
 
 # --- finite differences ------------------------------------------------------
@@ -241,10 +233,10 @@ def check_kernel_apply_gradients(seed: int = 0, probes: int = DEFAULT_PROBES) ->
     proj = rng.standard_normal((h * ratio, w * ratio, c))
 
     def loss_scores(arr):
-        return float((proj * _kernel_apply_forward(arr, x, ratio, kernel)).sum())
+        return float((proj * _apply_naive(_softmax64(arr), x, ratio, kernel)).sum())
 
     def loss_x(arr):
-        return float((proj * _kernel_apply_forward(scores, arr, ratio, kernel)).sum())
+        return float((proj * _apply_naive(_softmax64(scores), arr, ratio, kernel)).sum())
 
     d_scores, d_x = kernel_apply_backward(proj, _softmax64(scores), x, ratio, kernel)
     row_sum = float(np.max(np.abs(d_scores.sum(axis=2))))

@@ -13,16 +13,14 @@ Conventions used throughout:
   resizes compute in the dtype of their input, in L2-sized row tiles
   (TILE_BYTES), and the paired difference contraction of a score block
   (resfu.pcdc) in float32;
-* all kernels are pure functions and bit-reproducible: parallel execution
-  only ever splits work into fixed-size row chunks whose layout does not
-  depend on the thread count, and each chunk writes a disjoint output slice;
-  BLAS products are issued in row pieces fixed by the operand shapes.
+* all kernels are pure functions, run on the calling thread and are
+  bit-reproducible: work is split only into pieces fixed by the operand
+  shapes (CHUNK_ROWS row chunks, pixel blocks, BLAS row pieces).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,25 +41,10 @@ class ChannelGroupMismatch(Exception):
     """A channel count is not divisible by the requested group count."""
 
 
-# Fixed work-decomposition unit for threaded kernels.  The chunk layout must
-# never depend on the thread count, otherwise outputs could not be promised
-# byte-identical across thread counts.
+# Output rows per chunk of the row-chunked kernels (the difference
+# convolution, the fused kernel application): bounds their per-chunk
+# scratch, and fixes where their work splits.
 CHUNK_ROWS = 32
-
-
-def run_row_chunks(n_rows: int, threads: int, work) -> None:
-    """Invoke work(row_start, row_end) over fixed CHUNK_ROWS-sized chunks.
-
-    With threads > 1 the chunks run on a thread pool; each work() call must
-    write only rows [row_start, row_end) of its output.
-    """
-    chunks = [(r0, min(r0 + CHUNK_ROWS, n_rows)) for r0 in range(0, n_rows, CHUNK_ROWS)]
-    if threads <= 1:
-        for r0, r1 in chunks:
-            work(r0, r1)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda span: work(*span), chunks))
 
 
 # Pixels per float64 working block of the per-pixel kernels: enough to keep
@@ -75,8 +58,8 @@ def _pixel_blocks(n_pixels: int):
 
 # Most multiply-adds per BLAS call.  This keeps every product in the package
 # on the calling thread, by design: OpenBLAS, which numpy ships with, runs a
-# product of at most 2^18 multiply-adds single-threaded and hands larger ones
-# to its worker threads, whose wake-up costs more here than the split work
+# product of at most 2^18 multiply-adds single-threaded and splits larger ones
+# across its workers, whose wake-up costs more here than the split work
 # saves.  Measured on a shared 2-core Xeon VM, first call in a fresh process
 # after a few idle seconds, alternating runs: the 64x64x32 -> 256x256x32 CLI
 # upsample took 0.67-0.87 s in pieces and 0.69-1.64 s without (five of ten

@@ -1,7 +1,9 @@
 """Paired central difference similarity head.
 
 The core layer compares a query pixel against the dilated KxK neighborhood
-of the key map, channel group by channel group:
+of the key map, channel group by channel group.  The dilation is not part
+of the weights: the layer and the block take it per call, and the pipeline
+passes the upsampling ratio.  With N(i) that neighborhood,
 
     v[i, l] = sum_d sum_n w[n, d', l] * (k[N(i)_n, d] - q[i, d]) + b[l]
 
@@ -25,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import (
+    CHUNK_ROWS,
     ChannelGroupMismatch,
     GroupNormAffine,
     ShapeMismatch,
@@ -34,7 +37,6 @@ from .ops import (
     matmul_rows,
     neighbor_offsets,
     relu,
-    run_row_chunks,
 )
 from .tensor import FeatureMap
 
@@ -53,7 +55,6 @@ class PcdcParams:
     weight: np.ndarray
     bias: np.ndarray
     groups: int
-    dilation: int = 1
 
     def __post_init__(self):
         weight = _as_float32("weight", self.weight, 3)
@@ -66,8 +67,6 @@ class PcdcParams:
             raise ShapeMismatch(f"bias has {bias.size} entries, weight implies {l_out}")
         if self.groups < 1 or l_out % self.groups:
             raise ChannelGroupMismatch(f"{l_out} outputs not divisible into {self.groups} groups")
-        if self.dilation < 1:
-            raise ShapeMismatch(f"dilation must be >= 1, got {self.dilation}")
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
 
@@ -96,7 +95,7 @@ def _block_diagonal(weight: np.ndarray, groups: int) -> np.ndarray:
 
 
 def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-               groups: int, dilation: int, threads: int = 1) -> np.ndarray:
+               groups: int, dilation: int) -> np.ndarray:
     """Decomposed difference conv on raw (H, W, D) arrays; dtype follows q.
 
         v[i, l] = sum_n sum_d' weight[n, d', l] * k[N(i)_n, d]
@@ -117,8 +116,8 @@ def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarra
     k_pad = np.pad(k, ((reach, reach), (reach, reach), (0, 0)), mode="edge")
     w_pad = k_pad.shape[1]
     out = np.empty((h, w, l_out), q.dtype)
-
-    def work(r0, r1):
+    for r0 in range(0, h, CHUNK_ROWS):
+        r1 = min(r0 + CHUNK_ROWS, h)
         m = r1 - r0
         chunk = out[r0:r1]
         matmul_rows(q[r0:r1].reshape(m * w, d_in), q_taps, chunk.reshape(m * w, l_out))
@@ -128,13 +127,12 @@ def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarra
             rows = k_pad[reach + r0 + di : reach + r1 + di].reshape(m * w_pad, d_in)
             matmul_rows(rows, taps[n], tap_out.reshape(m * w_pad, l_out))
             chunk += tap_out[:, reach + dj : reach + dj + w]
-
-    run_row_chunks(h, threads, work)
     return out
 
 
-def pcdc_layer(q_bar: FeatureMap, k_bar: FeatureMap, params: PcdcParams, threads: int = 1) -> FeatureMap:
-    """Apply the difference convolution to a projected query/key pair."""
+def pcdc_layer(q_bar: FeatureMap, k_bar: FeatureMap, params: PcdcParams, dilation: int = 1) -> FeatureMap:
+    """Apply the difference convolution, its KxK neighborhood dilated by
+    `dilation`, to a projected query/key pair."""
     if q_bar.shape != k_bar.shape:
         raise ShapeMismatch(f"query {q_bar.shape} and key {k_bar.shape} must match")
     if q_bar.channels != params.in_channels:
@@ -147,8 +145,7 @@ def pcdc_layer(q_bar: FeatureMap, k_bar: FeatureMap, params: PcdcParams, threads
         params.weight.astype(np.float64),
         params.bias.astype(np.float64),
         params.groups,
-        params.dilation,
-        threads,
+        dilation,
     )
     return FeatureMap(out)
 
@@ -175,6 +172,10 @@ class CompressorParams:
         object.__setattr__(self, "conv1_bias", _as_float32("conv1_bias", self.conv1_bias, 1))
         object.__setattr__(self, "conv2_weight", _as_float32("conv2_weight", self.conv2_weight, 2))
         object.__setattr__(self, "conv2_bias", _as_float32("conv2_bias", self.conv2_bias, 1))
+        for name, weight, bias in (("conv1", self.conv1_weight, self.conv1_bias),
+                                   ("conv2", self.conv2_weight, self.conv2_bias)):
+            if bias.size != weight.shape[0]:
+                raise ShapeMismatch(f"{name} bias has {bias.size} entries, its weight has {weight.shape[0]} rows")
         hidden = self.conv1_weight.shape[0]
         if self.norm.channels != hidden:
             raise ShapeMismatch(f"norm covers {self.norm.channels} channels, conv1 makes {hidden}")
@@ -207,10 +208,13 @@ class PcdcBlockParams:
             )
         if self.comp.conv1_weight.shape[1] * self.comp.conv1_groups != self.pcdc.out_channels:
             raise ShapeMismatch("compressor input channels do not match pcdc outputs")
+        scores, kernel = self.comp.conv2_weight.shape[0], self.pcdc.kernel
+        if scores != kernel * kernel:
+            raise ShapeMismatch(f"compressor emits {scores} scores, kernel {kernel} needs {kernel * kernel}")
 
 
-def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, threads: int = 1) -> SimilarityScores:
-    """Score the key neighborhood of every query pixel.
+def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, dilation: int = 1) -> SimilarityScores:
+    """Score the `dilation`-dilated key neighborhood of every query pixel.
 
     Both inputs pass through group normalization with the same affine
     parameters (statistics are computed per input), then the difference
@@ -222,5 +226,5 @@ def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, thre
     q_bar = group_normalize(q_in, params.norm)
     k_bar = group_normalize(k_in, params.norm)
     pc = params.pcdc
-    v = _pcdc_core(q_bar.data, k_bar.data, pc.weight.astype(np.float64), pc.bias, pc.groups, pc.dilation, threads)
+    v = _pcdc_core(q_bar.data, k_bar.data, pc.weight.astype(np.float64), pc.bias, pc.groups, dilation)
     return channel_compressor(FeatureMap.adopt(v), params.comp)

@@ -19,17 +19,17 @@ taken from the parameter bundle, with dilation equal to the upsampling
 ratio, on the high-resolution grids ("fine-grained neighbor selection");
 both score branches use the same dilation.  The value gather runs either
 naively (materialize x_up = bilinear_resize(x)) or fused: bilinear samples
-are computed on demand per row chunk into buffers each worker allocates once
-per call, and the taps accumulate straight into the output in row tiles
-sized to stay in L2 (ops.TILE_BYTES), so the full H x W x C upsampled buffer
-never exists and no output-sized temporary is allocated.  Both paths round
-every output element identically, so their outputs are equal bit for bit.
+are computed on demand per row chunk into buffers allocated once per call,
+and the taps accumulate straight into the output in row tiles sized to stay
+in L2 (ops.TILE_BYTES), so the full H x W x C upsampled buffer never exists
+and no output-sized temporary is allocated.  Both paths round every output
+element identically, so their outputs are equal bit for bit.  Every stage
+runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -40,6 +40,7 @@ from .ops import (
     GroupNormAffine,
     ShapeMismatch,
     SimilarityScores,
+    _resize_linear,
     axis_linear_coords,
     bilinear_resize,
     gather_neighbors,
@@ -47,7 +48,6 @@ from .ops import (
     grouped_pointwise_conv,
     lerp_take,
     neighbor_offsets,
-    run_row_chunks,
     softmax_rows,
     tile_rows,
 )
@@ -164,40 +164,37 @@ def project_qk(x: FeatureMap, y: FeatureMap, proj: ProjectionParams) -> tuple[Fe
             grouped_pointwise_conv(x, proj.weight_k, proj.bias_k, groups=1))
 
 
-def _with_dilation(block: PcdcBlockParams, dilation: int) -> PcdcBlockParams:
-    if block.pcdc.dilation == dilation:
-        return block
-    return replace(block, pcdc=replace(block.pcdc, dilation=dilation))
-
-
 # --- kernel application with fine-grained neighbor selection ---------------
 
 
-def _apply_naive(weights: np.ndarray, x: FeatureMap, ratio: int, kernel: int) -> np.ndarray:
-    """Reference path: materialize the upsampled value map, then gather."""
+def _apply_naive(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) -> np.ndarray:
+    """Reference path: materialize the upsampled value map, then gather.
+
+    Computes in the dtype of the (H, W, C) value array x; resfu.grad runs it
+    on float64."""
     out_h, out_w = weights.shape[:2]
-    x_up = bilinear_resize(x, out_h, out_w)
+    x_up = _resize_linear(x, out_h, out_w)
     pad = (kernel - 1) // 2 * ratio
-    padded = np.pad(x_up.data, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
-    out = np.zeros((out_h, out_w, x.channels), np.float32)
+    padded = np.pad(x_up, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
+    out = np.zeros((out_h, out_w, x.shape[2]), x.dtype)
     for n, (di, dj) in enumerate(neighbor_offsets(kernel, ratio)):
         view = padded[pad + di : pad + di + out_h, pad + dj : pad + dj + out_w]
         out += weights[:, :, n : n + 1] * view
     return out
 
 
-def _apply_fused(weights: np.ndarray, x: FeatureMap, ratio: int, kernel: int, threads: int) -> np.ndarray:
-    """Fused path: bilinear value samples are computed per row chunk on
-    demand; the full upsampled buffer never exists.
+def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) -> np.ndarray:
+    """Fused path on the float32 (H, W, C) value array x: bilinear value
+    samples are computed per row chunk on demand; the full upsampled buffer
+    never exists.
 
-    Each worker allocates its buffers once per call and reuses them for
-    every chunk: the edge-padded sample strip of a chunk and its halo rows,
-    the input rows the strip interpolates from, and one row tile.  The strip
-    is interpolated tile by tile through the tile buffer; then each output
-    row tile is zeroed in `out` and accumulates its taps in a fixed order,
-    every product going through the tile buffer.  Each output element thus
-    sees the same float32 roundings as on the naive path, whatever the tile
-    size or thread count.
+    The buffers are allocated once per call and reused for every chunk: the
+    edge-padded sample strip of a chunk and its halo rows, the input rows
+    the strip interpolates from, and one row tile.  The strip is
+    interpolated tile by tile through the tile buffer; then each output row
+    tile is zeroed in `out` and accumulates its taps in a fixed order, every
+    product going through the tile buffer.  Each output element thus sees
+    the same float32 roundings as on the naive path, whatever the tile size.
     """
     out_h, out_w = weights.shape[:2]
     h, w, c = x.shape
@@ -207,24 +204,17 @@ def _apply_fused(weights: np.ndarray, x: FeatureMap, ratio: int, kernel: int, th
     c_t = c_t.astype(np.float32)[None, :, None]
     pad = (kernel - 1) // 2 * ratio
     offsets = neighbor_offsets(kernel, ratio)
-    data = x.data
     out = np.empty((out_h, out_w, c), np.float32)
     strip_rows = min(CHUNK_ROWS, out_h) + 2 * pad
     step = min(strip_rows, tile_rows(4 * out_w * c))
-    local = threading.local()
-
-    def buffers():
-        if not hasattr(local, "strip"):
-            local.strip = np.empty((strip_rows, out_w + 2 * pad, c), np.float32)
-            local.rows = np.empty((2, strip_rows, w, c), np.float32)
-            local.tile = np.empty((step, out_w, c), np.float32)
-        return local.strip, local.rows, local.tile
-
-    def work(r0, r1):
-        strip, rows, tile = buffers()
+    strip = np.empty((strip_rows, out_w + 2 * pad, c), np.float32)
+    rows = np.empty((2, strip_rows, w, c), np.float32)
+    tile = np.empty((step, out_w, c), np.float32)
+    for r0 in range(0, out_h, CHUNK_ROWS):
+        r1 = min(r0 + CHUNK_ROWS, out_h)
         rows_ext = np.clip(np.arange(r0 - pad, r1 + pad), 0, out_h - 1)
         n_ext = len(rows_ext)
-        lerp_take(data, r_lo[rows_ext], r_hi[rows_ext], r_t[rows_ext], 0, rows[0, :n_ext], rows[1, :n_ext])
+        lerp_take(x, r_lo[rows_ext], r_hi[rows_ext], r_t[rows_ext], 0, rows[0, :n_ext], rows[1, :n_ext])
         for s0 in range(0, n_ext, step):
             s1 = min(s0 + step, n_ext)
             lerp_take(rows[0, s0:s1], c_lo, c_hi, c_t, 1, strip[s0:s1, pad : pad + out_w], tile[: s1 - s0])
@@ -239,13 +229,11 @@ def _apply_fused(weights: np.ndarray, x: FeatureMap, ratio: int, kernel: int, th
                 view = strip[s0 : s0 + t1 - t0, pad + dj : pad + dj + out_w]
                 np.multiply(weights[t0:t1, :, n : n + 1], view, out=tmp)
                 acc += tmp
-
-    run_row_chunks(out_h, threads, work)
     return out
 
 
 def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, kernel: int = 3,
-                     fused: bool = True, threads: int = 1) -> FeatureMap:
+                     fused: bool = True) -> FeatureMap:
     """Mix bilinearly upsampled values of x with per-pixel kernel weights.
 
     `weights` holds one post-softmax weight per neighbor slot; slot n of
@@ -266,8 +254,8 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, kerne
     if not worst <= 1e-3:  # NaN fails too
         raise RowNotNormalized(f"kernel rows sum off by {worst:.3g}; run softmax_rows first")
     if fused:
-        return FeatureMap.adopt(_apply_fused(weights.data, x, ratio, kernel, threads))
-    return FeatureMap.adopt(_apply_naive(weights.data, x, ratio, kernel))
+        return FeatureMap.adopt(_apply_fused(weights.data, x.data, ratio, kernel))
+    return FeatureMap.adopt(_apply_naive(weights.data, x.data, ratio, kernel))
 
 
 # --- end-to-end pipeline ----------------------------------------------------
@@ -291,24 +279,28 @@ class PipelineResult:
 
 def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
                  fused: bool = True, threads: int = 1) -> PipelineResult:
-    """Run every stage once and keep each intermediate."""
+    """Run every stage once and keep each intermediate.
+
+    `threads` is accepted and ignored: every stage runs on the calling
+    thread."""
     check_guide(x, y, cfg.ratio)
     q, k = project_qk(x, y, params.proj)
     k_up = bilinear_resize(k, y.height, y.width)
     q_gf = guided_filter(q, k_up, params.gf)
     q_gs = gaussian_smooth3(q)
-    s_s = pcdc_block(q_gf, k_up, _with_dilation(params.block_s, cfg.ratio), threads)
-    s_d = pcdc_block(q, q_gs, _with_dilation(params.block_d, cfg.ratio), threads)
+    s_s = pcdc_block(q_gf, k_up, params.block_s, cfg.ratio)
+    s_d = pcdc_block(q, q_gs, params.block_d, cfg.ratio)
     scores = FeatureMap(s_s.data + s_d.data)
     kernels = softmax_rows(scores)
-    output = kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused, threads=threads)
+    output = kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused)
     return PipelineResult(q, k, k_up, q_gf, q_gs, s_s, s_d, scores, kernels, output)
 
 
 def resfu_upsample(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
                    fused: bool = True, threads: int = 1) -> FeatureMap:
-    """Upsample x by cfg.ratio under the guidance of y."""
-    return run_pipeline(x, y, params, cfg, fused=fused, threads=threads).output
+    """Upsample x by cfg.ratio under the guidance of y (`threads` is ignored,
+    as in run_pipeline)."""
+    return run_pipeline(x, y, params, cfg, fused=fused).output
 
 
 def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: int) -> SimilarityScores:
@@ -325,14 +317,14 @@ def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: in
 
 
 def innerprod_upsample(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
-                       fused: bool = True, threads: int = 1) -> FeatureMap:
+                       fused: bool = True) -> FeatureMap:
     """Baseline pipeline with both score branches replaced by the
     inner-product similarity."""
     check_guide(x, y, cfg.ratio)
     q, k = project_qk(x, y, params.proj)
     k_up = bilinear_resize(k, y.height, y.width)
     kernels = softmax_rows(inner_product_scores(q, k_up, params.kernel, cfg.ratio))
-    return kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused, threads=threads)
+    return kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused)
 
 
 # --- deterministic parameter synthesis --------------------------------------

@@ -1,8 +1,8 @@
 """Feature-map visualization: PCA projection to RGB, written as binary PPM.
 
-The eigendecomposition is a hand-rolled cyclic Jacobi sweep (the covariance
-matrices here are tiny, and a fixed rotation order keeps the output bytes
-reproducible everywhere).  Zero-variance channels have no defined min-max
+The eigendecomposition is numpy's LAPACK-backed eigh, with the sign of each
+principal direction fixed, so the output bytes are reproducible per
+NumPy/LAPACK build.  Zero-variance channels have no defined min-max
 scaling and render as mid-gray 128; inputs with fewer than three channels
 pad the missing RGB planes with 128 as well.
 """
@@ -16,37 +16,6 @@ from .tensor import FeatureMap
 
 MID_GRAY = 128
 _VARIANCE_FLOOR = 1e-10  # eigenvalues below floor * largest count as zero
-
-
-def jacobi_eigh(sym: np.ndarray, max_sweeps: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors (columns) of a symmetric
-    matrix by cyclic Jacobi rotations."""
-    a = np.asarray(sym, np.float64).copy()
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= 1e-14 * max(1.0, float(np.max(np.abs(np.diag(a))))):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = 1.0 if theta == 0.0 else np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # two-sided rotation in the (p, q) plane, applied in place
-                row_p, row_q = a[p].copy(), a[q].copy()
-                a[p], a[q] = c * row_p - s * row_q, s * row_p + c * row_q
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p], a[:, q] = c * col_p - s * col_q, s * col_p + c * col_q
-                vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p], v[:, q] = c * vec_p - s * vec_q, s * vec_p + c * vec_q
-    order = np.argsort(np.diag(a))[::-1]
-    return np.diag(a)[order], v[:, order]
 
 
 def _scale_to_bytes(plane: np.ndarray) -> np.ndarray:
@@ -63,7 +32,8 @@ def pca_rgb(fmap: FeatureMap) -> np.ndarray:
     flat = fmap.astype64().reshape(-1, c)
     centered = flat - flat.mean(axis=0)
     cov = centered.T @ centered / flat.shape[0]
-    eigvals, eigvecs = jacobi_eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]  # descending
 
     rgb = np.full((h, w, 3), MID_GRAY, np.uint8)
     floor = _VARIANCE_FLOOR * max(float(eigvals[0]), 0.0)

@@ -10,10 +10,10 @@ import pytest
 
 from resfu import cli
 from resfu.ops import bilinear_resize, nearest_resize
-from resfu.params_io import load_params
+from resfu.params_io import load_params, save_params
 from resfu.selfcheck import CheckResult
 from resfu.tensor import FeatureMap, load_tensor, save_tensor
-from resfu.upsampler import UpsampleConfig, innerprod_upsample
+from resfu.upsampler import UpsampleConfig, generate_params, innerprod_upsample
 
 
 @pytest.fixture
@@ -142,6 +142,29 @@ class TestUpsample:
         err = capsys.readouterr().err
         assert "error:" in err and "w.rsfw" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "block,fields",
+        [
+            ("block_s", {"conv2_bias": np.zeros(8)}),
+            ("block_s", {"conv1_bias": np.zeros(7)}),
+            ("block_d", {"conv2_weight": np.zeros((8, 128)), "conv2_bias": np.zeros(8)}),
+        ],
+        ids=["conv2_bias_8", "conv1_bias_7", "conv2_8_scores_at_k3"],
+    )
+    def test_inconsistent_compressor_bundle_exits_two(self, workspace, capsys, block, fields):
+        # the dataclass checks would refuse these tensors, so they are set on
+        # the frozen fields directly, as a hand-edited file would carry them
+        params = generate_params(6, 3, seed=1)
+        comp = getattr(params, block).comp
+        for name, value in fields.items():
+            object.__setattr__(comp, name, np.asarray(value, np.float32))
+        save_params(workspace / "w.rsfw", params)
+        assert cli.main(upsample_args(workspace)) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "w.rsfw" in err and "inconsistent weight bundle" in err
+        assert "Traceback" not in err
+        assert not (workspace / "out.rsft").exists()
 
     def test_inf_guide_pixel_exits_one(self, workspace, capsys):
         y = load_tensor(workspace / "y.rsft").data.copy()

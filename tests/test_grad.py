@@ -12,12 +12,12 @@ from resfu.grad import (
     finite_diff_grad,
     kernel_apply_backward,
     pcdc_backward,
-    _kernel_apply_forward,
     _softmax64,
 )
 from resfu.ops import ShapeMismatch
 from resfu.oracle import max_rel_error
 from resfu.pcdc import _pcdc_core
+from resfu.upsampler import _apply_naive
 
 
 class TestFiniteDiff:
@@ -123,10 +123,10 @@ class TestKernelApplyBackward:
         x, scores, upstream, ratio = self._case(12)
         d_scores, d_x = kernel_apply_backward(upstream, _softmax64(scores), x, ratio)
         fd_scores = finite_diff_grad(
-            lambda a: float((upstream * _kernel_apply_forward(a, x, ratio, 3)).sum()), scores
+            lambda a: float((upstream * _apply_naive(_softmax64(a), x, ratio, 3)).sum()), scores
         )
         fd_x = finite_diff_grad(
-            lambda a: float((upstream * _kernel_apply_forward(scores, a, ratio, 3)).sum()), x
+            lambda a: float((upstream * _apply_naive(_softmax64(scores), a, ratio, 3)).sum()), x
         )
         assert max_rel_error(fd_scores, d_scores) <= 1e-6
         assert max_rel_error(fd_x, d_x) <= 1e-6

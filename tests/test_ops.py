@@ -20,7 +20,6 @@ from resfu.ops import (
     grouped_pointwise_conv,
     nearest_resize,
     relu,
-    run_row_chunks,
     softmax_rows,
 )
 from resfu.tensor import FeatureMap
@@ -333,15 +332,3 @@ class TestSoftmaxRows:
         out = softmax_rows(scores)
         assert np.all(np.isfinite(out.data))
         np.testing.assert_allclose(out.astype64().sum(), 1.0, atol=1e-9)
-
-
-class TestRowChunks:
-    @pytest.mark.parametrize("threads", [1, 3, 8])
-    def test_covers_rows_once(self, threads):
-        hits = np.zeros(100, np.int64)
-
-        def work(r0, r1):
-            hits[r0:r1] += 1
-
-        run_row_chunks(100, threads, work)
-        assert np.all(hits == 1)

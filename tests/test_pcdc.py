@@ -1,5 +1,8 @@
-"""Difference-convolution tests: decomposed path vs the literal-loop oracle,
-degenerate weights, block composition, determinism across thread counts."""
+"""Difference-convolution tests: decomposed path vs the literal-loop oracle
+(across row chunks too), degenerate weights, block composition, bundle shape
+checks."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -28,23 +31,22 @@ def rand_map(rng, h, w, c):
     return FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32))
 
 
-def rand_pcdc(rng, kernel=3, d=8, l_out=8, groups=2, dilation=1):
+def rand_pcdc(rng, kernel=3, d=8, l_out=8, groups=2):
     return PcdcParams(
         weight=rng.standard_normal((kernel * kernel, d // groups, l_out)).astype(np.float32),
         bias=rng.standard_normal(l_out).astype(np.float32),
         groups=groups,
-        dilation=dilation,
     )
 
 
-def rand_block(rng, d=8, l_out=8, hidden=16, kernel=3, groups=2, dilation=1):
+def rand_block(rng, d=8, l_out=8, hidden=16, kernel=3, groups=2):
     return PcdcBlockParams(
         norm=GroupNormAffine(
             rng.standard_normal(d).astype(np.float32),
             rng.standard_normal(d).astype(np.float32),
             groups=4,
         ),
-        pcdc=rand_pcdc(rng, kernel, d, l_out, groups, dilation),
+        pcdc=rand_pcdc(rng, kernel, d, l_out, groups),
         comp=CompressorParams(
             conv1_weight=rng.standard_normal((hidden, l_out // 4)).astype(np.float32),
             conv1_bias=rng.standard_normal(hidden).astype(np.float32),
@@ -96,7 +98,7 @@ class TestPcdcLayer:
         zero_q = FeatureMap(np.zeros((6, 6, 8), np.float32))
         k = rand_map(rng, 6, 6, 8)
         p = rand_pcdc(rng)
-        p = PcdcParams(p.weight, np.zeros(8, np.float32), p.groups, p.dilation)
+        p = PcdcParams(p.weight, np.zeros(8, np.float32), p.groups)
         one = pcdc_layer(zero_q, k, p).astype64()
         three = pcdc_layer(zero_q, FeatureMap(3.0 * k.data), p).astype64()
         assert max_rel_error(three, 3.0 * one) <= 1e-5
@@ -106,20 +108,19 @@ class TestPcdcLayer:
         rng = np.random.default_rng(10 * groups + dilation)
         q = rand_map(rng, 9, 8, 8)
         k = rand_map(rng, 9, 8, 8)
-        p = rand_pcdc(rng, groups=groups, dilation=dilation)
-        got = pcdc_layer(q, k, p).astype64()
+        p = rand_pcdc(rng, groups=groups)
+        got = pcdc_layer(q, k, p, dilation).astype64()
         want = oracle_pcdc_direct(q, k, p.weight, p.bias, groups, dilation)
         assert max_rel_error(got, want) <= 1e-5
 
-    @pytest.mark.parametrize("threads", [2, 4, 8])
-    def test_thread_count_does_not_change_bits(self, threads):
+    def test_matches_direct_oracle_across_row_chunks(self):
         rng = np.random.default_rng(3)
-        q = rand_map(rng, 70, 9, 8)  # several row chunks
+        q = rand_map(rng, 70, 9, 8)  # three CHUNK_ROWS chunks, the last partial
         k = rand_map(rng, 70, 9, 8)
         p = rand_pcdc(rng)
-        a = pcdc_layer(q, k, p, threads=1)
-        b = pcdc_layer(q, k, p, threads=threads)
-        assert np.array_equal(a.data, b.data)
+        got = pcdc_layer(q, k, p).astype64()
+        want = oracle_pcdc_direct(q, k, p.weight, p.bias, p.groups, 1)
+        assert max_rel_error(got, want) <= 1e-5
 
     def test_validation(self):
         rng = np.random.default_rng(4)
@@ -133,7 +134,7 @@ class TestPcdcLayer:
         with pytest.raises(ChannelGroupMismatch):
             PcdcParams(np.zeros((9, 4, 6), np.float32), np.zeros(6, np.float32), groups=4)
         with pytest.raises(ShapeMismatch):
-            PcdcParams(np.zeros((9, 4, 8), np.float32), np.zeros(8, np.float32), groups=2, dilation=0)
+            pcdc_layer(q, q, rand_pcdc(rng), dilation=0)
 
 
 class TestCompressor:
@@ -170,6 +171,12 @@ class TestCompressor:
                 conv2_weight=good.conv2_weight,
                 conv2_bias=good.conv2_bias,
             )
+
+    @pytest.mark.parametrize("field,entries", [("conv1_bias", 15), ("conv2_bias", 8)])
+    def test_bias_must_match_weight_rows(self, field, entries):
+        good = rand_block(np.random.default_rng(23)).comp
+        with pytest.raises(ShapeMismatch, match="bias"):
+            dataclasses.replace(good, **{field: np.zeros(entries, np.float32)})
 
 
 class TestPcdcBlock:
@@ -210,21 +217,11 @@ class TestPcdcBlock:
         rng = np.random.default_rng(40 + 10 * groups + dilation)
         q = FeatureMap(rng.standard_normal((11, 9, 8)).astype(np.float32) - 2.0)
         k = FeatureMap(3.0 * rng.standard_normal((11, 9, 8)).astype(np.float32) + 1.0)
-        p = rand_block(rng, groups=groups, dilation=dilation)
-        got = pcdc_block(q, k, p).astype64()
-        v = pcdc_layer(group_normalize(q, p.norm), group_normalize(k, p.norm), p.pcdc)
+        p = rand_block(rng, groups=groups)
+        got = pcdc_block(q, k, p, dilation).astype64()
+        v = pcdc_layer(group_normalize(q, p.norm), group_normalize(k, p.norm), p.pcdc, dilation)
         want = channel_compressor(v, p.comp).astype64()
         assert max_rel_error(got, want) <= 1e-5
-
-    @pytest.mark.parametrize("threads", [4])
-    def test_block_is_thread_count_invariant(self, threads):
-        rng = np.random.default_rng(32)
-        q = rand_map(rng, 40, 40, 8)
-        k = rand_map(rng, 40, 40, 8)
-        p = rand_block(rng)
-        a = pcdc_block(q, k, p, threads=1)
-        b = pcdc_block(q, k, p, threads=threads)
-        assert np.array_equal(a.data, b.data)
 
     def test_block_shape_validation(self):
         rng = np.random.default_rng(33)
@@ -235,3 +232,10 @@ class TestPcdcBlock:
                 pcdc=blk.pcdc,
                 comp=blk.comp,
             )
+
+    def test_compressor_must_score_every_kernel_slot(self):
+        blk = rand_block(np.random.default_rng(34))
+        comp = dataclasses.replace(blk.comp, conv2_weight=blk.comp.conv2_weight[:8],
+                                   conv2_bias=blk.comp.conv2_bias[:8])
+        with pytest.raises(ShapeMismatch, match="emits 8 scores, kernel 3 needs 9"):
+            PcdcBlockParams(norm=blk.norm, pcdc=blk.pcdc, comp=comp)

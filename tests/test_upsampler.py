@@ -152,9 +152,8 @@ class TestComputeSimilarity:
         params = small_params(np.random.default_rng(12))
         res = self._run(params, 12, h=3, w=2, ratio=3)
         q_gf = guided_filter(res.q, res.k_up, params.gf)
-        dil = lambda blk: dataclasses.replace(blk, pcdc=dataclasses.replace(blk.pcdc, dilation=3))
-        s_s = pcdc_block(q_gf, res.k_up, dil(params.block_s))
-        s_d = pcdc_block(res.q, res.q_gs, dil(params.block_d))
+        s_s = pcdc_block(q_gf, res.k_up, params.block_s, 3)
+        s_d = pcdc_block(res.q, res.q_gs, params.block_d, 3)
         assert np.array_equal(res.q_gf.data, q_gf.data)
         assert np.array_equal(res.s_s.data, s_s.data)
         assert np.array_equal(res.s_d.data, s_d.data)
@@ -218,15 +217,6 @@ class TestKernelApplyFns:
             naive = kernel_apply_fns(weights, x, ratio, fused=False)
             assert np.array_equal(fused.data, naive.data)
 
-    def test_fused_equals_naive_any_threads(self):
-        rng = np.random.default_rng(25)
-        x = rand_map(rng, 12, 9, 3)
-        weights = softmax_rows(rand_map(rng, 48, 36, 9))
-        naive = kernel_apply_fns(weights, x, 4, fused=False)
-        for threads in (1, 3, 8):
-            fused = kernel_apply_fns(weights, x, 4, fused=True, threads=threads)
-            assert np.array_equal(fused.data, naive.data)
-
     @pytest.mark.parametrize(
         "ratio,h,w,c,kernel,tile",
         [
@@ -243,9 +233,8 @@ class TestKernelApplyFns:
         x = rand_map(rng, h, w, c)
         weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, kernel * kernel))
         naive = kernel_apply_fns(weights, x, ratio, kernel, fused=False)
-        for threads in (1, 3):
-            fused = kernel_apply_fns(weights, x, ratio, kernel, fused=True, threads=threads)
-            assert np.array_equal(fused.data, naive.data)
+        fused = kernel_apply_fns(weights, x, ratio, kernel, fused=True)
+        assert np.array_equal(fused.data, naive.data)
 
     def test_unnormalized_rows_rejected(self):
         x = fm(np.ones((2, 2, 1)))
@@ -273,11 +262,11 @@ class TestKernelApplyFns:
         # traced peak minus the output: the fused path's scratch stays below
         # one upsampled map, the naive path holds more than one
         rng = np.random.default_rng(26)
-        x = rand_map(rng, 64, 64, 8)
+        x = rand_map(rng, 64, 64, 8).data
         weights = softmax_rows(rand_map(rng, 256, 256, 9)).data
         one_map = 256 * 256 * 8 * 4
         scratch = {}
-        for name, apply in (("fused", lambda: _apply_fused(weights, x, 4, 3, 1)),
+        for name, apply in (("fused", lambda: _apply_fused(weights, x, 4, 3)),
                             ("naive", lambda: _apply_naive(weights, x, 4, 3))):
             tracemalloc.start()
             try:

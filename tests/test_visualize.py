@@ -1,5 +1,5 @@
-"""Visualization tests: the Jacobi eigensolver against numpy's, byte-image
-invariants of the PCA/channel renderers, and the PPM container format."""
+"""Visualization tests: byte-image invariants of the PCA/channel renderers,
+and the PPM container format."""
 
 import numpy as np
 import pytest
@@ -10,58 +10,9 @@ from resfu.visualize import (
     MID_GRAY,
     channel_rgb,
     encode_ppm,
-    jacobi_eigh,
     pca_rgb,
     save_ppm,
 )
-
-
-def random_symmetric(rng, n):
-    a = rng.standard_normal((n, n))
-    return a + a.T
-
-
-class TestJacobiEigh:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-    def test_matches_numpy_eigh(self, n):
-        rng = np.random.default_rng(n)
-        sym = random_symmetric(rng, n)
-        vals, vecs = jacobi_eigh(sym)
-        ref = np.linalg.eigvalsh(sym)[::-1]  # numpy sorts ascending
-        np.testing.assert_allclose(vals, ref, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, sym, atol=1e-10)
-
-    @pytest.mark.parametrize("n", [2, 4, 7])
-    def test_eigenvectors_orthonormal(self, n):
-        rng = np.random.default_rng(10 + n)
-        _, vecs = jacobi_eigh(random_symmetric(rng, n))
-        np.testing.assert_allclose(vecs.T @ vecs, np.eye(n), atol=1e-12)
-
-    def test_eigenvalues_sorted_descending(self):
-        rng = np.random.default_rng(42)
-        vals, _ = jacobi_eigh(random_symmetric(rng, 9))
-        assert np.all(np.diff(vals) <= 0)
-
-    def test_diagonal_input_is_exact(self):
-        vals, vecs = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(vals, [3.0, 2.0, 1.0])
-        # eigenvectors are signed unit basis vectors, permuted to match
-        np.testing.assert_allclose(np.abs(vecs), np.eye(3)[:, [0, 2, 1]], atol=0)
-
-    def test_known_two_by_two(self):
-        vals, vecs = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(vecs[:, 0]), np.full(2, 1 / np.sqrt(2)), atol=1e-14)
-
-    def test_input_left_untouched(self):
-        sym = random_symmetric(np.random.default_rng(5), 4)
-        before = sym.copy()
-        jacobi_eigh(sym)
-        np.testing.assert_array_equal(sym, before)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ShapeMismatch):
-            jacobi_eigh(np.zeros((3, 4)))
 
 
 class TestPcaRgb:
