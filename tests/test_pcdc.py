@@ -1,7 +1,8 @@
 """Difference-convolution tests: decomposed path vs the literal-loop oracle
 (across row chunks too), degenerate weights, block composition, bundle shape
-checks."""
+checks, identical bits under concurrent callers."""
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -121,6 +122,20 @@ class TestPcdcLayer:
         got = pcdc_layer(q, k, p).astype64()
         want = oracle_pcdc_direct(q, k, p.weight, p.bias, p.groups, 1)
         assert max_rel_error(got, want) <= 1e-5
+
+    @pytest.mark.parametrize("threads", [2, 4, 8])
+    def test_thread_count_does_not_change_bits(self, threads):
+        # The layer runs on its caller's thread; that many callers at once
+        # must each get the bits of a lone call (no shared scratch buffers).
+        rng = np.random.default_rng(3)
+        q = rand_map(rng, 70, 9, 8)  # several row chunks
+        k = rand_map(rng, 70, 9, 8)
+        p = rand_pcdc(rng)
+        a = pcdc_layer(q, k, p)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            outs = list(pool.map(lambda _: pcdc_layer(q, k, p), range(threads)))
+        for b in outs:
+            assert np.array_equal(a.data, b.data)
 
     def test_validation(self):
         rng = np.random.default_rng(4)
