@@ -18,7 +18,6 @@ from .ops import (
     grouped_pointwise_conv,
     nearest_resize,
     neighbor_offsets,
-    relu,
     softmax_rows,
 )
 from .params_io import load_params, save_params
@@ -81,7 +80,6 @@ __all__ = [
     "neighbor_offsets",
     "pcdc_block",
     "pcdc_layer",
-    "relu",
     "resfu_upsample",
     "run_pipeline",
     "save_params",

@@ -3,7 +3,7 @@
 Subcommands: gen-weights, upsample, visualize, selfcheck, bench.  Exit
 codes are a stable contract: 0 success, 1 a correctness check failed
 (including NaN or Inf in an input), 2 file/parse problems (the failing path
-is named on stderr), 3 shape or ratio mismatches.
+is named on stderr), 3 shape or ratio mismatches, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -178,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CheckFailed, RowNotNormalized, NonFiniteInput) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'an allocation failed'}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

@@ -303,12 +303,15 @@ def group_normalize(src: FeatureMap, affine: GroupNormAffine) -> FeatureMap:
     return FeatureMap.adopt(out)
 
 
-def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray, groups: int) -> FeatureMap:
-    """1x1 convolution with channel groups.
+def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray, groups: int,
+                           *, relu: bool = False) -> FeatureMap:
+    """1x1 convolution with channel groups, optionally followed by a ReLU.
 
     weight has shape (c_out, c_in // groups); output channel l belongs to
     group floor(l * groups / c_out) and only sees the matching input slice.
-    Accumulates in float64, one pixel block at a time.
+    Accumulates in float64, one pixel block at a time; with relu=True each
+    block is clamped at zero before it is stored as float32, which rounds
+    to the same values as clamping the stored map.
     """
     weight = np.asarray(weight, np.float32)
     bias = np.asarray(bias, np.float32)
@@ -331,12 +334,10 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
         for g, gw in enumerate(group_weights):
             matmul_rows(block[:, g * in_per : (g + 1) * in_per], gw, acc[:, g * out_per : (g + 1) * out_per])
         acc += bias
+        if relu:
+            np.maximum(acc, 0.0, out=acc)
         out_flat[p0:p1] = acc
     return FeatureMap.adopt(out)
-
-
-def relu(src: FeatureMap) -> FeatureMap:
-    return FeatureMap.adopt(np.maximum(src.data, np.float32(0)))
 
 
 def neighbor_offsets(kernel: int, dilation: int) -> list[tuple[int, int]]:

@@ -18,6 +18,7 @@ with missing, duplicate, or unknown names are rejected.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -100,16 +101,28 @@ def serialize_params(params: ResfuParams) -> bytes:
     return b"".join(chunks)
 
 
-def _matrix(fmap: FeatureMap, name: str) -> np.ndarray:
+def _matrix(tensors: dict[str, FeatureMap], name: str) -> np.ndarray:
+    fmap = tensors[name]
     if fmap.height != 1:
         raise TensorFormatError(f"{name}: matrices are stored as 1xRxS maps, got {fmap.shape}")
     return fmap.data[0]
 
 
-def _vector(fmap: FeatureMap, name: str) -> np.ndarray:
+def _vector(tensors: dict[str, FeatureMap], name: str) -> np.ndarray:
+    fmap = tensors[name]
     if fmap.height != 1 or fmap.width != 1:
         raise TensorFormatError(f"{name}: vectors are stored as 1x1xN maps, got {fmap.shape}")
     return fmap.data[0, 0]
+
+
+@contextmanager
+def _consistent(what: str):
+    """Turn a shape error of the parameters built inside into a format error
+    that names `what`: the entries they were read from."""
+    try:
+        yield
+    except (ShapeMismatch, ChannelGroupMismatch) as err:
+        raise TensorFormatError(f"inconsistent weight bundle: {what}: {err}") from err
 
 
 def deserialize_params(buf) -> ResfuParams:
@@ -150,49 +163,44 @@ def deserialize_params(buf) -> ResfuParams:
     if missing or unknown:
         raise TensorFormatError(f"bundle entries wrong; missing {missing}, unknown {unknown}")
 
+    def norm(prefix: str) -> GroupNormAffine:
+        with _consistent(prefix):
+            return GroupNormAffine(
+                _vector(tensors, f"{prefix}.gamma"), _vector(tensors, f"{prefix}.beta"), NORM_GROUPS, NORM_EPS
+            )
+
     def block(tag: str) -> PcdcBlockParams:
-        gamma = _vector(tensors[f"norm_{tag}.gamma"], f"norm_{tag}.gamma")
+        block_norm = norm(f"norm_{tag}")
         pw = tensors[f"pcdc_{tag}.weight"].data  # (K*K, D/G, L) stored verbatim
-        d = gamma.size
+        d = block_norm.channels
         if d % pw.shape[1]:
             raise TensorFormatError(
                 f"pcdc_{tag}.weight group width {pw.shape[1]} does not divide {d} channels"
             )
-        return PcdcBlockParams(
-            norm=GroupNormAffine(gamma, _vector(tensors[f"norm_{tag}.beta"], "beta"), NORM_GROUPS, NORM_EPS),
-            pcdc=PcdcParams(
-                weight=pw,
-                bias=_vector(tensors[f"pcdc_{tag}.bias"], "bias"),
-                groups=d // pw.shape[1],
-            ),
-            comp=CompressorParams(
-                conv1_weight=_matrix(tensors[f"comp_{tag}.conv1.weight"], "conv1.weight"),
-                conv1_bias=_vector(tensors[f"comp_{tag}.conv1.bias"], "conv1.bias"),
-                norm=GroupNormAffine(
-                    _vector(tensors[f"comp_{tag}.norm.gamma"], "norm.gamma"),
-                    _vector(tensors[f"comp_{tag}.norm.beta"], "norm.beta"),
-                    NORM_GROUPS,
-                    NORM_EPS,
-                ),
-                conv2_weight=_matrix(tensors[f"comp_{tag}.conv2.weight"], "conv2.weight"),
-                conv2_bias=_vector(tensors[f"comp_{tag}.conv2.bias"], "conv2.bias"),
-            ),
-        )
+        with _consistent(f"pcdc_{tag}"):
+            pcdc = PcdcParams(weight=pw, bias=_vector(tensors, f"pcdc_{tag}.bias"), groups=d // pw.shape[1])
+        comp_norm = norm(f"comp_{tag}.norm")
+        with _consistent(f"comp_{tag}"):
+            comp = CompressorParams(
+                conv1_weight=_matrix(tensors, f"comp_{tag}.conv1.weight"),
+                conv1_bias=_vector(tensors, f"comp_{tag}.conv1.bias"),
+                norm=comp_norm,
+                conv2_weight=_matrix(tensors, f"comp_{tag}.conv2.weight"),
+                conv2_bias=_vector(tensors, f"comp_{tag}.conv2.bias"),
+            )
+        with _consistent(f"norm_{tag}, pcdc_{tag}, comp_{tag}"):
+            return PcdcBlockParams(norm=block_norm, pcdc=pcdc, comp=comp)
 
-    try:
-        return ResfuParams(
-            proj=ProjectionParams(
-                weight_q=_matrix(tensors["proj_q.weight"], "proj_q.weight"),
-                bias_q=_vector(tensors["proj_q.bias"], "proj_q.bias"),
-                weight_k=_matrix(tensors["proj_k.weight"], "proj_k.weight"),
-                bias_k=_vector(tensors["proj_k.bias"], "proj_k.bias"),
-            ),
-            block_s=block("s"),
-            block_d=block("d"),
-            gf=GuidedFilterConfig(),
+    with _consistent("proj_q, proj_k"):
+        proj = ProjectionParams(
+            weight_q=_matrix(tensors, "proj_q.weight"),
+            bias_q=_vector(tensors, "proj_q.bias"),
+            weight_k=_matrix(tensors, "proj_k.weight"),
+            bias_k=_vector(tensors, "proj_k.bias"),
         )
-    except (ShapeMismatch, ChannelGroupMismatch) as err:
-        raise TensorFormatError(f"inconsistent weight bundle: {err}") from err
+    block_s, block_d = block("s"), block("d")
+    with _consistent("projections and score blocks"):
+        return ResfuParams(proj=proj, block_s=block_s, block_d=block_d, gf=GuidedFilterConfig())
 
 
 def save_params(path, params: ResfuParams) -> None:

@@ -36,7 +36,6 @@ from .ops import (
     grouped_pointwise_conv,
     matmul_rows,
     neighbor_offsets,
-    relu,
 )
 from .tensor import FeatureMap
 
@@ -187,8 +186,7 @@ class CompressorParams:
 
 def channel_compressor(v: FeatureMap, params: CompressorParams) -> SimilarityScores:
     """Compress L difference channels to K*K per-slot scores."""
-    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, params.conv1_groups)
-    hidden = relu(hidden)
+    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, params.conv1_groups, relu=True)
     hidden = group_normalize(hidden, params.norm)
     return grouped_pointwise_conv(hidden, params.conv2_weight, params.conv2_bias, params.conv2_groups)
 
@@ -223,8 +221,15 @@ def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, dila
     """
     if q_in.shape != k_in.shape:
         raise ShapeMismatch(f"query {q_in.shape} and key {k_in.shape} must match")
-    q_bar = group_normalize(q_in, params.norm)
-    k_bar = group_normalize(k_in, params.norm)
     pc = params.pcdc
-    v = _pcdc_core(q_bar.data, k_bar.data, pc.weight.astype(np.float64), pc.bias, pc.groups, dilation)
+    # The normalized inputs are temporaries of the contraction, so they are
+    # freed before the compressor allocates its hidden maps.
+    v = _pcdc_core(
+        group_normalize(q_in, params.norm).data,
+        group_normalize(k_in, params.norm).data,
+        pc.weight.astype(np.float64),
+        pc.bias,
+        pc.groups,
+        dilation,
+    )
     return channel_compressor(FeatureMap.adopt(v), params.comp)

@@ -1,5 +1,6 @@
 """Command-line contract tests: flag wiring, output files, and the exit-code
-mapping (0 ok, 1 failed check, 2 file/parse trouble, 3 shape/ratio trouble)."""
+mapping (0 ok, 1 failed check, 2 file/parse trouble, 3 shape/ratio trouble,
+4 out of memory)."""
 
 import subprocess
 import sys
@@ -149,8 +150,9 @@ class TestUpsample:
             ("block_s", {"conv2_bias": np.zeros(8)}),
             ("block_s", {"conv1_bias": np.zeros(7)}),
             ("block_d", {"conv2_weight": np.zeros((8, 128)), "conv2_bias": np.zeros(8)}),
+            ("block_d", {"conv1_bias": np.zeros(7)}),
         ],
-        ids=["conv2_bias_8", "conv1_bias_7", "conv2_8_scores_at_k3"],
+        ids=["conv2_bias_8", "conv1_bias_7", "conv2_8_scores_at_k3", "conv1_bias_7_block_d"],
     )
     def test_inconsistent_compressor_bundle_exits_two(self, workspace, capsys, block, fields):
         # the dataclass checks would refuse these tensors, so they are set on
@@ -163,6 +165,21 @@ class TestUpsample:
         assert cli.main(upsample_args(workspace)) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "w.rsfw" in err and "inconsistent weight bundle" in err
+        tag, other = ("s", "d") if block == "block_s" else ("d", "s")
+        assert f"comp_{tag}" in err and f"comp_{other}" not in err
+        assert "Traceback" not in err
+        assert not (workspace / "out.rsft").exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 16.0 GiB for an array", ""])
+    def test_out_of_memory_exits_four(self, workspace, capsys, monkeypatch, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_pipeline", exhausted)
+        assert cli.main(upsample_args(workspace)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+        assert (message or "an allocation failed") in err
         assert "Traceback" not in err
         assert not (workspace / "out.rsft").exists()
 

@@ -1,5 +1,7 @@
-"""Guided-filter tests against the per-window regression oracle and its
-limiting behaviors."""
+"""Guided-filter tests against the per-window regression oracle, its
+limiting behaviors and its working memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,3 +103,20 @@ def test_defaults():
     cfg = GuidedFilterConfig()
     assert cfg.radius == 8
     assert cfg.eps == 1e-3
+
+
+def test_holds_at_most_five_float64_maps():
+    # Traced peak above entry of one call, in float64 maps of the input
+    # shape: every map is freed once nothing reads it (seven were live).
+    rng = np.random.default_rng(9)
+    q = rand_map(rng, 48, 40, 8)
+    k = rand_map(rng, 48, 40, 8)
+    cfg = GuidedFilterConfig(radius=3, eps=1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        guided_filter(q, k, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * q.data.size * 8

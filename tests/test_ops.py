@@ -19,7 +19,6 @@ from resfu.ops import (
     group_normalize,
     grouped_pointwise_conv,
     nearest_resize,
-    relu,
     softmax_rows,
 )
 from resfu.tensor import FeatureMap
@@ -243,6 +242,12 @@ class TestGroupedPointwiseConv:
         want = src.astype64() @ weight.astype(np.float64).T
         np.testing.assert_allclose(out.astype64(), want, atol=1e-6)
 
+    def test_relu_clamps_at_zero(self):
+        src = fm([[-1.0, 0.0], [2.5, -0.0]])
+        out = grouped_pointwise_conv(src, np.ones((1, 1), np.float32), np.zeros(1, np.float32), 1, relu=True)
+        np.testing.assert_array_equal(out.data[:, :, 0], [[0.0, 0.0], [2.5, 0.0]])
+        assert not np.signbit(out.data).any()
+
     def test_rejects_mismatches(self):
         src = rand_map(np.random.default_rng(0), 2, 2, 6)
         w = np.zeros((4, 3), np.float32)
@@ -253,11 +258,6 @@ class TestGroupedPointwiseConv:
             grouped_pointwise_conv(src, np.zeros((4, 4), np.float32), b, 2)  # implies c_in 8
         with pytest.raises(ShapeMismatch):
             grouped_pointwise_conv(src, w, np.zeros(3, np.float32), 2)
-
-
-def test_relu():
-    out = relu(fm([[-1.0, 0.0], [2.5, -0.0]]))
-    np.testing.assert_array_equal(out.data[:, :, 0], [[0.0, 0.0], [2.5, 0.0]])
 
 
 class TestGatherNeighbors:

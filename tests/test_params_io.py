@@ -142,6 +142,20 @@ class TestRejects:
         with pytest.raises(TensorFormatError, match="UTF-8"):
             deserialize_params(bytes(blob))
 
+    @pytest.mark.parametrize("tag", ["s", "d"])
+    def test_inconsistent_compressor_names_its_block(self, tag):
+        # set on the frozen field directly, as a hand-edited file would carry it
+        params = bundle()
+        object.__setattr__(getattr(params, f"block_{tag}").comp, "conv1_bias", np.zeros(7, np.float32))
+        with pytest.raises(TensorFormatError, match=f"^inconsistent weight bundle: comp_{tag}: conv1 bias has 7"):
+            deserialize_params(serialize_params(params))
+
+    def test_misshapen_vector_names_its_entry(self):
+        params = bundle()
+        object.__setattr__(params.block_d.comp.norm, "beta", np.zeros((2, 64), np.float32))
+        with pytest.raises(TensorFormatError, match=r"^comp_d\.norm\.beta: vectors are stored as 1x1xN"):
+            deserialize_params(serialize_params(params))
+
 
 def _header_bytes(blob, kind):
     """Offsets of the header, name and length bytes of a serialized blob:

@@ -4,6 +4,7 @@ checks, identical bits under concurrent callers."""
 
 import concurrent.futures
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from resfu.ops import (
     ShapeMismatch,
     group_normalize,
     grouped_pointwise_conv,
-    relu,
 )
 from resfu.oracle import max_rel_error, oracle_pcdc_direct
 from resfu.pcdc import (
@@ -158,11 +158,9 @@ class TestCompressor:
         v = rand_map(rng, 6, 5, 8)
         p = rand_block(rng).comp
         got = channel_compressor(v, p)
+        hidden = grouped_pointwise_conv(v, p.conv1_weight, p.conv1_bias, p.conv1_groups)
         want = grouped_pointwise_conv(
-            group_normalize(
-                relu(grouped_pointwise_conv(v, p.conv1_weight, p.conv1_bias, p.conv1_groups)),
-                p.norm,
-            ),
+            group_normalize(FeatureMap(np.maximum(hidden.data, np.float32(0))), p.norm),
             p.conv2_weight,
             p.conv2_bias,
             p.conv2_groups,
@@ -237,6 +235,28 @@ class TestPcdcBlock:
         v = pcdc_layer(group_normalize(q, p.norm), group_normalize(k, p.norm), p.pcdc, dilation)
         want = channel_compressor(v, p.comp).astype64()
         assert max_rel_error(got, want) <= 1e-5
+
+    def test_normalized_inputs_are_freed_before_the_compressor(self):
+        # The block's traced peak is the compressor's on the difference map
+        # plus that map itself: the two normalized inputs are gone by then.
+        rng = np.random.default_rng(35)
+        q = rand_map(rng, 48, 40, 32)
+        k = rand_map(rng, 48, 40, 32)
+        p = rand_block(rng, d=32, l_out=32, hidden=128, groups=4)
+        v = FeatureMap(rng.standard_normal((48, 40, 32)).astype(np.float32))
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        block_peak = traced_peak(lambda: pcdc_block(q, k, p, 2))
+        compressor_peak = traced_peak(lambda: channel_compressor(v, p.comp))
+        assert block_peak <= compressor_peak + 1.5 * v.data.nbytes
 
     def test_block_shape_validation(self):
         rng = np.random.default_rng(33)
