@@ -46,11 +46,11 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     k = key_up.data
     r = cfg.radius
 
-    # Each float64 map is dropped as soon as its last reader is done, so at
-    # most five are live at once, two of them inside box_mean_array.  The
-    # mean of n is taken before the mean of m only for glibc's sake: the
-    # reverse order computes the same bits, but a 64x64x32 -> 256x256x32
-    # upsample then took 6.8k page faults per call instead of 4.6k.
+    # Each map is dropped after its last reader; two of the five live maps
+    # are box_mean_array's own.  The mean of n is taken before the mean of m
+    # only for glibc's sake: the reverse order computes the same bits, but a
+    # 64x64x32 -> 256x256x32 upsample then took 6.8k page faults per call
+    # instead of 4.6k.
     mean_q = box_mean_array(q, r)
     var_q = box_mean_array(np.square(q, dtype=np.float64), r)
     var_q -= mean_q * mean_q
