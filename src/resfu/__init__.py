@@ -12,7 +12,6 @@ from .ops import (
     GroupNormAffine,
     ShapeMismatch,
     bilinear_resize,
-    box_mean,
     gaussian_smooth3,
     group_normalize,
     grouped_pointwise_conv,
@@ -65,7 +64,6 @@ __all__ = [
     "UnsupportedVersion",
     "UpsampleConfig",
     "bilinear_resize",
-    "box_mean",
     "deserialize",
     "gaussian_smooth3",
     "generate_params",

@@ -36,16 +36,30 @@ class GuidedFilterConfig:
 def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig) -> FeatureMap:
     """Filter `query` toward the local linear structure of `key_up`.
 
-    Both maps must share the same H x W x C shape; channels are filtered
-    independently.  At most five float64 maps of that shape are live at
-    once, on top of the two inputs.
+    Both maps must share the same H x W x C shape.  Channels are filtered
+    independently, so the float64 recipe runs on one channel half at a
+    time, on contiguous copies of that half of both maps, and each half's
+    result is stored into the float32 output: at most five float64 maps
+    of half the channels are live at once, on top of the inputs, their
+    half copies and the output.  The bits are those of filtering all
+    channels at once.
     """
     if query.shape != key_up.shape:
         raise ShapeMismatch(f"query {query.shape} and key {key_up.shape} must match")
-    q = query.data
-    k = key_up.data
-    r = cfg.radius
+    c = query.channels
+    out = np.empty(query.shape, np.float32)
+    # Strided views of the halves would save the copies, but at 256x256x32
+    # the filter ran about 4 % slower on them (196 against 188 ms).
+    for c0, c1 in ((0, c // 2), (c // 2, c)):
+        if c1 > c0:
+            out[:, :, c0:c1] = _filter64(np.ascontiguousarray(query.data[:, :, c0:c1]),
+                                         np.ascontiguousarray(key_up.data[:, :, c0:c1]), cfg)
+    return FeatureMap.adopt(out)
 
+
+def _filter64(q: np.ndarray, k: np.ndarray, cfg: GuidedFilterConfig) -> np.ndarray:
+    """The float64 guided filter of float32 (H, W, C) arrays q and k."""
+    r = cfg.radius
     # Each map is dropped after its last reader; two of the five live maps
     # are box_mean_array's own.  The mean of n is taken before the mean of m
     # only for glibc's sake: the reverse order computes the same bits, but a
@@ -70,4 +84,4 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     del m
     out *= q
     out += mean_n
-    return FeatureMap(out)
+    return out

@@ -9,10 +9,10 @@ Conventions used throughout:
 * box means normalize by the number of in-bounds pixels in the window;
 * results are stored as float32; group norms and 1x1 convolutions compute
   in float64 one pixel block at a time, so they make no float64 copy of
-  their map; box sums, Gaussian smoothing and softmax compute in float64;
-  resizes compute in the dtype of their input, in L2-sized row tiles
-  (TILE_BYTES), and the paired difference contraction of a score block
-  (resfu.pcdc) in float32;
+  their map; box sums, Gaussian smoothing and softmax compute in float64,
+  Gaussian smoothing in L2-sized row tiles (TILE_BYTES); resizes compute
+  in the dtype of their input, in such row tiles too, and the paired
+  difference contraction of a score block (resfu.pcdc) in float32;
 * all kernels are pure functions, run on the calling thread and are
   bit-reproducible: work is split only into pieces fixed by the operand
   shapes (CHUNK_ROWS row chunks, pixel blocks, BLAS row pieces).
@@ -212,13 +212,6 @@ def box_mean_array(arr: np.ndarray, radius: int) -> np.ndarray:
     return sums if swapped else sums.swapaxes(0, 1)
 
 
-def box_mean(src: FeatureMap, radius: int) -> FeatureMap:
-    """Mean over the (2r+1)x(2r+1) window, normalized by in-bounds count."""
-    if not isinstance(radius, (int, np.integer)) or radius < 0:
-        raise ShapeMismatch(f"radius must be a non-negative integer, got {radius!r}")
-    return FeatureMap(box_mean_array(src.data, int(radius)))
-
-
 # 3x3 unit-sigma Gaussian taps exp(-(di^2 + dj^2) / 2), normalized to sum 1,
 # are the outer product of the 1-D taps exp(-d^2 / 2) = (e^-1/2, 1, e^-1/2)
 # normalized the same way, so the smoothing runs as two 3-tap passes.
@@ -227,16 +220,36 @@ _GAUSS_SIDE_OVER_MID = math.exp(-0.5)
 
 
 def gaussian_smooth3(src: FeatureMap) -> FeatureMap:
-    """3x3 Gaussian smoothing (unit sigma, clamp-to-edge padding)."""
-    padded = np.pad(src.data, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    rows = np.add(padded[:-2], padded[2:], dtype=np.float64)
-    rows *= _GAUSS_SIDE_OVER_MID
-    rows += padded[1:-1]
-    out = np.add(rows[:, :-2], rows[:, 2:])
-    out *= _GAUSS_SIDE_OVER_MID
-    out += rows[:, 1:-1]
-    out *= _GAUSS_MID * _GAUSS_MID
-    return FeatureMap(out)
+    """3x3 Gaussian smoothing (unit sigma, clamp-to-edge padding).
+
+    Runs in row tiles whose float64 rows fill about TILE_BYTES: each tile
+    is copied into a reused buffer with one halo row on either side,
+    clamped at the border, and its column edges padded; both 3-tap passes
+    run on it in float64 and it is stored into the float32 result.  Every
+    element sees the same roundings as when the whole map is smoothed at
+    once, and the only output-sized allocation is the result.
+    """
+    h, w, c = src.shape
+    out = np.empty(src.shape, np.float32)
+    step = min(h, tile_rows(8 * w * c))
+    padded = np.empty((step + 2, w + 2, c), np.float32)
+    for i0 in range(0, h, step):
+        i1 = min(i0 + step, h)
+        tile = padded[: i1 - i0 + 2]
+        tile[1:-1, 1:-1] = src.data[i0:i1]
+        tile[0, 1:-1] = src.data[max(i0 - 1, 0)]
+        tile[-1, 1:-1] = src.data[min(i1, h - 1)]
+        tile[:, 0] = tile[:, 1]
+        tile[:, -1] = tile[:, -2]
+        rows = np.add(tile[:-2], tile[2:], dtype=np.float64)
+        rows *= _GAUSS_SIDE_OVER_MID
+        rows += tile[1:-1]
+        smooth = np.add(rows[:, :-2], rows[:, 2:])
+        smooth *= _GAUSS_SIDE_OVER_MID
+        smooth += rows[:, 1:-1]
+        smooth *= _GAUSS_MID * _GAUSS_MID
+        out[i0:i1] = smooth
+    return FeatureMap.adopt(out)
 
 
 @dataclass(frozen=True)
@@ -265,7 +278,19 @@ class GroupNormAffine:
         return self.gamma.size
 
 
-def group_normalize(src: FeatureMap, affine: GroupNormAffine) -> FeatureMap:
+def _result_buffer(out, shape: tuple[int, ...]) -> np.ndarray:
+    """`out` once it is checked to be a writable C-contiguous float32 array
+    of `shape`, or a fresh float32 array of that shape if it is None."""
+    if out is None:
+        return np.empty(shape, np.float32)
+    if (not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float32
+            or not out.flags.c_contiguous or not out.flags.writeable):
+        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
+        raise ShapeMismatch(f"out must be a writable C-contiguous float32 array of shape {shape}, got {got}")
+    return out
+
+
+def group_normalize(src: FeatureMap, affine: GroupNormAffine, *, out: np.ndarray | None = None) -> FeatureMap:
     """Normalize each channel group to zero mean / unit variance, then apply
     the per-channel affine.
 
@@ -274,10 +299,18 @@ def group_normalize(src: FeatureMap, affine: GroupNormAffine) -> FeatureMap:
     sums of x and x^2 in float64, a pixel block at a time, so no float64
     copy of the map exists; E[x^2] - E[x]^2 in float64 loses about
     1e-16 * (mean / std)^2 relative, far below float32 resolution.
+
+    `out`, if given, is a writable C-contiguous float32 array of src's
+    shape (else ShapeMismatch) that receives the result.  It may be the
+    buffer src itself wraps: each pixel block is read before it is
+    written, so normalizing in place gives the same bits.  The returned
+    map wraps a read-only view of `out` and changes if `out` is written
+    later.
     """
     c = src.channels
     if c != affine.channels:
         raise ShapeMismatch(f"map has {c} channels, affine expects {affine.channels}")
+    result = _result_buffer(out, src.shape)
     flat = src.data.reshape(-1, c)
     blocks = _pixel_blocks(flat.shape[0])
     sums = np.zeros(c)
@@ -293,18 +326,17 @@ def group_normalize(src: FeatureMap, affine: GroupNormAffine) -> FeatureMap:
     var = np.maximum(squares.reshape(affine.groups, per).sum(axis=1) / count - mean * mean, 0.0)
     scale = affine.gamma.astype(np.float64) / np.sqrt(np.repeat(var, per) + affine.eps)
     shift = affine.beta.astype(np.float64) - np.repeat(mean, per) * scale
-    out = np.empty(src.shape, np.float32)
-    out_flat = out.reshape(flat.shape)
+    out_flat = result.reshape(flat.shape)
     for p0, p1 in blocks:
         block = flat[p0:p1].astype(np.float64)
         block *= scale
         block += shift
         out_flat[p0:p1] = block
-    return FeatureMap.adopt(out)
+    return FeatureMap.adopt(result if out is None else result.view())
 
 
 def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray, groups: int,
-                           *, relu: bool = False) -> FeatureMap:
+                           *, relu: bool = False, out: np.ndarray | None = None) -> FeatureMap:
     """1x1 convolution with channel groups, optionally followed by a ReLU.
 
     weight has shape (c_out, c_in // groups); output channel l belongs to
@@ -312,6 +344,10 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
     Accumulates in float64, one pixel block at a time; with relu=True each
     block is clamped at zero before it is stored as float32, which rounds
     to the same values as clamping the stored map.
+
+    `out`, if given, is a writable C-contiguous float32 array of shape
+    (H, W, c_out) (else ShapeMismatch) that receives the result; the
+    returned map wraps a read-only view of it, as in group_normalize.
     """
     weight = np.asarray(weight, np.float32)
     bias = np.asarray(bias, np.float32)
@@ -326,8 +362,8 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
     in_per, out_per = c_in // groups, c_out // groups
     group_weights = [weight[g * out_per : (g + 1) * out_per].T.astype(np.float64) for g in range(groups)]
     flat = src.data.reshape(-1, c_in)
-    out = np.empty((src.height, src.width, c_out), np.float32)
-    out_flat = out.reshape(-1, c_out)
+    result = _result_buffer(out, (src.height, src.width, c_out))
+    out_flat = result.reshape(-1, c_out)
     for p0, p1 in _pixel_blocks(flat.shape[0]):
         block = flat[p0:p1].astype(np.float64)
         acc = np.empty((p1 - p0, c_out))
@@ -337,7 +373,7 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
         if relu:
             np.maximum(acc, 0.0, out=acc)
         out_flat[p0:p1] = acc
-    return FeatureMap.adopt(out)
+    return FeatureMap.adopt(result if out is None else result.view())
 
 
 def neighbor_offsets(kernel: int, dilation: int) -> list[tuple[int, int]]:

@@ -185,9 +185,18 @@ class CompressorParams:
 
 
 def channel_compressor(v: FeatureMap, params: CompressorParams) -> SimilarityScores:
-    """Compress L difference channels to K*K per-slot scores."""
-    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, params.conv1_groups, relu=True)
-    hidden = group_normalize(hidden, params.norm)
+    """Compress L difference channels to K*K per-slot scores.
+
+    The hidden map lives in one buffer: conv1 with its ReLU writes it and
+    the group norm overwrites it in place, with the same bits as separate
+    maps.  `v` is dropped after conv1, so when the caller passes it as a
+    temporary, as pcdc_block does, it is freed before the norm.
+    """
+    buf = np.empty((v.height, v.width, params.conv1_weight.shape[0]), np.float32)
+    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, params.conv1_groups,
+                                    relu=True, out=buf)
+    del v
+    hidden = group_normalize(hidden, params.norm, out=buf)
     return grouped_pointwise_conv(hidden, params.conv2_weight, params.conv2_bias, params.conv2_groups)
 
 
@@ -222,14 +231,18 @@ def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, dila
     if q_in.shape != k_in.shape:
         raise ShapeMismatch(f"query {q_in.shape} and key {k_in.shape} must match")
     pc = params.pcdc
-    # The normalized inputs are temporaries of the contraction, so they are
-    # freed before the compressor allocates its hidden maps.
-    v = _pcdc_core(
-        group_normalize(q_in, params.norm).data,
-        group_normalize(k_in, params.norm).data,
-        pc.weight.astype(np.float64),
-        pc.bias,
-        pc.groups,
-        dilation,
+    # The normalized inputs are temporaries of the contraction and the
+    # difference map one of the compressor, so the inputs are freed before
+    # the compressor allocates its hidden map, and the difference map after
+    # conv1 has read it.
+    return channel_compressor(
+        FeatureMap.adopt(_pcdc_core(
+            group_normalize(q_in, params.norm).data,
+            group_normalize(k_in, params.norm).data,
+            pc.weight.astype(np.float64),
+            pc.bias,
+            pc.groups,
+            dilation,
+        )),
+        params.comp,
     )
-    return channel_compressor(FeatureMap.adopt(v), params.comp)

@@ -190,8 +190,9 @@ def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) ->
 
     The buffers are allocated once per call and reused for every chunk: the
     edge-padded sample strip of a chunk and its halo rows, the input rows
-    the strip interpolates from, and one row tile.  The strip is
-    interpolated tile by tile through the tile buffer; then each output row
+    the strip interpolates from, and one row tile.  A chunk carries the
+    halo rows it shares with the previous chunk and interpolates the rest
+    of its strip tile by tile through the tile buffer; then each output row
     tile is zeroed in `out` and accumulates its taps in a fixed order, every
     product going through the tile buffer.  Each output element thus sees
     the same float32 roundings as on the naive path, whatever the tile size.
@@ -212,14 +213,22 @@ def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) ->
     tile = np.empty((step, out_w, c), np.float32)
     for r0 in range(0, out_h, CHUNK_ROWS):
         r1 = min(r0 + CHUNK_ROWS, out_h)
-        rows_ext = np.clip(np.arange(r0 - pad, r1 + pad), 0, out_h - 1)
-        n_ext = len(rows_ext)
-        lerp_take(x, r_lo[rows_ext], r_hi[rows_ext], r_t[rows_ext], 0, rows[0, :n_ext], rows[1, :n_ext])
-        for s0 in range(0, n_ext, step):
-            s1 = min(s0 + step, n_ext)
-            lerp_take(rows[0, s0:s1], c_lo, c_hi, c_t, 1, strip[s0:s1, pad : pad + out_w], tile[: s1 - s0])
-        strip[:n_ext, :pad] = strip[:n_ext, pad : pad + 1]
-        strip[:n_ext, pad + out_w :] = strip[:n_ext, pad + out_w - 1 : pad + out_w]
+        n_ext = r1 - r0 + 2 * pad
+        # The last 2*pad strip rows of the previous (full) chunk are the
+        # first of this one: carry them and interpolate only the new rows.
+        # The two slices overlap when 2*pad > CHUNK_ROWS; numpy's
+        # assignment copies through a temporary then.
+        carried = 2 * pad if r0 else 0
+        strip[:carried] = strip[CHUNK_ROWS : CHUNK_ROWS + carried]
+        rows_new = np.clip(np.arange(r0 - pad + carried, r1 + pad), 0, out_h - 1)
+        n_new = n_ext - carried
+        lerp_take(x, r_lo[rows_new], r_hi[rows_new], r_t[rows_new], 0, rows[0, :n_new], rows[1, :n_new])
+        for s0 in range(0, n_new, step):
+            s1 = min(s0 + step, n_new)
+            lerp_take(rows[0, s0:s1], c_lo, c_hi, c_t, 1, strip[carried + s0 : carried + s1, pad : pad + out_w],
+                      tile[: s1 - s0])
+        strip[carried:n_ext, :pad] = strip[carried:n_ext, pad : pad + 1]
+        strip[carried:n_ext, pad + out_w :] = strip[carried:n_ext, pad + out_w - 1 : pad + out_w]
         for t0 in range(r0, r1, step):
             t1 = min(t0 + step, r1)
             acc, tmp = out[t0:t1], tile[: t1 - t0]

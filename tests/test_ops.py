@@ -1,6 +1,7 @@
 """Kernel-level tests: frozen hand-derived values, brute-force oracles, invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from resfu.ops import (
     GroupNormAffine,
     ShapeMismatch,
     bilinear_resize,
-    box_mean,
     box_mean_array,
     gather_neighbors,
     gaussian_smooth3,
@@ -93,36 +93,36 @@ class TestResize:
 
 class TestBoxMean:
     def test_3x3_ramp_radius1(self):
-        src = fm(np.arange(9, dtype=np.float32).reshape(3, 3))
-        out = box_mean(src, 1)
-        assert out.data[1, 1, 0] == 4.0  # full window, mean of 0..8
-        assert out.data[0, 0, 0] == 2.0  # corner window {0,1,3,4}
+        src = np.arange(9, dtype=np.float32).reshape(3, 3, 1)
+        out = box_mean_array(src, 1)
+        assert out[1, 1, 0] == 4.0  # full window, mean of 0..8
+        assert out[0, 0, 0] == 2.0  # corner window {0,1,3,4}
 
     def test_radius_zero_is_identity(self):
-        src = rand_map(np.random.default_rng(3), 4, 4, 2)
-        assert np.array_equal(box_mean(src, 0).data, src.data)
+        src = rand_map(np.random.default_rng(3), 4, 4, 2).data
+        assert np.array_equal(box_mean_array(src, 0), src)
 
     def test_huge_radius_gives_global_mean(self):
-        src = rand_map(np.random.default_rng(4), 5, 6, 3)
-        want = src.astype64().mean(axis=(0, 1))
-        out = box_mean(src, 10)
-        np.testing.assert_allclose(out.data, np.broadcast_to(want, (5, 6, 3)), rtol=1e-6)
+        src = rand_map(np.random.default_rng(4), 5, 6, 3).data
+        want = src.astype(np.float64).mean(axis=(0, 1))
+        out = box_mean_array(src, 10)
+        np.testing.assert_allclose(out, np.broadcast_to(want, (5, 6, 3)), rtol=1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(h=st.integers(1, 6), w=st.integers(1, 6), r=st.integers(0, 4), v=st.floats(-100, 100, width=32))
     def test_constant_map_preserved(self, h, w, r, v):
-        out = box_mean(FeatureMap(np.full((h, w, 1), v, np.float32)), r)
-        np.testing.assert_allclose(out.data, v, rtol=1e-6, atol=1e-6)
+        out = box_mean_array(np.full((h, w, 1), v, np.float32), r)
+        np.testing.assert_allclose(out, v, rtol=1e-6, atol=1e-6)
 
     def test_matches_window_loop_oracle(self):
         rng = np.random.default_rng(5)
         src = rand_map(rng, 7, 6, 2)
-        out = box_mean(src, 2)
+        out = box_mean_array(src.data, 2)
         a = src.astype64()
         for i in range(7):
             for j in range(6):
                 win = a[max(i - 2, 0) : i + 3, max(j - 2, 0) : j + 3]
-                np.testing.assert_allclose(out.data[i, j], win.mean(axis=(0, 1)), rtol=1e-6)
+                np.testing.assert_allclose(out[i, j], win.mean(axis=(0, 1)), rtol=1e-6)
 
     def test_array_means_do_not_depend_on_memory_layout(self):
         rng = np.random.default_rng(6)
@@ -130,8 +130,6 @@ class TestBoxMean:
         view = np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)  # same values, W outermost
         direct = box_mean_array(a, 2)
         np.testing.assert_allclose(box_mean_array(view, 2), direct, rtol=1e-12)
-        f32 = a.astype(np.float32)
-        np.testing.assert_allclose(box_mean(FeatureMap(f32), 2).data, box_mean_array(f32, 2), rtol=1e-6)
 
 
 class TestGaussianSmooth3:
@@ -169,6 +167,35 @@ class TestGaussianSmooth3:
                         acc += wgt * a[min(max(i + di, 0), 3), min(max(j + dj, 0), 3), 0]
                 np.testing.assert_allclose(out.data[i, j, 0], acc, rtol=1e-6)
 
+    def test_row_tiles_round_like_the_whole_map(self):
+        # 37 rows of 64x32 run as tiles of 16, 16 and 5 rows with their
+        # halos; the whole-map float64 passes give the same bits.
+        rng = np.random.default_rng(12)
+        src = rand_map(rng, 37, 64, 32)
+        padded = np.pad(src.data, ((1, 1), (1, 1), (0, 0)), mode="edge")
+        side = math.exp(-0.5)
+        rows = np.add(padded[:-2], padded[2:], dtype=np.float64)
+        rows *= side
+        rows += padded[1:-1]
+        want = np.add(rows[:, :-2], rows[:, 2:])
+        want *= side
+        want += rows[:, 1:-1]
+        want *= (1.0 / (1.0 + 2.0 * side)) ** 2
+        assert np.array_equal(gaussian_smooth3(src).data, want.astype(np.float32))
+
+    def test_holds_under_four_outputs(self):
+        # Traced transient of one call, output included: the tiles' float64
+        # passes add less than three outputs (the whole-map passes held six).
+        src = rand_map(np.random.default_rng(13), 64, 64, 32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            gaussian_smooth3(src)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * src.data.nbytes
+
 
 class TestGroupNormalize:
     def test_normalizes_per_group(self):
@@ -204,6 +231,37 @@ class TestGroupNormalize:
         src = rand_map(np.random.default_rng(0), 2, 2, 4)
         with pytest.raises(ShapeMismatch):
             group_normalize(src, GroupNormAffine(np.ones(6), np.zeros(6), groups=2))
+
+    def test_in_place_out_equals_allocating_call(self):
+        rng = np.random.default_rng(24)
+        affine = GroupNormAffine(rng.standard_normal(8), rng.standard_normal(8), groups=4)
+        buf = (3.0 * rng.standard_normal((33, 40, 8)) + 1.0).astype(np.float32)  # several pixel blocks
+        want = group_normalize(FeatureMap(buf), affine)
+        src = FeatureMap.adopt(buf.view())  # the map wraps buf itself
+        got = group_normalize(src, affine, out=buf)
+        assert np.array_equal(got.data, want.data)
+        assert np.shares_memory(got.data, buf) and not got.data.flags.writeable
+        assert buf.flags.writeable
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "strided", "read-only"])
+    def test_rejects_bad_out(self, bad):
+        src = rand_map(np.random.default_rng(25), 4, 5, 8)
+        affine = GroupNormAffine(np.ones(8), np.zeros(8), groups=4)
+        with pytest.raises(ShapeMismatch, match="out must be"):
+            group_normalize(src, affine, out=bad_out(bad, src.shape))
+
+
+def bad_out(kind: str, shape) -> np.ndarray:
+    """An out buffer for `shape` that is wrong in one way."""
+    if kind == "shape":
+        return np.empty(shape[:2] + (shape[2] + 1,), np.float32)
+    if kind == "dtype":
+        return np.empty(shape, np.float64)
+    if kind == "strided":
+        return np.empty(shape[:2] + (2 * shape[2],), np.float32)[:, :, ::2]
+    buf = np.empty(shape, np.float32)
+    buf.setflags(write=False)
+    return buf
 
 
 def dense_conv_oracle(src, weight, bias, groups):
@@ -247,6 +305,24 @@ class TestGroupedPointwiseConv:
         out = grouped_pointwise_conv(src, np.ones((1, 1), np.float32), np.zeros(1, np.float32), 1, relu=True)
         np.testing.assert_array_equal(out.data[:, :, 0], [[0.0, 0.0], [2.5, 0.0]])
         assert not np.signbit(out.data).any()
+
+    def test_out_equals_allocating_call(self):
+        rng = np.random.default_rng(42)
+        src = rand_map(rng, 30, 20, 8)  # two pixel blocks
+        weight = rng.standard_normal((16, 4)).astype(np.float32)
+        bias = rng.standard_normal(16).astype(np.float32)
+        want = grouped_pointwise_conv(src, weight, bias, 2, relu=True)
+        buf = np.full((30, 20, 16), np.nan, np.float32)
+        got = grouped_pointwise_conv(src, weight, bias, 2, relu=True, out=buf)
+        assert np.array_equal(got.data, want.data)
+        assert np.shares_memory(got.data, buf) and not got.data.flags.writeable
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "strided", "read-only"])
+    def test_rejects_bad_out(self, bad):
+        src = rand_map(np.random.default_rng(43), 3, 4, 6)
+        with pytest.raises(ShapeMismatch, match="out must be"):
+            grouped_pointwise_conv(src, np.ones((4, 3), np.float32), np.zeros(4, np.float32), 2,
+                                   out=bad_out(bad, (3, 4, 4)))
 
     def test_rejects_mismatches(self):
         src = rand_map(np.random.default_rng(0), 2, 2, 6)

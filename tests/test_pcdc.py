@@ -167,6 +167,21 @@ class TestCompressor:
         )
         assert np.array_equal(got.data, want.data)
 
+    def test_holds_one_hidden_map(self):
+        # Traced peak above entry, in hidden maps: conv1 writes one buffer
+        # and the group norm overwrites it (two hidden maps were live).
+        rng = np.random.default_rng(24)
+        v = rand_map(rng, 128, 128, 32)
+        p = rand_block(rng, d=32, l_out=32, hidden=128, groups=4).comp
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            channel_compressor(v, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 128 * 128 * 128 * 4
+
     def test_output_has_slot_channels(self):
         rng = np.random.default_rng(21)
         v = rand_map(rng, 4, 4, 8)

@@ -224,6 +224,8 @@ class TestKernelApplyFns:
             (4, 11, 18, 48, 3, 18),  # 18-row tiles; 44 rows = one chunk + 12
             (8, 2, 3, 5, 5, None),  # pad 16 = out_h: every halo row clamps
             (8, 1, 2, 3, 3, None),  # pad 8 = out_h
+            (16, 5, 2, 3, 3, None),  # three chunks, each carrying 2 * pad = 32 halo rows
+            (32, 2, 1, 2, 3, None),  # 2 * pad = 64 > 32 rows: the carried rows overlap
         ],
     )
     def test_fused_equals_naive_across_tiles(self, ratio, h, w, c, kernel, tile):
@@ -295,6 +297,23 @@ class TestResfuUpsample:
         x_up = bilinear_resize(x, 6 * ratio, 6 * ratio)
         want = gather_neighbors(x_up, 3, ratio).astype(np.float64).mean(axis=1)
         assert max_rel_error(out.astype64().reshape(-1, 5), want) <= 1e-5
+
+    def test_peak_under_ten_outputs(self):
+        # Traced peak of one 64x64x32 -> 256x256x32 upsample over its 8 MiB
+        # output: set by conv1 beside the maps run_pipeline keeps (13.5x
+        # while each score block held two hidden maps).
+        rng = np.random.default_rng(36)
+        x = rand_map(rng, 64, 64, 32)
+        y = FeatureMap(rng.random((256, 256, 4), dtype=np.float32))
+        params = generate_params(c_in=32, c_guide=4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = resfu_upsample(x, y, params, UpsampleConfig(ratio=4))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * out.data.nbytes
 
     def test_constant_input_preserved(self):
         rng = np.random.default_rng(32)
