@@ -30,6 +30,10 @@ from .upsampler import (
 from .visualize import channel_rgb, pca_rgb, save_ppm
 
 
+# Intermediates that `upsample --dump-dir` writes, as <name>.rsft.
+DUMPED = ("q", "k_up", "q_gf", "s_s", "q_gs", "s_d", "kernels")
+
+
 def _load_tensor_checked(path):
     try:
         return load_tensor(path)
@@ -67,12 +71,14 @@ def _cmd_upsample(args) -> int:
     elif args.baseline == "innerprod":
         out = innerprod_upsample(x, y, params, cfg, fused=fused)
     else:
-        result = run_pipeline(x, y, params, cfg, fused=fused)
-        out = result.output
         if args.dump_dir is not None:
             os.makedirs(args.dump_dir, exist_ok=True)
-            for name in ("q", "k_up", "q_gf", "q_gs", "s_s", "s_d", "kernels"):
-                save_tensor(os.path.join(args.dump_dir, f"{name}.rsft"), getattr(result, name))
+
+        def dump(name, fmap):
+            if args.dump_dir is not None and name in DUMPED:
+                save_tensor(os.path.join(args.dump_dir, f"{name}.rsft"), fmap)
+
+        out = run_pipeline(x, y, params, cfg, fused=fused, sink=dump).output
     save_tensor(args.out, out)
     print(f"wrote {args.out} ({out.height}x{out.width}x{out.channels})")
     return 0
@@ -134,7 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="replace the similarity pipeline with a baseline")
     ups.add_argument("--fused", choices=["true", "false"], default="true")
     ups.add_argument("--dump-dir", default=None,
-                     help="also write pipeline intermediates here (full pipeline only)")
+                     help="also write pipeline intermediates here, each as its stage finishes "
+                          "(full pipeline only); if a later stage fails, the maps of the finished "
+                          "stages stay on disk and no output is written")
     ups.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored: resfu runs on the calling thread")
     ups.add_argument("--out", required=True, help="output .rsft path")

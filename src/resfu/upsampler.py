@@ -6,29 +6,35 @@ guide y (H x W x c), the pipeline is:
     q, k    <- per-pixel linear projections of y and x        (D channels)
     k_up    <- bilinear_resize(k, H, W)
     q_gf    <- guided_filter(q, k_up)          # align q to k's structure
-    q_gs    <- gaussian_smooth3(q)             # self-similarity reference
     s_s     <- pcdc_block(q_gf, k_up)          # semantic branch scores
+    q_gs    <- gaussian_smooth3(q)             # self-similarity reference
     s_d     <- pcdc_block(q, q_gs)             # detail branch scores
-    kernels <- softmax_rows(s_s + s_d)
+    scores  <- s_s + s_d
+    kernels <- softmax_rows(scores)
     out_i   <- sum_n kernels[i, n] * x_up[N(i)_n]
 
-run_pipeline is the one path through these stages.  Every upsampling entry
-point starts with check_guide, which rejects a guide that is not ratio times
-the input's size and NaN or Inf in either map.  Neighborhoods are K x K, K
-taken from the parameter bundle, with dilation equal to the upsampling
-ratio, on the high-resolution grids ("fine-grained neighbor selection");
-both score branches use the same dilation.  The value gather runs either
-naively (materialize x_up = bilinear_resize(x)) or fused: the kernel
-weights and the bilinear taps fold into weights on each input cell's
-(K+2) x (K+2) window, and one small float32 matrix product per cell writes
-its ratio x ratio output pixels, so the full H x W x C upsampled buffer
-never exists and no output-sized temporary is allocated.  The two paths
-round differently and agree within 1e-6 relative; each is bit-reproducible
-from run to run.  Every stage runs on the calling thread.
+run_pipeline is the one path through these stages.  It either collects
+every intermediate or hands each one to a sink as it is made and keeps a
+map only until the last stage that reads it; resfu_upsample keeps none, so
+when the value channels C far exceed D its peak is little more than the
+output.  Every upsampling entry point starts with check_guide, which
+rejects a guide that is not ratio times the input's size and NaN or Inf in
+either map.  Neighborhoods are K x K, K taken from the parameter bundle,
+with dilation equal to the upsampling ratio, on the high-resolution grids
+("fine-grained neighbor selection"); both score branches use the same
+dilation.  The value gather runs either naively (materialize
+x_up = bilinear_resize(x)) or fused: the kernel weights and the bilinear
+taps fold into weights on each input cell's (K+2) x (K+2) window, and one
+small float32 matrix product per cell writes its ratio x ratio output
+pixels, so the full H x W x C upsampled buffer never exists and no
+output-sized temporary is allocated.  The two paths round differently and
+agree within 1e-6 relative; each is bit-reproducible from run to run.
+Every stage runs on the calling thread.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
 
@@ -279,44 +285,70 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, kerne
 
 @dataclass
 class PipelineResult:
-    """All intermediates of one upsampling run (for dumps and tests)."""
+    """The output of one upsampling run, with every intermediate when
+    run_pipeline collected them (None when a sink received them instead)."""
 
-    q: FeatureMap
-    k: FeatureMap
-    k_up: FeatureMap
-    q_gf: FeatureMap
-    q_gs: FeatureMap
-    s_s: SimilarityScores
-    s_d: SimilarityScores
-    scores: SimilarityScores
-    kernels: SimilarityScores
     output: FeatureMap
+    q: FeatureMap | None = None
+    k: FeatureMap | None = None
+    k_up: FeatureMap | None = None
+    q_gf: FeatureMap | None = None
+    s_s: SimilarityScores | None = None
+    q_gs: FeatureMap | None = None
+    s_d: SimilarityScores | None = None
+    scores: SimilarityScores | None = None
+    kernels: SimilarityScores | None = None
 
 
 def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
-                 fused: bool = True, threads: int = 1) -> PipelineResult:
-    """Run every stage once and keep each intermediate.
+                 fused: bool = True, threads: int = 1, *,
+                 sink: Callable[[str, FeatureMap], None] | None = None) -> PipelineResult:
+    """Run every stage once.
+
+    Without a sink the result keeps every intermediate.  With one,
+    sink(name, fmap) is called once per intermediate, named after its
+    PipelineResult field, in stage order as soon as the map exists; the
+    pipeline drops its own reference after the last stage that reads the
+    map, and the result carries only the output.  q_gs is computed after
+    the semantic block so that fewer D-channel maps are live at once.
 
     `threads` is accepted and ignored: every stage runs on the calling
     thread."""
+    maps: dict[str, FeatureMap] = {}
+    emit = maps.__setitem__ if sink is None else sink
     check_guide(x, y, cfg.ratio)
     q, k = project_qk(x, y, params.proj)
+    emit("q", q)
+    emit("k", k)
     k_up = bilinear_resize(k, y.height, y.width)
+    emit("k_up", k_up)
+    del k
     q_gf = guided_filter(q, k_up, params.gf)
-    q_gs = gaussian_smooth3(q)
+    emit("q_gf", q_gf)
     s_s = pcdc_block(q_gf, k_up, params.block_s, cfg.ratio)
+    emit("s_s", s_s)
+    del q_gf, k_up
+    q_gs = gaussian_smooth3(q)
+    emit("q_gs", q_gs)
     s_d = pcdc_block(q, q_gs, params.block_d, cfg.ratio)
-    scores = FeatureMap(s_s.data + s_d.data)
+    emit("s_d", s_d)
+    del q, q_gs
+    scores = FeatureMap.adopt(s_s.data + s_d.data)
+    emit("scores", scores)
+    del s_s, s_d
     kernels = softmax_rows(scores)
+    emit("kernels", kernels)
+    del scores
     output = kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused)
-    return PipelineResult(q, k, k_up, q_gf, q_gs, s_s, s_d, scores, kernels, output)
+    return PipelineResult(output, **maps)
 
 
 def resfu_upsample(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
                    fused: bool = True, threads: int = 1) -> FeatureMap:
-    """Upsample x by cfg.ratio under the guidance of y (`threads` is ignored,
-    as in run_pipeline)."""
-    return run_pipeline(x, y, params, cfg, fused=fused).output
+    """Upsample x by cfg.ratio under the guidance of y, keeping no
+    intermediate beyond its last reader (`threads` is ignored, as in
+    run_pipeline)."""
+    return run_pipeline(x, y, params, cfg, fused=fused, sink=lambda name, fmap: None).output
 
 
 def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: int) -> SimilarityScores:

@@ -9,13 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from resfu import cli
+from resfu import cli, upsampler
 from resfu.ops import bilinear_resize, nearest_resize
 from resfu.oracle import max_rel_error
 from resfu.params_io import load_params, save_params
 from resfu.selfcheck import CheckResult
 from resfu.tensor import FeatureMap, load_tensor, save_tensor
-from resfu.upsampler import UpsampleConfig, generate_params, innerprod_upsample
+from resfu.upsampler import UpsampleConfig, generate_params, innerprod_upsample, run_pipeline
 
 
 @pytest.fixture
@@ -98,11 +98,29 @@ class TestUpsample:
 
     def test_dump_dir_writes_intermediates(self, workspace):
         dump = workspace / "dump"
+        assert cli.main(upsample_args(workspace, **{"--out": str(workspace / "plain.rsft")})) == 0
         assert cli.main(upsample_args(workspace) + ["--dump-dir", str(dump)]) == 0
         names = {p.name for p in dump.iterdir()}
         assert names == {"q.rsft", "k_up.rsft", "q_gf.rsft", "q_gs.rsft",
                          "s_s.rsft", "s_d.rsft", "kernels.rsft"}
         assert load_tensor(dump / "kernels.rsft").shape == (16, 16, 9)
+        result = run_pipeline(load_tensor(workspace / "x.rsft"), load_tensor(workspace / "y.rsft"),
+                              load_params(workspace / "w.rsfw"), UpsampleConfig(ratio=2))
+        for path in dump.iterdir():
+            save_tensor(workspace / "want.rsft", getattr(result, path.stem))
+            assert path.read_bytes() == (workspace / "want.rsft").read_bytes(), path.name
+        assert (workspace / "out.rsft").read_bytes() == (workspace / "plain.rsft").read_bytes()
+
+    def test_dump_dir_naming_a_file_exits_two_before_any_stage(self, workspace, capsys, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("a stage ran although the dump directory cannot be made")
+
+        monkeypatch.setattr(upsampler, "project_qk", no_stage)
+        taken = workspace / "taken"
+        taken.write_bytes(b"")
+        assert cli.main(upsample_args(workspace) + ["--dump-dir", str(taken)]) == 2
+        assert str(taken) in capsys.readouterr().err
+        assert not (workspace / "out.rsft").exists()
 
     @pytest.mark.parametrize("baseline,resize", [("bilinear", bilinear_resize), ("nearest", nearest_resize)])
     def test_resize_baselines(self, workspace, baseline, resize):

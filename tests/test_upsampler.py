@@ -165,6 +165,32 @@ class TestComputeSimilarity:
         assert np.array_equal(res.scores.data, res.s_s.data + res.s_d.data)
 
 
+STAGE_ORDER = ("q", "k", "k_up", "q_gf", "s_s", "q_gs", "s_d", "scores", "kernels")
+
+
+class TestRunPipelineSink:
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return rand_map(rng, 5, 4, 6), rand_map(rng, 15, 12, 5), small_params(rng)
+
+    def test_sink_gets_each_name_once_in_stage_order(self):
+        x, y, params = self._inputs(14)
+        collected = run_pipeline(x, y, params, UpsampleConfig(ratio=3))
+        seen = []
+        res = run_pipeline(x, y, params, UpsampleConfig(ratio=3), sink=lambda name, fmap: seen.append((name, fmap)))
+        assert [name for name, _ in seen] == list(STAGE_ORDER)
+        for name, fmap in seen:
+            assert fmap.data.tobytes() == getattr(collected, name).data.tobytes()
+        assert all(getattr(res, name) is None for name in STAGE_ORDER)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_sink_output_bytes_equal_collected(self, fused):
+        x, y, params = self._inputs(15)
+        collected = run_pipeline(x, y, params, UpsampleConfig(ratio=3), fused=fused)
+        streamed = run_pipeline(x, y, params, UpsampleConfig(ratio=3), fused=fused, sink=lambda name, fmap: None)
+        assert streamed.output.data.tobytes() == collected.output.data.tobytes()
+
+
 class TestKernelApplyFns:
     def _one_hot(self, h, w, kernel=3, slot=None):
         slot = (kernel * kernel - 1) // 2 if slot is None else slot
@@ -348,8 +374,8 @@ class TestResfuUpsample:
 
     def test_peak_under_ten_outputs(self):
         # Traced peak of one 64x64x32 -> 256x256x32 upsample over its 8 MiB
-        # output: set by conv1 beside the maps run_pipeline keeps (13.5x
-        # while each score block held two hidden maps).
+        # output: set inside the guided filter, where its half-size float64
+        # maps are live beside q, k_up and q_gf (9x).
         rng = np.random.default_rng(36)
         x = rand_map(rng, 64, 64, 32)
         y = FeatureMap(rng.random((256, 256, 4), dtype=np.float32))
@@ -362,6 +388,23 @@ class TestResfuUpsample:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * out.data.nbytes
+
+    def test_wide_channel_peak_near_output(self):
+        # 16x16x384 -> 128x128x384 at ratio 8: with C far above D = 32 the
+        # 24 MiB output dwarfs every D-channel map, so the traced peak stays
+        # near it (1.48x while run_pipeline kept every intermediate)
+        rng = np.random.default_rng(37)
+        x = rand_map(rng, 16, 16, 384)
+        y = FeatureMap(rng.random((128, 128, 3), dtype=np.float32))
+        params = generate_params(c_in=384, c_guide=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = resfu_upsample(x, y, params, UpsampleConfig(ratio=8))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * out.data.nbytes
 
     def test_constant_input_preserved(self):
         rng = np.random.default_rng(32)
