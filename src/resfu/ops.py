@@ -9,7 +9,7 @@ Conventions used throughout:
 * box means normalize by the number of in-bounds pixels in the window;
 * results are stored as float32; group norms and 1x1 convolutions compute
   in float64 one pixel block at a time, so they make no float64 copy of
-  their map; box sums, Gaussian smoothing and softmax compute in float64,
+  their map; window sums, Gaussian smoothing and softmax compute in float64,
   Gaussian smoothing in L2-sized row tiles (TILE_BYTES); resizes compute
   in the dtype of their input, in such row tiles too, and the paired
   difference contraction of a score block (resfu.pcdc) in float32;
@@ -164,52 +164,33 @@ def nearest_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     return FeatureMap(src.data[np.ix_(ri, ci)])
 
 
-def _window_sums(arr: np.ndarray, radius: int) -> np.ndarray:
-    """float64 sums over the windows [i - r, i + r] along axis 0, truncated
-    at the borders.
+def _window_sums(arr: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray:
+    """Write into `out` the float64 sums over the windows [i - r, i + r]
+    along axis 0 of `arr`, truncated at the borders, and return it.
 
-    A running sum: each window is the previous one plus the slice that
-    enters and minus the slice that leaves.  Every step reads and writes
-    whole leading slices, which are contiguous; np.cumsum along a leading
-    axis, or any pass along axis 1, walks memory with a large stride and
-    runs several times slower.
+    A running sum: the first window is one np.sum over r + 1 slices, and
+    each later one is the previous one plus the slice that enters and minus
+    the slice that leaves (np.cumsum along a leading axis ran several times
+    slower).  `out` is a float64 array of arr's shape; both may be views.
+    Each step is one call over a whole leading slice, so quantities stacked
+    behind the leading axis cost no extra calls.
     """
     n = arr.shape[0]
-    sums = np.empty(arr.shape, np.float64)
-    np.sum(arr[: radius + 1], axis=0, dtype=np.float64, out=sums[0])
+    np.sum(arr[: radius + 1], axis=0, dtype=np.float64, out=out[0])
     for i in range(1, n):
         if i + radius < n:
-            np.add(sums[i - 1], arr[i + radius], out=sums[i])
+            np.add(out[i - 1], arr[i + radius], out=out[i])
         else:
-            sums[i] = sums[i - 1]
+            out[i] = out[i - 1]
         if i > radius:
-            np.subtract(sums[i], arr[i - radius - 1], out=sums[i])
-    return sums
+            np.subtract(out[i], arr[i - radius - 1], out=out[i])
+    return out
 
 
-def _box_counts(h: int, w: int, radius: int) -> np.ndarray:
-    """(h, w) float64 number of in-bounds pixels of each truncated window."""
-    rows = np.minimum(np.arange(h) + radius, h - 1) - np.maximum(np.arange(h) - radius, 0) + 1
-    cols = np.minimum(np.arange(w) + radius, w - 1) - np.maximum(np.arange(w) - radius, 0) + 1
-    return (rows[:, None] * cols[None, :]).astype(np.float64)
-
-
-def box_mean_array(arr: np.ndarray, radius: int) -> np.ndarray:
-    """float64 means of an (H, W, C) array over the (2r+1)^2 windows
-    truncated at the borders, normalized by the in-bounds pixel count.
-
-    Separable: window sums along the spatial axis that is outermost in
-    memory, one transposing copy, window sums along the other.  The result
-    therefore comes back with its spatial axes in the opposite memory order
-    from the input: a transposed view for a C-contiguous input, a
-    C-contiguous array for such a view.  Chained box means, as in the guided
-    filter, thus make one copy each and never transpose back.
-    """
-    swapped = not arr.flags.c_contiguous and arr.swapaxes(0, 1).flags.c_contiguous
-    mem = arr.swapaxes(0, 1) if swapped else np.ascontiguousarray(arr)
-    sums = _window_sums(np.ascontiguousarray(_window_sums(mem, radius).swapaxes(0, 1)), radius)
-    sums /= _box_counts(sums.shape[0], sums.shape[1], radius)[:, :, None]
-    return sums if swapped else sums.swapaxes(0, 1)
+def _window_counts(n: int, radius: int) -> np.ndarray:
+    """(n,) float64 number of in-bounds positions of each truncated window."""
+    i = np.arange(n)
+    return (np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1).astype(np.float64)
 
 
 # 3x3 unit-sigma Gaussian taps exp(-(di^2 + dj^2) / 2), normalized to sum 1,

@@ -1,15 +1,17 @@
-"""Guided-filter tests against the per-window regression oracle, its
-limiting behaviors and its working memory."""
+"""Guided-filter tests against the per-window regression oracle and the
+whole-map float64 recipe, its limiting behaviors and its working memory."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from resfu.guided_filter import GuidedFilterConfig, guided_filter
-from resfu.ops import ShapeMismatch, box_mean_array
+from resfu.guided_filter import GuidedFilterConfig, _tile_rows, guided_filter
+from resfu.ops import ShapeMismatch
 from resfu.oracle import max_rel_error, oracle_guided_filter_window
 from resfu.tensor import FeatureMap
+
+from gf_reference import box_mean_array, filter64
 
 
 def rand_map(rng, h, w, c, scale=1.0):
@@ -99,6 +101,25 @@ def test_shape_and_config_validation():
         GuidedFilterConfig(eps=0.0)
 
 
+@pytest.mark.parametrize("radius", [True, False, 0, -2, np.int64(0), 2.0, "3", None])
+def test_config_rejects_bad_radius(radius):
+    with pytest.raises(ShapeMismatch, match="radius"):
+        GuidedFilterConfig(radius=radius)
+
+
+@pytest.mark.parametrize("eps", ["x", None, True, float("inf"), float("-inf"), float("nan"), -1e-3, 0])
+def test_config_rejects_bad_eps(eps):
+    with pytest.raises(ShapeMismatch, match="eps"):
+        GuidedFilterConfig(eps=eps)
+
+
+def test_config_accepts_numpy_numbers_as_python_ones():
+    cfg = GuidedFilterConfig(radius=np.int64(3), eps=np.float32(0.5))
+    assert cfg == GuidedFilterConfig(radius=3, eps=0.5)
+    assert type(cfg.radius) is int and type(cfg.eps) is float
+    assert GuidedFilterConfig(radius=np.uint8(2), eps=1).eps == 1.0
+
+
 def test_defaults():
     cfg = GuidedFilterConfig()
     assert cfg.radius == 8
@@ -107,9 +128,9 @@ def test_defaults():
 
 def test_holds_under_four_float64_maps():
     # Traced peak above entry of one call, in float64 maps of the input
-    # shape.  Filtering one channel half at a time keeps five half-size
-    # float64 maps live, beside the halves' float32 copies and the float32
-    # output (the whole map at once held five full-size maps).
+    # shape.  The row stream holds its tiles and ring, about 10 T + 4 r
+    # float64 rows (T = 6 here), beside the float32 output; the whole-map
+    # recipe held five full-size float64 maps.
     rng = np.random.default_rng(9)
     q = rand_map(rng, 48, 40, 8)
     k = rand_map(rng, 48, 40, 8)
@@ -122,3 +143,66 @@ def test_holds_under_four_float64_maps():
     finally:
         tracemalloc.stop()
     assert peak <= 3.9 * q.data.size * 8
+
+
+def _filter_peak(q: FeatureMap, k: FeatureMap, cfg: GuidedFilterConfig) -> tuple[int, int]:
+    """Traced peak above entry of one call, and the output's bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = guided_filter(q, k, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, out.data.nbytes
+
+
+def test_working_memory_does_not_grow_with_height():
+    # W, C and r fixed: the tiles and the ring have the same size at 128 and
+    # at 512 rows, so only the output grows (whole maps grew 4x).
+    rng = np.random.default_rng(10)
+    cfg = GuidedFilterConfig(radius=4, eps=1e-3)
+    working = []
+    for h in (128, 512):
+        peak, out_bytes = _filter_peak(rand_map(rng, h, 32, 8), rand_map(rng, h, 32, 8), cfg)
+        working.append(peak - out_bytes)
+    assert working[1] < 1.1 * working[0]
+
+
+def test_buffers_never_exceed_the_map_rows():
+    # A radius far beyond the map costs no more than one as tall as the map:
+    # tiles and ring are capped at the map's own row count.
+    rng = np.random.default_rng(11)
+    q, k = rand_map(rng, 12, 10, 3), rand_map(rng, 12, 10, 3)
+    tall, _ = _filter_peak(q, k, GuidedFilterConfig(radius=12))
+    huge, _ = _filter_peak(q, k, GuidedFilterConfig(radius=10**6))
+    assert huge <= tall + 1024
+    assert all(2 <= _tile_rows(h) <= h and h % _tile_rows(h) != 1 for h in range(2, 300))
+    assert _tile_rows(1) == 1
+
+
+@pytest.mark.parametrize(
+    "h, w, c, radius",
+    [
+        (37, 11, 3, 2),  # H not a multiple of the tile rows
+        (150, 7, 3, 4),  # several tiles; the ring wraps
+        (41, 100, 1, 10),  # 5-row tiles would leave a last tile of one row
+        (7, 6, 4, 1),  # H below the largest tile height
+        (3, 9, 2, 5),  # H <= r
+        (4, 5, 3, 6),  # radius >= H and radius >= W
+        (1, 1, 1, 8),  # a single value
+        (1, 20, 1, 10),  # a lone row of one channel, summed pairwise
+        (20, 1, 3, 4),  # W = 1
+        (19, 1, 1, 9),  # a lone column of one channel, summed pairwise
+        (19, 6, 5, 3),  # odd C
+    ],
+)
+def test_stream_matches_whole_map_recipe_bit_for_bit(h, w, c, radius):
+    # q sits far from zero with little spread, so var(q) cancels badly: a
+    # float64 sum taken in another order shows in the float32 output.
+    rng = np.random.default_rng(h * 1000 + w * 10 + c)
+    q = FeatureMap(1000.0 + 0.01 * rng.standard_normal((h, w, c)))
+    k = rand_map(rng, h, w, c)
+    cfg = GuidedFilterConfig(radius=radius, eps=1e-6)
+    want = filter64(q.data, k.data, cfg).astype(np.float32)
+    assert np.array_equal(guided_filter(q, k, cfg).data, want)

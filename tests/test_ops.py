@@ -12,8 +12,8 @@ from resfu.ops import (
     ChannelGroupMismatch,
     GroupNormAffine,
     ShapeMismatch,
+    _window_sums,
     bilinear_resize,
-    box_mean_array,
     gather_neighbors,
     gaussian_smooth3,
     group_normalize,
@@ -22,6 +22,8 @@ from resfu.ops import (
     softmax_rows,
 )
 from resfu.tensor import FeatureMap
+
+from gf_reference import box_mean_array
 
 
 def fm(values, channels_last=True):
@@ -130,6 +132,20 @@ class TestBoxMean:
         view = np.ascontiguousarray(a.swapaxes(0, 1)).swapaxes(0, 1)  # same values, W outermost
         direct = box_mean_array(a, 2)
         np.testing.assert_allclose(box_mean_array(view, 2), direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(9, 5, 3), (12, 1, 1)])
+    def test_window_sums_of_stacked_views_match_each_array(self, shape):
+        # The guided filter stacks four quantities ahead of the summed axis
+        # and sums through strided views; each quantity must get the bits of
+        # its own contiguous array, also where np.sum reduces a lone column
+        # pairwise (12 x 1 x 1).
+        rng = np.random.default_rng(7)
+        stack = rng.standard_normal((4, *shape))
+        out = np.empty_like(stack)
+        _window_sums(np.moveaxis(stack, 1, 0), 2, out=np.moveaxis(out, 1, 0))
+        for j in range(4):
+            alone = np.ascontiguousarray(stack[j])
+            assert np.array_equal(out[j], _window_sums(alone, 2, np.empty_like(alone)))
 
 
 class TestGaussianSmooth3:
