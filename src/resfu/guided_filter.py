@@ -81,8 +81,9 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     1. The vertical window sums of q, q*q, q*k and k are carried from row
        to row as one (4, W, C) float64 state; the rows that enter and leave
        the window are recomputed from the inputs.  Each tile's sums are
-       stored transposed, (4, W, T, C), the horizontal window sums are
-       taken along W, and mean, var, m and n follow elementwise.
+       stored W-leading, (W, 4, T, C), so that the horizontal window sums,
+       taken along W, read one contiguous (4, T, C) slab per step; mean,
+       var, m and n follow elementwise.
     2. The horizontal window sums of m and n are taken the same way and
        kept in a ring of the last 2r + 1 + T rows; the vertical sum trails
        r rows behind the tiles, and each output row is written as soon as
@@ -111,11 +112,13 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     np.sum(np.multiply(q[: r + 1], k[: r + 1], dtype=np.float64), axis=0, out=vsum[2])
     np.sum(k[: r + 1], axis=0, dtype=np.float64, out=vsum[3])
 
-    # The quantity axis leads every buffer, so each quantity's rows and
-    # columns lie as in its own whole map and np.sum reduces them the same
-    # way (sequentially, or pairwise for a lone row or column).
-    a = np.empty((4, w, t, c))
-    b = np.empty((4, w, t, c))
+    # The tiles are stored W-leading, (W, 4, T, C), so each step of the
+    # horizontal running sums reads one contiguous (4, T, C) slab.  Each
+    # quantity's rows and columns still lie as in its own whole map, so
+    # np.sum reduces them the same way (sequentially, or pairwise for a
+    # lone row or column).
+    a = np.empty((w, 4, t, c))
+    b = np.empty((w, 4, t, c))
     ring_rows = min(h, t + 2 * r + 1)
     ring = np.empty((2, ring_rows, w, c))
     row = np.empty((4, w, c))
@@ -132,12 +135,12 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
                     vsum += _row_products(q, k, i + r, row)
                 if i > r:
                     vsum -= _row_products(q, k, i - r - 1, row)
-            a[:, :, i - t0] = vsum
+            a[:, :, i - t0] = vsum.transpose(1, 0, 2)
         at, bt = a[:, :, :nt], b[:, :, :nt]
-        _window_sums(np.moveaxis(at, 1, 0), r, out=np.moveaxis(bt, 1, 0))
-        bt /= (cols[:, None] * rows[None, t0:t1])[:, :, None]
-        mean_q, var, m, n = bt  # the means of q, q*q, q*k and k, in place
-        tmp = at[0]
+        _window_sums(at, r, out=bt)
+        bt /= (cols[:, None] * rows[None, t0:t1])[:, None, :, None]
+        mean_q, var, m, n = bt.transpose(1, 0, 2, 3)  # the means of q, q*q, q*k and k, in place
+        tmp = at[:, 0]
         np.multiply(mean_q, mean_q, out=tmp)
         var -= tmp
         var += cfg.eps
@@ -147,12 +150,12 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
         np.multiply(m, mean_q, out=tmp)
         n -= tmp
 
-        _window_sums(np.moveaxis(bt[2:], 1, 0), r, out=np.moveaxis(at[:2], 1, 0))
+        _window_sums(bt[:, 2:], r, out=at[:, :2])
         j0 = 0
         while j0 < nt:  # at most two pieces, split at the ring's end
             s0 = (t0 + j0) % ring_rows
             j1 = min(nt, j0 + ring_rows - s0)
-            ring[:, s0 : s0 + j1 - j0] = at[:2, :, j0:j1].transpose(0, 2, 1, 3)
+            ring[:, s0 : s0 + j1 - j0] = at[:, :2, j0:j1].transpose(1, 2, 0, 3)
             j0 = j1
 
         stop = h if t1 == h else t1 - r

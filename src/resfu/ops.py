@@ -7,12 +7,14 @@ Conventions used throughout:
   (half-pixel centers), clamped to the valid range;
 * every gather that walks off the border clamps indices to the edge;
 * box means normalize by the number of in-bounds pixels in the window;
-* results are stored as float32; group norms and 1x1 convolutions compute
-  in float64 one pixel block at a time, so they make no float64 copy of
-  their map; window sums, Gaussian smoothing and softmax compute in float64,
-  Gaussian smoothing in L2-sized row tiles (TILE_BYTES); resizes compute
-  in the dtype of their input, in such row tiles too, and the paired
-  difference contraction of a score block (resfu.pcdc) in float32;
+* results are stored as float32.  What computes in float64: window (box)
+  sums, group-norm statistics (one pixel block at a time, so no float64
+  copy of the map exists), Gaussian smoothing (in L2-sized row tiles,
+  TILE_BYTES) and softmax.  What computes in float32: 1x1 convolutions (one
+  product per pixel block against the block-diagonal weight), the
+  group-norm scale and shift, and the paired difference contraction of a
+  score block (resfu.pcdc).  Resizes compute in the dtype of their input,
+  in row tiles too;
 * all kernels are pure functions, run on the calling thread and are
   bit-reproducible: work is split only into pieces fixed by the operand
   shapes (CHUNK_ROWS row chunks, pixel blocks, BLAS row pieces).
@@ -47,8 +49,9 @@ class ChannelGroupMismatch(Exception):
 CHUNK_ROWS = 32
 
 
-# Pixels per float64 working block of the per-pixel kernels: enough to keep
-# per-call overhead small, few enough that a block stays in cache.
+# Pixels per working block of the per-pixel kernels (1x1 convolutions,
+# group norms): enough to keep per-call overhead small, few enough that a
+# block stays in cache.
 PIXEL_BLOCK = 512
 
 
@@ -79,7 +82,7 @@ def matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _require_size(name: str, n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ShapeMismatch(f"{name} must be a positive integer, got {n!r}")
     return int(n)
 
@@ -277,16 +280,18 @@ def group_normalize(src: FeatureMap, affine: GroupNormAffine, *, out: np.ndarray
 
     Statistics pool every pixel and all channels of a group; the variance is
     the population variance, stabilized by eps.  One pass accumulates the
-    sums of x and x^2 in float64, a pixel block at a time, so no float64
+    sums of x and x^2 in float64, a pixel block at a time through one reused
+    float64 block buffer, each sum one `ones @ block` product, so no float64
     copy of the map exists; E[x^2] - E[x]^2 in float64 loses about
-    1e-16 * (mean / std)^2 relative, far below float32 resolution.
+    1e-16 * (mean / std)^2 relative, far below float32 resolution.  The
+    scale and shift that normalization and affine fold into are rounded to
+    float32 and applied in float32, one pixel block at a time.
 
     `out`, if given, is a writable C-contiguous float32 array of src's
     shape (else ShapeMismatch) that receives the result.  It may be the
-    buffer src itself wraps: each pixel block is read before it is
-    written, so normalizing in place gives the same bits.  The returned
-    map wraps a read-only view of `out` and changes if `out` is written
-    later.
+    buffer src itself wraps: each element is read before it is written,
+    so normalizing in place gives the same bits.  The returned map wraps a
+    read-only view of `out` and changes if `out` is written later.
     """
     c = src.channels
     if c != affine.channels:
@@ -294,26 +299,42 @@ def group_normalize(src: FeatureMap, affine: GroupNormAffine, *, out: np.ndarray
     result = _result_buffer(out, src.shape)
     flat = src.data.reshape(-1, c)
     blocks = _pixel_blocks(flat.shape[0])
+    block64 = np.empty((min(PIXEL_BLOCK, flat.shape[0]), c))
+    ones = np.ones(block64.shape[0])
     sums = np.zeros(c)
     squares = np.zeros(c)
     for p0, p1 in blocks:
-        block = flat[p0:p1].astype(np.float64)
-        sums += block.sum(axis=0)
+        block = block64[: p1 - p0]
+        block[...] = flat[p0:p1]
+        sums += ones[: p1 - p0] @ block
         block *= block
-        squares += block.sum(axis=0)
+        squares += ones[: p1 - p0] @ block
     per = c // affine.groups
     count = flat.shape[0] * per
     mean = sums.reshape(affine.groups, per).sum(axis=1) / count
     var = np.maximum(squares.reshape(affine.groups, per).sum(axis=1) / count - mean * mean, 0.0)
     scale = affine.gamma.astype(np.float64) / np.sqrt(np.repeat(var, per) + affine.eps)
-    shift = affine.beta.astype(np.float64) - np.repeat(mean, per) * scale
+    shift = (affine.beta.astype(np.float64) - np.repeat(mean, per) * scale).astype(np.float32)
+    scale = scale.astype(np.float32)
     out_flat = result.reshape(flat.shape)
     for p0, p1 in blocks:
-        block = flat[p0:p1].astype(np.float64)
-        block *= scale
-        block += shift
-        out_flat[p0:p1] = block
+        rows = out_flat[p0:p1]
+        np.multiply(flat[p0:p1], scale, out=rows)
+        rows += shift
     return FeatureMap.adopt(result if out is None else result.view())
+
+
+def _block_diagonal(weight: np.ndarray, groups: int) -> np.ndarray:
+    """(D/G, L) grouped weights as the dense (D, L) matrix of one matmul:
+    output l belongs to group l // (L/G) and sees only that group's D/G
+    inputs."""
+    in_per, l_out = weight.shape
+    out_per = l_out // groups
+    dense = np.zeros((in_per * groups, l_out), weight.dtype)
+    for g in range(groups):
+        ls = slice(g * out_per, (g + 1) * out_per)
+        dense[g * in_per : (g + 1) * in_per, ls] = weight[:, ls]
+    return dense
 
 
 def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray, groups: int,
@@ -322,9 +343,10 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
 
     weight has shape (c_out, c_in // groups); output channel l belongs to
     group floor(l * groups / c_out) and only sees the matching input slice.
-    Accumulates in float64, one pixel block at a time; with relu=True each
-    block is clamped at zero before it is stored as float32, which rounds
-    to the same values as clamping the stored map.
+    Computes in float32: per pixel block, one product against the dense
+    block-diagonal weight (_block_diagonal, through matmul_rows) writes the
+    block's output rows, and the bias and, with relu=True, the clamp at
+    zero are applied to them in place.
 
     `out`, if given, is a writable C-contiguous float32 array of shape
     (H, W, c_out) (else ShapeMismatch) that receives the result; the
@@ -340,20 +362,15 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
         raise ChannelGroupMismatch(f"{c_out} output channels not divisible into {groups} groups")
     if src.channels != c_in:
         raise ShapeMismatch(f"map has {src.channels} channels, weight implies {c_in}")
-    in_per, out_per = c_in // groups, c_out // groups
-    group_weights = [weight[g * out_per : (g + 1) * out_per].T.astype(np.float64) for g in range(groups)]
+    dense = _block_diagonal(weight.T, groups)
     flat = src.data.reshape(-1, c_in)
     result = _result_buffer(out, (src.height, src.width, c_out))
     out_flat = result.reshape(-1, c_out)
     for p0, p1 in _pixel_blocks(flat.shape[0]):
-        block = flat[p0:p1].astype(np.float64)
-        acc = np.empty((p1 - p0, c_out))
-        for g, gw in enumerate(group_weights):
-            matmul_rows(block[:, g * in_per : (g + 1) * in_per], gw, acc[:, g * out_per : (g + 1) * out_per])
-        acc += bias
+        rows = matmul_rows(flat[p0:p1], dense, out_flat[p0:p1])
+        rows += bias
         if relu:
-            np.maximum(acc, 0.0, out=acc)
-        out_flat[p0:p1] = acc
+            np.maximum(rows, 0.0, out=rows)
     return FeatureMap.adopt(result if out is None else result.view())
 
 

@@ -32,6 +32,7 @@ from .ops import (
     GroupNormAffine,
     ShapeMismatch,
     SimilarityScores,
+    _block_diagonal,
     group_normalize,
     grouped_pointwise_conv,
     matmul_rows,
@@ -80,17 +81,6 @@ class PcdcParams:
     @property
     def out_channels(self) -> int:
         return self.weight.shape[2]
-
-
-def _block_diagonal(weight: np.ndarray, groups: int) -> np.ndarray:
-    """(D/G, L) grouped weights as the dense (D, L) matrix of one matmul."""
-    in_per, l_out = weight.shape
-    out_per = l_out // groups
-    dense = np.zeros((in_per * groups, l_out), weight.dtype)
-    for g in range(groups):
-        ls = slice(g * out_per, (g + 1) * out_per)
-        dense[g * in_per : (g + 1) * in_per, ls] = weight[:, ls]
-    return dense
 
 
 def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarray,

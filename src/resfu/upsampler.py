@@ -79,7 +79,7 @@ class NonFiniteInput(Exception):
 
 
 def _check_ratio(ratio) -> int:
-    if not isinstance(ratio, (int, np.integer)) or ratio < 1:
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, np.integer)) or ratio < 1:
         raise RatioMismatch(f"ratio must be an integer >= 1, got {ratio!r}")
     return int(ratio)
 
@@ -149,12 +149,14 @@ class ResfuParams:
 
 @dataclass(frozen=True)
 class UpsampleConfig:
-    """The upsampling ratio; the kernel size comes from the parameters."""
+    """The upsampling ratio, a Python or NumPy integer >= 1 (not a bool,
+    else RatioMismatch), stored as a Python int; the kernel size comes from
+    the parameters."""
 
     ratio: int
 
     def __post_init__(self):
-        _check_ratio(self.ratio)
+        object.__setattr__(self, "ratio", _check_ratio(self.ratio))
 
 
 def project_qk(x: FeatureMap, y: FeatureMap, proj: ProjectionParams) -> tuple[FeatureMap, FeatureMap]:

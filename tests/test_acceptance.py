@@ -5,15 +5,19 @@ The checks run at full case counts here; the faster per-module test files
 cover the same code at reduced sizes.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resfu
 from resfu import cli
 from resfu.grad import check_gradients
+from resfu.oracle import max_rel_error
 from resfu.selfcheck import (
     check_anti_mosaic,
     check_constant_preservation,
@@ -128,6 +132,59 @@ def test_cli_upsample_is_byte_deterministic(tmp_path):
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())
     assert all(blob == blobs[0] for blob in blobs), "outputs differ across runs/threads"
+
+
+# The 64x64x32 -> 256x256x32 seed-0 pipeline in a fresh process; writes the
+# output and the summed scores to the .npz named by argv[1].
+_PIPELINE_RUN = """
+import sys
+import numpy as np
+from resfu import FeatureMap, UpsampleConfig, generate_params, run_pipeline
+rng = np.random.default_rng(0)
+x = rng.standard_normal((64, 64, 32), dtype=np.float32)
+y = rng.random((256, 256, 4), dtype=np.float32)
+res = run_pipeline(FeatureMap(x), FeatureMap(y), generate_params(32, 4, seed=0), UpsampleConfig(ratio=4))
+np.savez(sys.argv[1], output=res.output.data, scores=res.scores.data)
+"""
+
+
+def _numpy_blas_is_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 prints its config only
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def _cpu_has_avx2() -> bool:
+    try:
+        return "avx2" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not (_numpy_blas_is_openblas() and _cpu_has_avx2()),
+                    reason="needs numpy on OpenBLAS and a CPU with AVX2")
+def test_other_blas_kernels_stay_within_1e6(tmp_path):
+    # byte determinism holds per machine and BLAS build: the float32
+    # products (1x1 convs, pcdc contractions, kernel apply) round
+    # differently under another BLAS kernel.  Forcing OpenBLAS's AVX2
+    # kernels must move the output and the scores by at most 1e-6 max-rel.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("OPENBLAS_CORETYPE", None)
+    src = str(Path(resfu.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = {}
+    for name, coretype in (("default", None), ("haswell", "Haswell")):
+        run_env = dict(env, OPENBLAS_CORETYPE=coretype) if coretype else env
+        path = tmp_path / f"{name}.npz"
+        proc = subprocess.run([sys.executable, "-c", _PIPELINE_RUN, str(path)],
+                              env=run_env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs[name] = np.load(path)
+    for key in ("output", "scores"):
+        err = max_rel_error(runs["haswell"][key], runs["default"][key])
+        assert err <= 1e-6, f"{key} moved by {err:.3g} under OPENBLAS_CORETYPE=Haswell"
 
 
 def test_formats_round_trip_and_reject_corruption(tmp_path):

@@ -21,7 +21,9 @@ from resfu.ops import (
     nearest_resize,
     softmax_rows,
 )
+from resfu.oracle import max_rel_error
 from resfu.tensor import FeatureMap
+from resfu.upsampler import generate_params
 
 from gf_reference import box_mean_array
 
@@ -91,6 +93,22 @@ class TestResize:
             bilinear_resize(src, 0, 4)
         with pytest.raises(ShapeMismatch):
             nearest_resize(src, 2, -1)
+
+    @pytest.mark.parametrize("resize", [bilinear_resize, nearest_resize])
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), 3.0, "3", None])
+    def test_sizes_reject_bools_and_non_integers(self, resize, bad):
+        # bilinear_resize(src, True, 3) once returned a one-row map
+        src = fm([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ShapeMismatch):
+            resize(src, bad, 3)
+        with pytest.raises(ShapeMismatch):
+            resize(src, 3, bad)
+
+    @pytest.mark.parametrize("resize", [bilinear_resize, nearest_resize])
+    def test_sizes_accept_numpy_integers(self, resize):
+        src = fm([[1.0, 2.0], [3.0, 4.0]])
+        got = resize(src, np.int64(3), np.uint16(5))
+        assert np.array_equal(got.data, resize(src, 3, 5).data)
 
 
 class TestBoxMean:
@@ -259,6 +277,21 @@ class TestGroupNormalize:
         assert np.shares_memory(got.data, buf) and not got.data.flags.writeable
         assert buf.flags.writeable
 
+    def test_production_width_matches_float64_reference(self):
+        # the compressor's hidden norm: 128 channels in 4 groups, a ReLU'd
+        # map with mean about its std, several pixel blocks; the float32
+        # scale and shift stay within 1e-6 of the float64 definition
+        rng = np.random.default_rng(26)
+        src = FeatureMap(np.maximum(rng.standard_normal((48, 40, 128)), 0.0).astype(np.float32))
+        gamma, beta = 1.0 + 0.5 * rng.standard_normal(128), 0.5 * rng.standard_normal(128)
+        got = group_normalize(src, GroupNormAffine(gamma, beta, groups=4))
+        x = src.astype64().reshape(-1, 4, 32)
+        mean = x.mean(axis=(0, 2), keepdims=True)
+        var = x.var(axis=(0, 2), keepdims=True)
+        want = ((x - mean) / np.sqrt(var + 1e-5)).reshape(48, 40, 128)
+        want = want * gamma.astype(np.float32) + beta.astype(np.float32)
+        assert max_rel_error(got.data, want) <= 1e-6
+
     @pytest.mark.parametrize("bad", ["shape", "dtype", "strided", "read-only"])
     def test_rejects_bad_out(self, bad):
         src = rand_map(np.random.default_rng(25), 4, 5, 8)
@@ -307,6 +340,27 @@ class TestGroupedPointwiseConv:
         out = grouped_pointwise_conv(src, weight, bias, groups)
         want = dense_conv_oracle(src, weight, bias, groups)
         np.testing.assert_allclose(out.astype64(), want, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("name", ["conv1", "conv2", "projection"])
+    def test_production_shapes_match_dense_oracle(self, name):
+        # the pipeline's own shapes and generated weights: the compressor's
+        # conv1 (32 -> 128, 4 groups, ReLU) and conv2 (128 -> 9), and the
+        # 384 -> 32 key projection, float32 products within 1e-6 of float64
+        params = generate_params(c_in=384, c_guide=3, seed=0)
+        comp = params.block_s.comp
+        weight, bias, groups, relu = {
+            "conv1": (comp.conv1_weight, comp.conv1_bias, comp.conv1_groups, True),
+            "conv2": (comp.conv2_weight, comp.conv2_bias, comp.conv2_groups, False),
+            "projection": (params.proj.weight_k, params.proj.bias_k, 1, False),
+        }[name]
+        rng = np.random.default_rng(44)
+        bias = bias + rng.uniform(-0.1, 0.1, bias.size).astype(np.float32)
+        src = rand_map(rng, 40, 36, weight.shape[1] * groups)  # several pixel blocks
+        got = grouped_pointwise_conv(src, weight, bias, groups, relu=relu)
+        want = dense_conv_oracle(src, weight, bias, groups)
+        if relu:
+            want = np.maximum(want, 0.0)
+        assert max_rel_error(got.data, want) <= 1e-6
 
     def test_single_group_is_plain_matmul(self):
         rng = np.random.default_rng(41)

@@ -319,6 +319,15 @@ class TestKernelApplyFns:
             with pytest.raises(ShapeMismatch):
                 kernel_apply_fns(FeatureMap(np.full((4, 4, 4), 0.25, np.float32)), x, 2, kernel=2, fused=fused)
 
+    def test_ratio_must_be_a_non_bool_integer(self):
+        # True == 1 would pass a 2x2 map at ratio 1; a bool is no ratio
+        x = fm(np.arange(4.0).reshape(2, 2, 1))
+        for bad in (True, False, 1.0, np.float64(1.0)):
+            with pytest.raises(RatioMismatch):
+                kernel_apply_fns(self._one_hot(2, 2), x, bad)
+        want = kernel_apply_fns(self._one_hot(4, 4), x, 2).data
+        assert np.array_equal(kernel_apply_fns(self._one_hot(4, 4), x, np.int64(2)).data, want)
+
     def test_fused_skips_full_upsampled_buffer(self):
         # traced peak minus the output: the fused path's scratch stays below
         # one upsampled map, the naive path holds more than one
@@ -552,6 +561,16 @@ class TestConfigValidation:
             UpsampleConfig(ratio=0)
         with pytest.raises(RatioMismatch):
             UpsampleConfig(ratio=2.5)
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "2", None])
+    def test_ratio_rejects_bools_and_non_integers(self, bad):
+        with pytest.raises(RatioMismatch):
+            UpsampleConfig(ratio=bad)
+
+    @pytest.mark.parametrize("ratio", [np.int64(4), np.uint8(4), np.int32(4)])
+    def test_ratio_accepts_numpy_integers_as_python_ints(self, ratio):
+        cfg = UpsampleConfig(ratio=ratio)
+        assert cfg == UpsampleConfig(ratio=4) and type(cfg.ratio) is int
 
     def test_bad_kernel(self):
         # the kernel size is carried by the parameters: 16 taps is no odd K
