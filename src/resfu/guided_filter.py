@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ShapeMismatch, _window_counts, _window_sums
+from .ops import ShapeMismatch, _positive_int, _window_counts, _window_sums
 from .tensor import FeatureMap
 
 
@@ -38,12 +38,10 @@ class GuidedFilterConfig:
     eps: float = 1e-3
 
     def __post_init__(self):
-        r, eps = self.radius, self.eps
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-            raise ShapeMismatch(f"radius must be an integer >= 1, got {r!r}")
+        radius, eps = _positive_int("radius", self.radius), self.eps
         if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not (math.isfinite(eps) and eps > 0):
             raise ShapeMismatch(f"eps must be a finite real > 0, got {eps!r}")
-        object.__setattr__(self, "radius", int(r))
+        object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "eps", float(eps))
 
 

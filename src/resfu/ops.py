@@ -81,9 +81,11 @@ def matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_size(name: str, n) -> int:
+def _positive_int(name: str, n, error: type[Exception] = ShapeMismatch) -> int:
+    """n as a Python int if it is a Python or NumPy integer >= 1 and not a
+    bool; else `error`, naming `name` and the value."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ShapeMismatch(f"{name} must be a positive integer, got {n!r}")
+        raise error(f"{name} must be an integer >= 1, got {n!r}")
     return int(n)
 
 
@@ -152,15 +154,15 @@ def _resize_linear(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 def bilinear_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     """Resize with half-pixel-center bilinear interpolation."""
-    out_h = _require_size("out_h", out_h)
-    out_w = _require_size("out_w", out_w)
+    out_h = _positive_int("out_h", out_h)
+    out_w = _positive_int("out_w", out_w)
     return FeatureMap.adopt(_resize_linear(src.data, out_h, out_w))
 
 
 def nearest_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     """Resize by picking floor((i + 0.5) * in / out) along each axis."""
-    out_h = _require_size("out_h", out_h)
-    out_w = _require_size("out_w", out_w)
+    out_h = _positive_int("out_h", out_h)
+    out_w = _positive_int("out_w", out_w)
     h, w, _ = src.shape
     ri = np.clip(np.floor((np.arange(out_h) + 0.5) * (h / out_h)).astype(np.intp), 0, h - 1)
     ci = np.clip(np.floor((np.arange(out_w) + 0.5) * (w / out_w)).astype(np.intp), 0, w - 1)
@@ -238,7 +240,11 @@ def gaussian_smooth3(src: FeatureMap) -> FeatureMap:
 
 @dataclass(frozen=True)
 class GroupNormAffine:
-    """Per-channel scale/shift plus the group layout for normalization."""
+    """Per-channel scale/shift plus the group layout for normalization.
+
+    `groups` is a Python or NumPy integer >= 1, not a bool, that divides
+    the channel count (else ChannelGroupMismatch); it is stored as a
+    Python int."""
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -250,12 +256,14 @@ class GroupNormAffine:
         beta = np.asarray(self.beta, np.float32)
         if gamma.ndim != 1 or gamma.shape != beta.shape:
             raise ShapeMismatch(f"gamma/beta must be equal-length vectors, got {gamma.shape} vs {beta.shape}")
-        if self.groups < 1 or gamma.size % self.groups:
-            raise ChannelGroupMismatch(f"{gamma.size} channels not divisible into {self.groups} groups")
+        groups = _positive_int("groups", self.groups, ChannelGroupMismatch)
+        if gamma.size % groups:
+            raise ChannelGroupMismatch(f"{gamma.size} channels not divisible into {groups} groups")
         if not self.eps > 0:
             raise ShapeMismatch(f"eps must be positive, got {self.eps}")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def channels(self) -> int:
@@ -343,6 +351,7 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
 
     weight has shape (c_out, c_in // groups); output channel l belongs to
     group floor(l * groups / c_out) and only sees the matching input slice.
+    `groups` is checked as GroupNormAffine checks it.
     Computes in float32: per pixel block, one product against the dense
     block-diagonal weight (_block_diagonal, through matmul_rows) writes the
     block's output rows, and the bias and, with relu=True, the clamp at
@@ -356,9 +365,10 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
     bias = np.asarray(bias, np.float32)
     if weight.ndim != 2 or bias.ndim != 1 or bias.size != weight.shape[0]:
         raise ShapeMismatch(f"weight {weight.shape} / bias {bias.shape} are not a conv parameter pair")
+    groups = _positive_int("groups", groups, ChannelGroupMismatch)
     c_out = weight.shape[0]
     c_in = weight.shape[1] * groups
-    if groups < 1 or c_out % groups:
+    if c_out % groups:
         raise ChannelGroupMismatch(f"{c_out} output channels not divisible into {groups} groups")
     if src.channels != c_in:
         raise ShapeMismatch(f"map has {src.channels} channels, weight implies {c_in}")

@@ -33,6 +33,7 @@ from .ops import (
     ShapeMismatch,
     SimilarityScores,
     _block_diagonal,
+    _positive_int,
     group_normalize,
     grouped_pointwise_conv,
     matmul_rows,
@@ -50,7 +51,8 @@ def _as_float32(name: str, arr, rank: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcdcParams:
-    """Difference-convolution weights: (K*K, D//groups, L) plus per-output bias."""
+    """Difference-convolution weights: (K*K, D//groups, L) plus per-output
+    bias.  `groups` is checked and stored as GroupNormAffine's is."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -65,10 +67,12 @@ class PcdcParams:
             raise ShapeMismatch(f"leading weight dim {ksq} is not an odd kernel squared")
         if bias.size != l_out:
             raise ShapeMismatch(f"bias has {bias.size} entries, weight implies {l_out}")
-        if self.groups < 1 or l_out % self.groups:
-            raise ChannelGroupMismatch(f"{l_out} outputs not divisible into {self.groups} groups")
+        groups = _positive_int("groups", self.groups, ChannelGroupMismatch)
+        if l_out % groups:
+            raise ChannelGroupMismatch(f"{l_out} outputs not divisible into {groups} groups")
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def kernel(self) -> int:
@@ -145,7 +149,8 @@ class CompressorParams:
     group norm, then a final 1x1 conv down to one score per neighbor slot.
 
     The hidden conv uses 4 channel groups; the final conv is ungrouped since
-    its K*K outputs do not split evenly into 4.
+    its K*K outputs do not split evenly into 4.  Both group counts are
+    checked and stored as GroupNormAffine's is.
     """
 
     conv1_weight: np.ndarray
@@ -161,6 +166,8 @@ class CompressorParams:
         object.__setattr__(self, "conv1_bias", _as_float32("conv1_bias", self.conv1_bias, 1))
         object.__setattr__(self, "conv2_weight", _as_float32("conv2_weight", self.conv2_weight, 2))
         object.__setattr__(self, "conv2_bias", _as_float32("conv2_bias", self.conv2_bias, 1))
+        for name in ("conv1_groups", "conv2_groups"):
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name), ChannelGroupMismatch))
         for name, weight, bias in (("conv1", self.conv1_weight, self.conv1_bias),
                                    ("conv2", self.conv2_weight, self.conv2_bias)):
             if bias.size != weight.shape[0]:
@@ -217,22 +224,23 @@ def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, dila
     parameters (statistics are computed per input), then the difference
     layer and the compressor produce one score per neighbor slot.  The
     difference layer contracts the float32 normalized maps in float32.
+
+    Each map is dropped once its last reader has it: each input after its
+    group norm, the normalized pair after the contraction, and the
+    difference map after the compressor's conv1.  An input the caller
+    passes as a temporary, as run_pipeline does, is then freed before the
+    contraction allocates, because CPython >= 3.11 moves call arguments
+    into the callee's frame; older versions keep it until the block
+    returns.
     """
     if q_in.shape != k_in.shape:
         raise ShapeMismatch(f"query {q_in.shape} and key {k_in.shape} must match")
     pc = params.pcdc
-    # The normalized inputs are temporaries of the contraction and the
-    # difference map one of the compressor, so the inputs are freed before
-    # the compressor allocates its hidden map, and the difference map after
-    # conv1 has read it.
-    return channel_compressor(
-        FeatureMap.adopt(_pcdc_core(
-            group_normalize(q_in, params.norm).data,
-            group_normalize(k_in, params.norm).data,
-            pc.weight.astype(np.float64),
-            pc.bias,
-            pc.groups,
-            dilation,
-        )),
-        params.comp,
-    )
+    q_bar = group_normalize(q_in, params.norm).data
+    del q_in
+    k_bar = group_normalize(k_in, params.norm).data
+    del k_in
+    v = [FeatureMap.adopt(_pcdc_core(q_bar, k_bar, pc.weight.astype(np.float64), pc.bias, pc.groups, dilation))]
+    del q_bar, k_bar
+    # Popped, the difference map's last reference is the compressor's argument.
+    return channel_compressor(v.pop(), params.comp)

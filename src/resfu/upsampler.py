@@ -17,7 +17,10 @@ run_pipeline is the one path through these stages.  It either collects
 every intermediate or hands each one to a sink as it is made and keeps a
 map only until the last stage that reads it; resfu_upsample keeps none, so
 when the value channels C far exceed D its peak is little more than the
-output.  Every upsampling entry point starts with check_guide, which
+output.  The last reader takes a map as a temporary, and each score block
+drops its inputs once it has normalized them, so under CPython >= 3.11
+q_gf, k_up and q_gs are freed before their block's contraction and the
+peak is set in the detail block's compressor.  Every upsampling entry point starts with check_guide, which
 rejects a guide that is not ratio times the input's size and NaN or Inf in
 either map.  Neighborhoods are K x K, K taken from the parameter bundle,
 with dilation equal to the upsampling ratio, on the high-resolution grids
@@ -46,6 +49,7 @@ from .ops import (
     GroupNormAffine,
     ShapeMismatch,
     SimilarityScores,
+    _positive_int,
     _resize_linear,
     axis_linear_coords,
     bilinear_resize,
@@ -76,12 +80,6 @@ class RowNotNormalized(Exception):
 
 class NonFiniteInput(Exception):
     """The input or the guide holds a NaN or an infinite value."""
-
-
-def _check_ratio(ratio) -> int:
-    if isinstance(ratio, bool) or not isinstance(ratio, (int, np.integer)) or ratio < 1:
-        raise RatioMismatch(f"ratio must be an integer >= 1, got {ratio!r}")
-    return int(ratio)
 
 
 def check_guide(x: FeatureMap, y: FeatureMap, ratio: int) -> None:
@@ -156,7 +154,7 @@ class UpsampleConfig:
     ratio: int
 
     def __post_init__(self):
-        object.__setattr__(self, "ratio", _check_ratio(self.ratio))
+        object.__setattr__(self, "ratio", _positive_int("ratio", self.ratio, RatioMismatch))
 
 
 def project_qk(x: FeatureMap, y: FeatureMap, proj: ProjectionParams) -> tuple[FeatureMap, FeatureMap]:
@@ -267,7 +265,7 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, kerne
     """
     if weights.channels != kernel * kernel:
         raise ShapeMismatch(f"weights carry {weights.channels} slots, kernel {kernel} needs {kernel * kernel}")
-    ratio = _check_ratio(ratio)
+    ratio = _positive_int("ratio", ratio, RatioMismatch)
     if weights.height != ratio * x.height or weights.width != ratio * x.width:
         raise RatioMismatch(
             f"weights are {weights.height}x{weights.width} but ratio {ratio} on "
@@ -309,39 +307,42 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
 
     Without a sink the result keeps every intermediate.  With one,
     sink(name, fmap) is called once per intermediate, named after its
-    PipelineResult field, in stage order as soon as the map exists; the
-    pipeline drops its own reference after the last stage that reads the
-    map, and the result carries only the output.  q_gs is computed after
-    the semantic block so that fewer D-channel maps are live at once.
+    PipelineResult field, in stage order as soon as the map exists, and
+    the result carries only the output.  The pipeline holds each map only
+    until the stage that reads it last, which takes it as a temporary: k
+    goes to the k_up resize, q_gf and k_up to the semantic block, q_gs to
+    the detail block, s_s and s_d to their sum, scores to the softmax and
+    kernels to the kernel apply.  The score blocks drop their inputs once
+    normalized, so under CPython >= 3.11, which moves call arguments into
+    the callee's frame, q_gf, k_up and q_gs are freed before each block's
+    contraction (see pcdc_block).  q is held until the detail block
+    returns.  q_gs is computed after the semantic block so that fewer
+    D-channel maps are live at once.
 
     `threads` is accepted and ignored: every stage runs on the calling
     thread."""
     maps: dict[str, FeatureMap] = {}
     emit = maps.__setitem__ if sink is None else sink
+    live: dict[str, FeatureMap] = {}  # maps a later stage reads; the last reader pops them
+
+    def made(name: str, fmap: FeatureMap) -> None:
+        emit(name, fmap)
+        live[name] = fmap
+
     check_guide(x, y, cfg.ratio)
     q, k = project_qk(x, y, params.proj)
-    emit("q", q)
-    emit("k", k)
-    k_up = bilinear_resize(k, y.height, y.width)
-    emit("k_up", k_up)
-    del k
-    q_gf = guided_filter(q, k_up, params.gf)
-    emit("q_gf", q_gf)
-    s_s = pcdc_block(q_gf, k_up, params.block_s, cfg.ratio)
-    emit("s_s", s_s)
-    del q_gf, k_up
-    q_gs = gaussian_smooth3(q)
-    emit("q_gs", q_gs)
-    s_d = pcdc_block(q, q_gs, params.block_d, cfg.ratio)
-    emit("s_d", s_d)
-    del q, q_gs
-    scores = FeatureMap.adopt(s_s.data + s_d.data)
-    emit("scores", scores)
-    del s_s, s_d
-    kernels = softmax_rows(scores)
-    emit("kernels", kernels)
-    del scores
-    output = kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused)
+    made("q", q)
+    made("k", k)
+    del q, k
+    made("k_up", bilinear_resize(live.pop("k"), y.height, y.width))
+    made("q_gf", guided_filter(live["q"], live["k_up"], params.gf))
+    made("s_s", pcdc_block(live.pop("q_gf"), live.pop("k_up"), params.block_s, cfg.ratio))
+    made("q_gs", gaussian_smooth3(live["q"]))
+    made("s_d", pcdc_block(live["q"], live.pop("q_gs"), params.block_d, cfg.ratio))
+    del live["q"]
+    made("scores", FeatureMap.adopt(live.pop("s_s").data + live.pop("s_d").data))
+    made("kernels", softmax_rows(live.pop("scores")))
+    output = kernel_apply_fns(live.pop("kernels"), x, cfg.ratio, params.kernel, fused=fused)
     return PipelineResult(output, **maps)
 
 

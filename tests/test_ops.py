@@ -266,6 +266,19 @@ class TestGroupNormalize:
         with pytest.raises(ShapeMismatch):
             group_normalize(src, GroupNormAffine(np.ones(6), np.zeros(6), groups=2))
 
+    @pytest.mark.parametrize("groups", [True, 2.0, 0, "2"])
+    def test_rejects_non_integer_groups(self, groups):
+        # True and 2.0 were accepted, and group_normalize then raised TypeError
+        with pytest.raises(ChannelGroupMismatch, match=f"groups must be an integer >= 1, got {groups!r}"):
+            GroupNormAffine(np.ones(4), np.zeros(4), groups=groups)
+
+    def test_stores_numpy_integer_groups_as_int(self):
+        affine = GroupNormAffine(np.ones(4), np.zeros(4), groups=np.int32(2))
+        assert type(affine.groups) is int
+        src = rand_map(np.random.default_rng(0), 2, 2, 4)
+        want = group_normalize(src, GroupNormAffine(np.ones(4), np.zeros(4), groups=2))
+        assert np.array_equal(group_normalize(src, affine).data, want.data)
+
     def test_in_place_out_equals_allocating_call(self):
         rng = np.random.default_rng(24)
         affine = GroupNormAffine(rng.standard_normal(8), rng.standard_normal(8), groups=4)
@@ -404,6 +417,21 @@ class TestGroupedPointwiseConv:
             grouped_pointwise_conv(src, np.zeros((4, 4), np.float32), b, 2)  # implies c_in 8
         with pytest.raises(ShapeMismatch):
             grouped_pointwise_conv(src, w, np.zeros(3, np.float32), 2)
+
+    @pytest.mark.parametrize("groups", [True, 2.0, 0, "2"])
+    def test_rejects_non_integer_groups(self, groups):
+        # 2.0 raised a bare TypeError
+        src = rand_map(np.random.default_rng(0), 2, 2, 6)
+        with pytest.raises(ChannelGroupMismatch, match=f"groups must be an integer >= 1, got {groups!r}"):
+            grouped_pointwise_conv(src, np.zeros((4, 3), np.float32), np.zeros(4, np.float32), groups)
+
+    def test_accepts_numpy_integer_groups(self):
+        rng = np.random.default_rng(44)
+        src = rand_map(rng, 3, 2, 6)
+        w = rng.standard_normal((4, 3)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        want = grouped_pointwise_conv(src, w, b, 2)
+        assert np.array_equal(grouped_pointwise_conv(src, w, b, np.int64(2)).data, want.data)
 
 
 class TestGatherNeighbors:

@@ -4,6 +4,7 @@ checks, identical bits under concurrent callers."""
 
 import concurrent.futures
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -60,6 +61,17 @@ def rand_block(rng, d=8, l_out=8, hidden=16, kernel=3, groups=2):
             conv2_bias=rng.standard_normal(kernel * kernel).astype(np.float32),
         ),
     )
+
+
+def traced_peak(call) -> int:
+    """Traced peak, in bytes above the level at entry, of one call()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestPcdcLayer:
@@ -151,6 +163,16 @@ class TestPcdcLayer:
         with pytest.raises(ShapeMismatch):
             pcdc_layer(q, q, rand_pcdc(rng), dilation=0)
 
+    @pytest.mark.parametrize("groups", [True, 2.0, 0, "2"])
+    def test_rejects_non_integer_groups(self, groups):
+        # 2.0 once made in_channels 8.0
+        with pytest.raises(ChannelGroupMismatch, match=f"groups must be an integer >= 1, got {groups!r}"):
+            PcdcParams(np.zeros((9, 4, 8), np.float32), np.zeros(8, np.float32), groups=groups)
+
+    def test_stores_numpy_integer_groups_as_int(self):
+        params = PcdcParams(np.zeros((9, 4, 8), np.float32), np.zeros(8, np.float32), groups=np.int64(2))
+        assert type(params.groups) is int and params.in_channels == 8
+
 
 class TestCompressor:
     def test_equals_hand_composed_chain(self):
@@ -199,6 +221,13 @@ class TestCompressor:
                 conv2_weight=good.conv2_weight,
                 conv2_bias=good.conv2_bias,
             )
+
+    @pytest.mark.parametrize("field", ["conv1_groups", "conv2_groups"])
+    @pytest.mark.parametrize("groups", [True, 4.0, 0])
+    def test_rejects_non_integer_groups(self, field, groups):
+        good = rand_block(np.random.default_rng(23)).comp
+        with pytest.raises(ChannelGroupMismatch, match=f"{field} must be an integer >= 1, got {groups!r}"):
+            dataclasses.replace(good, **{field: groups})
 
     @pytest.mark.parametrize("field,entries", [("conv1_bias", 15), ("conv2_bias", 8)])
     def test_bias_must_match_weight_rows(self, field, entries):
@@ -259,17 +288,23 @@ class TestPcdcBlock:
         k = rand_map(rng, 48, 40, 32)
         p = rand_block(rng, d=32, l_out=32, hidden=128, groups=4)
         v = FeatureMap(rng.standard_normal((48, 40, 32)).astype(np.float32))
-
-        def traced_peak(call):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                call()
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-
         block_peak = traced_peak(lambda: pcdc_block(q, k, p, 2))
+        compressor_peak = traced_peak(lambda: channel_compressor(v, p.comp))
+        assert block_peak <= compressor_peak + 1.5 * v.data.nbytes
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="older CPython holds call arguments until the call returns")
+    def test_temporary_inputs_are_freed_once_normalized(self):
+        # Inputs built inside the traced call reach the block as its only
+        # references, and it drops each once normalized, so the peak is
+        # still the compressor's on the difference map plus that map (the
+        # two inputs stayed live beside them while the block held them).
+        rng = np.random.default_rng(36)
+        q = rng.standard_normal((48, 40, 32)).astype(np.float32)
+        k = rng.standard_normal((48, 40, 32)).astype(np.float32)
+        p = rand_block(rng, d=32, l_out=32, hidden=128, groups=4)
+        v = FeatureMap(rng.standard_normal((48, 40, 32)).astype(np.float32))
+        block_peak = traced_peak(lambda: pcdc_block(FeatureMap(q), FeatureMap(k), p, 2))
         compressor_peak = traced_peak(lambda: channel_compressor(v, p.comp))
         assert block_peak <= compressor_peak + 1.5 * v.data.nbytes
 
