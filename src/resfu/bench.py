@@ -1,5 +1,5 @@
-"""Micro-benchmarks: fused vs naive kernel application, and decomposed vs
-definition-literal difference convolution.
+"""Micro-benchmarks: fused vs naive kernel application, and the production
+difference layer ("pcdc-decomposed", pcdc_layer) vs the literal oracle.
 
 Before any timing, the fused and naive outputs are compared; a disagreement
 aborts the run (the numbers would be meaningless).  Those two first calls

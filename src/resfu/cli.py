@@ -34,16 +34,10 @@ from .visualize import channel_rgb, pca_rgb, save_ppm
 DUMPED = ("q", "k_up", "q_gf", "s_s", "q_gs", "s_d", "kernels")
 
 
-def _load_tensor_checked(path):
+def _load_checked(loader, path):
+    """loader(path), with a format error's message prefixed by the path."""
     try:
-        return load_tensor(path)
-    except TensorFormatError as err:
-        raise type(err)(f"{path}: {err}") from err
-
-
-def _load_params_checked(path):
-    try:
-        return load_params(path)
+        return loader(path)
     except TensorFormatError as err:
         raise type(err)(f"{path}: {err}") from err
 
@@ -56,9 +50,9 @@ def _cmd_gen_weights(args) -> int:
 
 
 def _cmd_upsample(args) -> int:
-    x = _load_tensor_checked(args.input)
-    y = _load_tensor_checked(args.guide)
-    params = _load_params_checked(args.weights)
+    x = _load_checked(load_tensor, args.input)
+    y = _load_checked(load_tensor, args.guide)
+    params = _load_checked(load_params, args.weights)
     cfg = UpsampleConfig(ratio=args.ratio)
     if args.kernel != params.kernel:
         raise ShapeMismatch(f"--kernel {args.kernel}, but {args.weights} holds kernel {params.kernel}")
@@ -85,7 +79,7 @@ def _cmd_upsample(args) -> int:
 
 
 def _cmd_visualize(args) -> int:
-    fmap = _load_tensor_checked(args.input)
+    fmap = _load_checked(load_tensor, args.input)
     rgb = pca_rgb(fmap) if args.mode == "pca" else channel_rgb(fmap, args.channel)
     save_ppm(args.out, rgb)
     print(f"wrote {args.out}")

@@ -18,13 +18,11 @@ height ever exists and the working memory does not grow with the height.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ShapeMismatch, _positive_int, _window_counts, _window_sums
+from .ops import ShapeMismatch, _positive_int, _positive_real, _window_counts, _window_sums
 from .tensor import FeatureMap
 
 
@@ -38,11 +36,8 @@ class GuidedFilterConfig:
     eps: float = 1e-3
 
     def __post_init__(self):
-        radius, eps = _positive_int("radius", self.radius), self.eps
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not (math.isfinite(eps) and eps > 0):
-            raise ShapeMismatch(f"eps must be a finite real > 0, got {eps!r}")
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "eps", float(eps))
+        object.__setattr__(self, "radius", _positive_int("radius", self.radius))
+        object.__setattr__(self, "eps", _positive_real("eps", self.eps))
 
 
 # Most rows of a tile.  Each tile row adds about ten float64 rows of W x C

@@ -23,6 +23,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,22 @@ def _positive_int(name: str, n, error: type[Exception] = ShapeMismatch) -> int:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise error(f"{name} must be an integer >= 1, got {n!r}")
     return int(n)
+
+
+def _positive_real(name: str, x) -> float:
+    """x as a Python float if it is a finite real > 0, not a bool; else
+    ShapeMismatch, naming `name` and the value."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
+        raise ShapeMismatch(f"{name} must be a finite real > 0, got {x!r}")
+    return float(x)
+
+
+def _odd_kernel(slots: int) -> int:
+    """The odd K with K*K == slots; else ShapeMismatch."""
+    kernel = math.isqrt(slots)
+    if kernel * kernel != slots or kernel % 2 == 0:
+        raise ShapeMismatch(f"{slots} neighbor slots is not an odd kernel squared")
+    return kernel
 
 
 def axis_linear_coords(n_in: int, n_out: int):
@@ -243,8 +260,8 @@ class GroupNormAffine:
     """Per-channel scale/shift plus the group layout for normalization.
 
     `groups` is a Python or NumPy integer >= 1, not a bool, that divides
-    the channel count (else ChannelGroupMismatch); it is stored as a
-    Python int."""
+    the channel count (else ChannelGroupMismatch), and `eps` a finite real
+    > 0 (else ShapeMismatch); they are stored as a Python int and float."""
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -259,8 +276,7 @@ class GroupNormAffine:
         groups = _positive_int("groups", self.groups, ChannelGroupMismatch)
         if gamma.size % groups:
             raise ChannelGroupMismatch(f"{gamma.size} channels not divisible into {groups} groups")
-        if not self.eps > 0:
-            raise ShapeMismatch(f"eps must be positive, got {self.eps}")
+        object.__setattr__(self, "eps", _positive_real("eps", self.eps))
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "groups", groups)

@@ -15,8 +15,8 @@ weights are the spatial sums of w.  The literal triple-loop form lives in
 resfu.oracle and the two are held to agree in tests.
 
 A full block normalizes both inputs with a shared affine (statistics stay
-per input), applies the difference layer, then compresses the L channels
-down to one score per neighbor slot.
+per input), applies pcdc_layer, then channel_compressor compresses the L
+channels down to one score per neighbor slot.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .ops import (
     ShapeMismatch,
     SimilarityScores,
     _block_diagonal,
+    _odd_kernel,
     _positive_int,
     group_normalize,
     grouped_pointwise_conv,
@@ -62,9 +63,7 @@ class PcdcParams:
         weight = _as_float32("weight", self.weight, 3)
         bias = _as_float32("bias", self.bias, 1)
         ksq, _, l_out = weight.shape
-        kernel = math.isqrt(ksq)
-        if kernel * kernel != ksq or kernel % 2 == 0:
-            raise ShapeMismatch(f"leading weight dim {ksq} is not an odd kernel squared")
+        _odd_kernel(ksq)
         if bias.size != l_out:
             raise ShapeMismatch(f"bias has {bias.size} entries, weight implies {l_out}")
         groups = _positive_int("groups", self.groups, ChannelGroupMismatch)
@@ -125,22 +124,20 @@ def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarra
 
 def pcdc_layer(q_bar: FeatureMap, k_bar: FeatureMap, params: PcdcParams, dilation: int = 1) -> FeatureMap:
     """Apply the difference convolution, its KxK neighborhood dilated by
-    `dilation`, to a projected query/key pair."""
+    `dilation`, to a projected query/key pair, in float32 (the taps and the
+    query weight sums are formed in float64, then rounded)."""
     if q_bar.shape != k_bar.shape:
         raise ShapeMismatch(f"query {q_bar.shape} and key {k_bar.shape} must match")
     if q_bar.channels != params.in_channels:
         raise ShapeMismatch(
             f"maps have {q_bar.channels} channels, params expect {params.in_channels}"
         )
-    out = _pcdc_core(
-        q_bar.astype64(),
-        k_bar.astype64(),
-        params.weight.astype(np.float64),
-        params.bias.astype(np.float64),
-        params.groups,
-        dilation,
-    )
-    return FeatureMap(out)
+    return FeatureMap.adopt(_pcdc_core(q_bar.data, k_bar.data, params.weight.astype(np.float64),
+                                       params.bias, params.groups, dilation))
+
+
+# Channel groups of the compressor's hidden 1x1 conv.
+COMPRESSOR_GROUPS = 4
 
 
 @dataclass(frozen=True)
@@ -148,9 +145,9 @@ class CompressorParams:
     """Channel reduction after the difference layer: grouped 1x1 conv, ReLU,
     group norm, then a final 1x1 conv down to one score per neighbor slot.
 
-    The hidden conv uses 4 channel groups; the final conv is ungrouped since
-    its K*K outputs do not split evenly into 4.  Both group counts are
-    checked and stored as GroupNormAffine's is.
+    The hidden conv uses COMPRESSOR_GROUPS channel groups, so conv1_weight
+    is (hidden, L // COMPRESSOR_GROUPS); the final conv is ungrouped since
+    its K*K outputs do not split evenly into 4.
     """
 
     conv1_weight: np.ndarray
@@ -158,16 +155,12 @@ class CompressorParams:
     norm: GroupNormAffine
     conv2_weight: np.ndarray
     conv2_bias: np.ndarray
-    conv1_groups: int = 4
-    conv2_groups: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "conv1_weight", _as_float32("conv1_weight", self.conv1_weight, 2))
         object.__setattr__(self, "conv1_bias", _as_float32("conv1_bias", self.conv1_bias, 1))
         object.__setattr__(self, "conv2_weight", _as_float32("conv2_weight", self.conv2_weight, 2))
         object.__setattr__(self, "conv2_bias", _as_float32("conv2_bias", self.conv2_bias, 1))
-        for name in ("conv1_groups", "conv2_groups"):
-            object.__setattr__(self, name, _positive_int(name, getattr(self, name), ChannelGroupMismatch))
         for name, weight, bias in (("conv1", self.conv1_weight, self.conv1_bias),
                                    ("conv2", self.conv2_weight, self.conv2_bias)):
             if bias.size != weight.shape[0]:
@@ -175,10 +168,8 @@ class CompressorParams:
         hidden = self.conv1_weight.shape[0]
         if self.norm.channels != hidden:
             raise ShapeMismatch(f"norm covers {self.norm.channels} channels, conv1 makes {hidden}")
-        if self.conv2_weight.shape[1] * self.conv2_groups != hidden:
-            raise ShapeMismatch(
-                f"conv2 expects {self.conv2_weight.shape[1] * self.conv2_groups} channels, conv1 makes {hidden}"
-            )
+        if self.conv2_weight.shape[1] != hidden:
+            raise ShapeMismatch(f"conv2 expects {self.conv2_weight.shape[1]} channels, conv1 makes {hidden}")
 
 
 def channel_compressor(v: FeatureMap, params: CompressorParams) -> SimilarityScores:
@@ -190,11 +181,11 @@ def channel_compressor(v: FeatureMap, params: CompressorParams) -> SimilaritySco
     temporary, as pcdc_block does, it is freed before the norm.
     """
     buf = np.empty((v.height, v.width, params.conv1_weight.shape[0]), np.float32)
-    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, params.conv1_groups,
+    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, COMPRESSOR_GROUPS,
                                     relu=True, out=buf)
     del v
     hidden = group_normalize(hidden, params.norm, out=buf)
-    return grouped_pointwise_conv(hidden, params.conv2_weight, params.conv2_bias, params.conv2_groups)
+    return grouped_pointwise_conv(hidden, params.conv2_weight, params.conv2_bias, groups=1)
 
 
 @dataclass(frozen=True)
@@ -210,7 +201,7 @@ class PcdcBlockParams:
             raise ShapeMismatch(
                 f"norm covers {self.norm.channels} channels, pcdc expects {self.pcdc.in_channels}"
             )
-        if self.comp.conv1_weight.shape[1] * self.comp.conv1_groups != self.pcdc.out_channels:
+        if self.comp.conv1_weight.shape[1] * COMPRESSOR_GROUPS != self.pcdc.out_channels:
             raise ShapeMismatch("compressor input channels do not match pcdc outputs")
         scores, kernel = self.comp.conv2_weight.shape[0], self.pcdc.kernel
         if scores != kernel * kernel:
@@ -221,9 +212,8 @@ def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, dila
     """Score the `dilation`-dilated key neighborhood of every query pixel.
 
     Both inputs pass through group normalization with the same affine
-    parameters (statistics are computed per input), then the difference
-    layer and the compressor produce one score per neighbor slot.  The
-    difference layer contracts the float32 normalized maps in float32.
+    parameters (statistics are computed per input), then pcdc_layer and
+    channel_compressor produce one score per neighbor slot.
 
     Each map is dropped once its last reader has it: each input after its
     group norm, the normalized pair after the contraction, and the
@@ -233,14 +223,11 @@ def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, dila
     into the callee's frame; older versions keep it until the block
     returns.
     """
-    if q_in.shape != k_in.shape:
-        raise ShapeMismatch(f"query {q_in.shape} and key {k_in.shape} must match")
-    pc = params.pcdc
-    q_bar = group_normalize(q_in, params.norm).data
+    q_bar = group_normalize(q_in, params.norm)
     del q_in
-    k_bar = group_normalize(k_in, params.norm).data
+    k_bar = group_normalize(k_in, params.norm)
     del k_in
-    v = [FeatureMap.adopt(_pcdc_core(q_bar, k_bar, pc.weight.astype(np.float64), pc.bias, pc.groups, dilation))]
+    v = [pcdc_layer(q_bar, k_bar, params.pcdc, dilation)]
     del q_bar, k_bar
     # Popped, the difference map's last reference is the compressor's argument.
     return channel_compressor(v.pop(), params.comp)

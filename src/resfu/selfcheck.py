@@ -86,7 +86,7 @@ def zeroed_score_params(params):
 
 
 def check_pcdc_equivalence(seed: int = 0, cases: int = 200) -> CheckResult:
-    """Decomposed difference conv vs the literal triple-loop oracle."""
+    """The production float32 pcdc_layer vs the literal triple-loop oracle."""
     rng = np.random.default_rng(seed)
     depth = 32
     worst = 0.0

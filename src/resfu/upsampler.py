@@ -49,6 +49,7 @@ from .ops import (
     GroupNormAffine,
     ShapeMismatch,
     SimilarityScores,
+    _odd_kernel,
     _positive_int,
     _resize_linear,
     axis_linear_coords,
@@ -254,17 +255,15 @@ def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) ->
     return out
 
 
-def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, kernel: int = 3,
-                     fused: bool = True) -> FeatureMap:
+def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused: bool = True) -> FeatureMap:
     """Mix bilinearly upsampled values of x with per-pixel kernel weights.
 
-    `weights` holds one post-softmax weight per neighbor slot; slot n of
-    output pixel i addresses x_up at i plus the n-th dilated offset (dilation
-    = ratio, clamped at edges).  The fused and naive paths are held to agree
-    within 1e-5 relative.
+    `weights` holds one post-softmax weight per slot of an odd K x K
+    neighborhood (else ShapeMismatch); slot n of output pixel i addresses
+    x_up at i plus the n-th dilated offset (dilation = ratio, clamped at
+    edges).  The fused and naive paths are held to agree within 1e-5.
     """
-    if weights.channels != kernel * kernel:
-        raise ShapeMismatch(f"weights carry {weights.channels} slots, kernel {kernel} needs {kernel * kernel}")
+    kernel = _odd_kernel(weights.channels)
     ratio = _positive_int("ratio", ratio, RatioMismatch)
     if weights.height != ratio * x.height or weights.width != ratio * x.width:
         raise RatioMismatch(
@@ -342,7 +341,7 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     del live["q"]
     made("scores", FeatureMap.adopt(live.pop("s_s").data + live.pop("s_d").data))
     made("kernels", softmax_rows(live.pop("scores")))
-    output = kernel_apply_fns(live.pop("kernels"), x, cfg.ratio, params.kernel, fused=fused)
+    output = kernel_apply_fns(live.pop("kernels"), x, cfg.ratio, fused=fused)
     return PipelineResult(output, **maps)
 
 
@@ -380,7 +379,7 @@ def innerprod_upsample(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: U
     q, k = project_qk(x, y, params.proj)
     k_up = bilinear_resize(k, y.height, y.width)
     kernels = softmax_rows(inner_product_scores(q, k_up, params.kernel, cfg.ratio))
-    return kernel_apply_fns(kernels, x, cfg.ratio, params.kernel, fused=fused)
+    return kernel_apply_fns(kernels, x, cfg.ratio, fused=fused)
 
 
 # --- deterministic parameter synthesis --------------------------------------

@@ -1,6 +1,7 @@
 """Kernel-level tests: frozen hand-derived values, brute-force oracles, invariants."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from resfu.ops import (
     softmax_rows,
 )
 from resfu.oracle import max_rel_error
+from resfu.pcdc import COMPRESSOR_GROUPS
 from resfu.tensor import FeatureMap
 from resfu.upsampler import generate_params
 
@@ -272,6 +274,17 @@ class TestGroupNormalize:
         with pytest.raises(ChannelGroupMismatch, match=f"groups must be an integer >= 1, got {groups!r}"):
             GroupNormAffine(np.ones(4), np.zeros(4), groups=groups)
 
+    @pytest.mark.parametrize("eps", [True, math.inf, math.nan, "1e-5", 0])
+    def test_rejects_eps_that_is_not_a_finite_positive_real(self, eps):
+        # True was stored as a bool, inf normalized every map to beta and
+        # "1e-5" raised a bare TypeError
+        with pytest.raises(ShapeMismatch, match=re.escape(f"eps must be a finite real > 0, got {eps!r}")):
+            GroupNormAffine(np.ones(4), np.zeros(4), groups=2, eps=eps)
+
+    def test_stores_numpy_float_eps_as_float(self):
+        affine = GroupNormAffine(np.ones(4), np.zeros(4), groups=2, eps=np.float32(1e-5))
+        assert type(affine.eps) is float and affine.eps == float(np.float32(1e-5))
+
     def test_stores_numpy_integer_groups_as_int(self):
         affine = GroupNormAffine(np.ones(4), np.zeros(4), groups=np.int32(2))
         assert type(affine.groups) is int
@@ -362,8 +375,8 @@ class TestGroupedPointwiseConv:
         params = generate_params(c_in=384, c_guide=3, seed=0)
         comp = params.block_s.comp
         weight, bias, groups, relu = {
-            "conv1": (comp.conv1_weight, comp.conv1_bias, comp.conv1_groups, True),
-            "conv2": (comp.conv2_weight, comp.conv2_bias, comp.conv2_groups, False),
+            "conv1": (comp.conv1_weight, comp.conv1_bias, COMPRESSOR_GROUPS, True),
+            "conv2": (comp.conv2_weight, comp.conv2_bias, 1, False),
             "projection": (params.proj.weight_k, params.proj.bias_k, 1, False),
         }[name]
         rng = np.random.default_rng(44)

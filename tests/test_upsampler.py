@@ -1,6 +1,7 @@
 """End-to-end pipeline: projections, score assembly, kernel application."""
 
 import dataclasses
+import math
 import sys
 import tracemalloc
 
@@ -269,8 +270,8 @@ class TestKernelApplyFns:
         rng = np.random.default_rng(27)
         x = rand_map(rng, h, w, c)
         weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, kernel * kernel))
-        naive = kernel_apply_fns(weights, x, ratio, kernel, fused=False)
-        fused = kernel_apply_fns(weights, x, ratio, kernel, fused=True)
+        naive = kernel_apply_fns(weights, x, ratio, fused=False)
+        fused = kernel_apply_fns(weights, x, ratio, fused=True)
         assert max_rel_error(fused.data, naive.data) <= 1e-6
 
     def test_window_taps_interpolate_the_dilated_samples(self):
@@ -318,7 +319,25 @@ class TestKernelApplyFns:
             kernel_apply_fns(self._one_hot(4, 4), x, 0)
         for fused in (True, False):  # 4 slots, but K = 2 has no center
             with pytest.raises(ShapeMismatch):
-                kernel_apply_fns(FeatureMap(np.full((4, 4, 4), 0.25, np.float32)), x, 2, kernel=2, fused=fused)
+                kernel_apply_fns(FeatureMap(np.full((4, 4, 4), 0.25, np.float32)), x, 2, fused=fused)
+
+    @pytest.mark.parametrize("slots", [1, 9, 25])
+    def test_kernel_comes_from_the_slot_count(self, slots):
+        rng = np.random.default_rng(30 + slots)
+        x = rand_map(rng, 3, 4, 2)
+        weights = softmax_rows(rand_map(rng, 6, 8, slots))
+        kernel = math.isqrt(slots)
+        for fused, apply in ((False, _apply_naive), (True, _apply_fused)):
+            want = apply(weights.data, x.data, 2, kernel)
+            assert np.array_equal(kernel_apply_fns(weights, x, 2, fused=fused).data, want)
+
+    @pytest.mark.parametrize("slots", [2, 4, 8, 16])
+    def test_rejects_a_slot_count_that_is_no_odd_square(self, slots):
+        x = fm(np.ones((2, 2, 1)))
+        weights = FeatureMap(np.full((4, 4, slots), 1 / slots, np.float32))
+        for fused in (True, False):
+            with pytest.raises(ShapeMismatch, match=f"{slots} neighbor slots is not an odd kernel squared"):
+                kernel_apply_fns(weights, x, 2, fused=fused)
 
     def test_ratio_must_be_a_non_bool_integer(self):
         # True == 1 would pass a 2x2 map at ratio 1; a bool is no ratio
