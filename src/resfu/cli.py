@@ -50,11 +50,14 @@ def _cmd_gen_weights(args) -> int:
 
 
 def _cmd_upsample(args) -> int:
+    # fail before any work where writing --out at the end would fail
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise OSError(f"{args.out}: --out is a directory or its directory does not exist")
     x = _load_checked(load_tensor, args.input)
     y = _load_checked(load_tensor, args.guide)
     params = _load_checked(load_params, args.weights)
     cfg = UpsampleConfig(ratio=args.ratio)
-    if args.kernel != params.kernel:
+    if args.kernel is not None and args.kernel != params.kernel:
         raise ShapeMismatch(f"--kernel {args.kernel}, but {args.weights} holds kernel {params.kernel}")
     fused = args.fused == "true"
 
@@ -129,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ups.add_argument("--guide", required=True, help="high-resolution guide .rsft")
     ups.add_argument("--weights", required=True, help=".rsfw bundle")
     ups.add_argument("--ratio", type=int, required=True)
-    ups.add_argument("--kernel", type=int, default=3, help="must match the bundle's kernel size")
+    ups.add_argument("--kernel", type=int, help="must match the bundle's kernel size (default: the bundle's)")
     ups.add_argument("--baseline", choices=["bilinear", "nearest", "innerprod"], default=None,
                      help="replace the similarity pipeline with a baseline")
     ups.add_argument("--fused", choices=["true", "false"], default="true")

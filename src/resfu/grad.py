@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ShapeMismatch, _resize_linear, axis_linear_coords, neighbor_offsets
+from .ops import ShapeMismatch, _odd_kernel, _resize_linear, axis_linear_coords, neighbor_offsets
 from .oracle import max_rel_error
 from .pcdc import _pcdc_core
 from .upsampler import _apply_naive
@@ -153,21 +153,20 @@ def _axis_transpose(d, lo, hi, t, n_in):
     return out
 
 
-def kernel_apply_backward(upstream, weights, x, ratio: int, kernel: int = 3):
+def kernel_apply_backward(upstream, weights, x, ratio: int):
     """Gradients of sum(upstream * output) for the pre-softmax scores and x.
 
-    `weights` are the saved post-softmax kernels.  The score gradient applies
-    the softmax Jacobian w * (g - <w, g>); the value gradient scatters the
-    weighted upstream through the neighbor maps and then through the adjoint
-    of the bilinear resize.
+    `weights` are the saved post-softmax kernels, K from their slot count.
+    The score gradient applies the softmax Jacobian w * (g - <w, g>); the
+    value gradient scatters the weighted upstream through the neighbor maps
+    and then through the adjoint of the bilinear resize.
     """
     upstream = np.asarray(upstream, np.float64)
     weights = np.asarray(weights, np.float64)
     x = np.asarray(x, np.float64)
     out_h, out_w, slots = weights.shape
     h, w, c = x.shape
-    if slots != kernel * kernel:
-        raise ShapeMismatch(f"weights carry {slots} slots, kernel {kernel} needs {kernel * kernel}")
+    kernel = _odd_kernel(slots)
     if upstream.shape != (out_h, out_w, c) or (out_h, out_w) != (ratio * h, ratio * w):
         raise ShapeMismatch(
             f"upstream {upstream.shape}, weights {weights.shape}, and value {x.shape} disagree"
@@ -233,12 +232,12 @@ def check_kernel_apply_gradients(seed: int = 0, probes: int = DEFAULT_PROBES) ->
     proj = rng.standard_normal((h * ratio, w * ratio, c))
 
     def loss_scores(arr):
-        return float((proj * _apply_naive(_softmax64(arr), x, ratio, kernel)).sum())
+        return float((proj * _apply_naive(_softmax64(arr), x, ratio)).sum())
 
     def loss_x(arr):
-        return float((proj * _apply_naive(_softmax64(scores), arr, ratio, kernel)).sum())
+        return float((proj * _apply_naive(_softmax64(scores), arr, ratio)).sum())
 
-    d_scores, d_x = kernel_apply_backward(proj, _softmax64(scores), x, ratio, kernel)
+    d_scores, d_x = kernel_apply_backward(proj, _softmax64(scores), x, ratio)
     row_sum = float(np.max(np.abs(d_scores.sum(axis=2))))
     return [
         _fd_vs_analytic("kernel_apply/d_scores", loss_scores, scores, d_scores, rng, probes),

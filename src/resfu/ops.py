@@ -255,31 +255,29 @@ def gaussian_smooth3(src: FeatureMap) -> FeatureMap:
     return FeatureMap.adopt(out)
 
 
+# The groups and eps of every group norm: a weight bundle stores only each
+# norm's gamma and beta.
+NORM_GROUPS = 4
+NORM_EPS = 1e-5
+
+
 @dataclass(frozen=True)
 class GroupNormAffine:
-    """Per-channel scale/shift plus the group layout for normalization.
-
-    `groups` is a Python or NumPy integer >= 1, not a bool, that divides
-    the channel count (else ChannelGroupMismatch), and `eps` a finite real
-    > 0 (else ShapeMismatch); they are stored as a Python int and float."""
+    """Per-channel scale/shift of a group norm; NORM_GROUPS must divide the
+    channel count (else ChannelGroupMismatch)."""
 
     gamma: np.ndarray
     beta: np.ndarray
-    groups: int
-    eps: float = 1e-5
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, np.float32)
         beta = np.asarray(self.beta, np.float32)
         if gamma.ndim != 1 or gamma.shape != beta.shape:
             raise ShapeMismatch(f"gamma/beta must be equal-length vectors, got {gamma.shape} vs {beta.shape}")
-        groups = _positive_int("groups", self.groups, ChannelGroupMismatch)
-        if gamma.size % groups:
-            raise ChannelGroupMismatch(f"{gamma.size} channels not divisible into {groups} groups")
-        object.__setattr__(self, "eps", _positive_real("eps", self.eps))
+        if gamma.size % NORM_GROUPS:
+            raise ChannelGroupMismatch(f"{gamma.size} channels not divisible into {NORM_GROUPS} groups")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "groups", groups)
 
     @property
     def channels(self) -> int:
@@ -302,14 +300,15 @@ def group_normalize(src: FeatureMap, affine: GroupNormAffine, *, out: np.ndarray
     """Normalize each channel group to zero mean / unit variance, then apply
     the per-channel affine.
 
-    Statistics pool every pixel and all channels of a group; the variance is
-    the population variance, stabilized by eps.  One pass accumulates the
-    sums of x and x^2 in float64, a pixel block at a time through one reused
-    float64 block buffer, each sum one `ones @ block` product, so no float64
-    copy of the map exists; E[x^2] - E[x]^2 in float64 loses about
-    1e-16 * (mean / std)^2 relative, far below float32 resolution.  The
-    scale and shift that normalization and affine fold into are rounded to
-    float32 and applied in float32, one pixel block at a time.
+    Statistics pool every pixel and all channels of each of NORM_GROUPS
+    groups; the variance is the population variance, stabilized by NORM_EPS.
+    One pass accumulates the sums of x and x^2 in float64, a pixel block at
+    a time through one reused float64 block buffer, each sum one
+    `ones @ block` product, so no float64 copy of the map exists;
+    E[x^2] - E[x]^2 in float64 loses about 1e-16 * (mean / std)^2 relative,
+    far below float32 resolution.  The scale and shift that normalization
+    and affine fold into are rounded to float32 and applied in float32, one
+    pixel block at a time.
 
     `out`, if given, is a writable C-contiguous float32 array of src's
     shape (else ShapeMismatch) that receives the result.  It may be the
@@ -333,11 +332,11 @@ def group_normalize(src: FeatureMap, affine: GroupNormAffine, *, out: np.ndarray
         sums += ones[: p1 - p0] @ block
         block *= block
         squares += ones[: p1 - p0] @ block
-    per = c // affine.groups
+    per = c // NORM_GROUPS
     count = flat.shape[0] * per
-    mean = sums.reshape(affine.groups, per).sum(axis=1) / count
-    var = np.maximum(squares.reshape(affine.groups, per).sum(axis=1) / count - mean * mean, 0.0)
-    scale = affine.gamma.astype(np.float64) / np.sqrt(np.repeat(var, per) + affine.eps)
+    mean = sums.reshape(NORM_GROUPS, per).sum(axis=1) / count
+    var = np.maximum(squares.reshape(NORM_GROUPS, per).sum(axis=1) / count - mean * mean, 0.0)
+    scale = affine.gamma.astype(np.float64) / np.sqrt(np.repeat(var, per) + NORM_EPS)
     shift = (affine.beta.astype(np.float64) - np.repeat(mean, per) * scale).astype(np.float32)
     scale = scale.astype(np.float32)
     out_flat = result.reshape(flat.shape)
@@ -367,7 +366,7 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
 
     weight has shape (c_out, c_in // groups); output channel l belongs to
     group floor(l * groups / c_out) and only sees the matching input slice.
-    `groups` is checked as GroupNormAffine checks it.
+    `groups` is an integer >= 1, not a bool, that divides c_out.
     Computes in float32: per pixel block, one product against the dense
     block-diagonal weight (_block_diagonal, through matmul_rows) writes the
     block's output rows, and the bias and, with relu=True, the clamp at

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .guided_filter import GuidedFilterConfig
-from .ops import ShapeMismatch
+from .ops import ShapeMismatch, _odd_kernel
 from .tensor import FeatureMap
 
 
@@ -96,19 +96,18 @@ def oracle_guided_filter_window(query: FeatureMap, key_up: FeatureMap, cfg: Guid
     return out
 
 
-def oracle_kernel_apply_gridwise(weights: FeatureMap, x: FeatureMap, ratio: int,
-                                 kernel: int) -> np.ndarray:
+def oracle_kernel_apply_gridwise(weights: FeatureMap, x: FeatureMap, ratio: int) -> np.ndarray:
     """Kernel application with coarse, grid-wise neighbor selection.
 
     Every pixel of a ratio x ratio output block shares the KxK dilation-1
     neighbors of its parent low-resolution pixel, so the mixed values jump
     only at block boundaries (the mosaic artifact the fine-grained variant
-    removes).  Not a production path; literal per-pixel loops.
+    removes).  K comes from the slot count, which must be an odd square
+    (else ShapeMismatch).  Not a production path; literal per-pixel loops.
     """
     h, w, c = x.shape
     out_h, out_w, slots = weights.shape
-    if slots != kernel * kernel:
-        raise ShapeMismatch(f"weights carry {slots} slots, kernel {kernel} needs {kernel * kernel}")
+    kernel = _odd_kernel(slots)
     if out_h != ratio * h or out_w != ratio * w:
         raise ShapeMismatch(
             f"weights are {out_h}x{out_w} but ratio {ratio} on {h}x{w} input "

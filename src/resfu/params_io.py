@@ -12,7 +12,9 @@ Every tensor is stored as a rank-3 map:
     * vectors (n,) are stored as 1 x 1 x n.
 
 The entry set is fixed (projections, then the s and d score blocks); bundles
-with missing, duplicate, or unknown names are rejected.
+with missing, duplicate, or unknown names, or a NaN or Inf value, are
+rejected.  A bundle is the whole ResfuParams: the difference convs' group
+counts follow from their weights' shapes, and nothing else is settable.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .guided_filter import GuidedFilterConfig
 from .ops import ChannelGroupMismatch, GroupNormAffine, ShapeMismatch
 from .pcdc import CompressorParams, PcdcBlockParams, PcdcParams
 from .tensor import (
@@ -34,7 +35,7 @@ from .tensor import (
     read_tensor_at,
     serialize,
 )
-from .upsampler import NORM_EPS, NORM_GROUPS, ProjectionParams, ResfuParams
+from .upsampler import ProjectionParams, ResfuParams
 
 BUNDLE_MAGIC = b"RSFW"
 BUNDLE_VERSION = 1
@@ -162,12 +163,13 @@ def deserialize_params(buf) -> ResfuParams:
     unknown = [n for n in tensors if n not in BUNDLE_ENTRY_NAMES]
     if missing or unknown:
         raise TensorFormatError(f"bundle entries wrong; missing {missing}, unknown {unknown}")
+    for name in BUNDLE_ENTRY_NAMES:
+        if not np.isfinite(tensors[name].data).all():
+            raise TensorFormatError(f"{name}: holds NaN or infinite values")
 
     def norm(prefix: str) -> GroupNormAffine:
         with _consistent(prefix):
-            return GroupNormAffine(
-                _vector(tensors, f"{prefix}.gamma"), _vector(tensors, f"{prefix}.beta"), NORM_GROUPS, NORM_EPS
-            )
+            return GroupNormAffine(_vector(tensors, f"{prefix}.gamma"), _vector(tensors, f"{prefix}.beta"))
 
     def block(tag: str) -> PcdcBlockParams:
         block_norm = norm(f"norm_{tag}")
@@ -200,7 +202,7 @@ def deserialize_params(buf) -> ResfuParams:
         )
     block_s, block_d = block("s"), block("d")
     with _consistent("projections and score blocks"):
-        return ResfuParams(proj=proj, block_s=block_s, block_d=block_d, gf=GuidedFilterConfig())
+        return ResfuParams(proj=proj, block_s=block_s, block_d=block_d)
 
 
 def save_params(path, params: ResfuParams) -> None:

@@ -53,7 +53,7 @@ def _as_float32(name: str, arr, rank: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PcdcParams:
     """Difference-convolution weights: (K*K, D//groups, L) plus per-output
-    bias.  `groups` is checked and stored as GroupNormAffine's is."""
+    bias.  `groups` divides L; a loaded bundle infers it from the weight."""
 
     weight: np.ndarray
     bias: np.ndarray

@@ -187,7 +187,7 @@ def check_anti_mosaic() -> list[CheckResult]:
     interior = fns[ratio + ratio // 2 : -(ratio + ratio // 2)]
     linearity = float(np.max(np.abs(np.diff(interior, 2))))
 
-    grid = oracle_kernel_apply_gridwise(weights, ramp, ratio, 3)[0, :, 0]
+    grid = oracle_kernel_apply_gridwise(weights, ramp, ratio)[0, :, 0]
     plateau_heads = grid.reshape(w, ratio)[:, 0]
     jumps = np.abs(np.diff(plateau_heads))
     found = int(np.count_nonzero(jumps >= 0.5))  # LR ramp step is 1.0

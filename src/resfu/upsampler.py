@@ -20,9 +20,12 @@ when the value channels C far exceed D its peak is little more than the
 output.  The last reader takes a map as a temporary, and each score block
 drops its inputs once it has normalized them, so under CPython >= 3.11
 q_gf, k_up and q_gs are freed before their block's contraction and the
-peak is set in the detail block's compressor.  Every upsampling entry point starts with check_guide, which
-rejects a guide that is not ratio times the input's size and NaN or Inf in
-either map.  Neighborhoods are K x K, K taken from the parameter bundle,
+peak is set in the detail block's compressor.  Every upsampling entry
+point starts with check_guide, which rejects a guide that is not ratio
+times the input's size and NaN or Inf in either map.  ResfuParams holds
+exactly what a weight bundle stores; the guided filter always runs with
+GuidedFilterConfig() and every group norm with ops.NORM_GROUPS and
+ops.NORM_EPS.  Neighborhoods are K x K, K taken from the weights' shapes,
 with dilation equal to the upsampling ratio, on the high-resolution grids
 ("fine-grained neighbor selection"); both score branches use the same
 dilation.  The value gather runs either naively (materialize
@@ -66,8 +69,6 @@ PROJ_DIM = 32  # D: projection width of q and k
 PCDC_CHANNELS = 32  # L: difference-conv output channels
 PCDC_GROUPS = 4  # G
 COMPRESSOR_HIDDEN = 128
-NORM_GROUPS = 4
-NORM_EPS = 1e-5
 KERNEL = 3  # K of generated bundles
 
 
@@ -123,13 +124,12 @@ class ProjectionParams:
 
 @dataclass(frozen=True)
 class ResfuParams:
-    """Everything learned/generated: projections, the two score blocks, and
-    the guided-filter settings."""
+    """Everything learned/generated, exactly what a weight bundle stores:
+    the projections and the two score blocks."""
 
     proj: ProjectionParams
     block_s: PcdcBlockParams
     block_d: PcdcBlockParams
-    gf: GuidedFilterConfig = GuidedFilterConfig()
 
     def __post_init__(self):
         d = self.proj.dim
@@ -171,12 +171,13 @@ def project_qk(x: FeatureMap, y: FeatureMap, proj: ProjectionParams) -> tuple[Fe
 # --- kernel application with fine-grained neighbor selection ---------------
 
 
-def _apply_naive(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) -> np.ndarray:
+def _apply_naive(weights: np.ndarray, x: np.ndarray, ratio: int) -> np.ndarray:
     """Reference path: materialize the upsampled value map, then gather.
 
-    Computes in the dtype of the (H, W, C) value array x; resfu.grad runs it
-    on float64."""
-    out_h, out_w = weights.shape[:2]
+    K comes from the weights' slot count.  Computes in the dtype of the
+    (H, W, C) value array x; resfu.grad runs it on float64."""
+    out_h, out_w, slots = weights.shape
+    kernel = _odd_kernel(slots)
     x_up = _resize_linear(x, out_h, out_w)
     pad = (kernel - 1) // 2 * ratio
     padded = np.pad(x_up, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
@@ -207,9 +208,10 @@ def _window_taps(n_in: int, ratio: int, kernel: int) -> np.ndarray:
     return taps.astype(np.float32)
 
 
-def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) -> np.ndarray:
+def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int) -> np.ndarray:
     """Fused path on the float32 (H, W, C) value array x: one small matrix
-    product per input cell; the upsampled buffer never exists.
+    product per input cell; the upsampled buffer never exists.  K comes
+    from the slot count of the (H, W, K*K) weights.
 
     The dilation equals the ratio and bilinear interpolation is linear, so
     the ratio x ratio output pixels of input cell (a, b) read only the
@@ -223,7 +225,8 @@ def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int, kernel: int) ->
     in channel pieces of at most BLAS_PIECE multiply-adds.  Every buffer is
     sized for one row of cells and allocated once per call.
     """
-    out_h, out_w = weights.shape[:2]
+    out_h, out_w, slots = weights.shape
+    kernel = _odd_kernel(slots)
     h, w, c = x.shape
     span = kernel + 2
     rows = np.ascontiguousarray(_window_taps(h, ratio, kernel).transpose(2, 1, 0))[:, None]  # (i, ., u, dr)
@@ -263,7 +266,7 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused
     x_up at i plus the n-th dilated offset (dilation = ratio, clamped at
     edges).  The fused and naive paths are held to agree within 1e-5.
     """
-    kernel = _odd_kernel(weights.channels)
+    _odd_kernel(weights.channels)
     ratio = _positive_int("ratio", ratio, RatioMismatch)
     if weights.height != ratio * x.height or weights.width != ratio * x.width:
         raise RatioMismatch(
@@ -275,8 +278,8 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused
     if not worst <= 1e-3:  # NaN fails too
         raise RowNotNormalized(f"kernel rows sum off by {worst:.3g}; run softmax_rows first")
     if fused:
-        return FeatureMap.adopt(_apply_fused(weights.data, x.data, ratio, kernel))
-    return FeatureMap.adopt(_apply_naive(weights.data, x.data, ratio, kernel))
+        return FeatureMap.adopt(_apply_fused(weights.data, x.data, ratio))
+    return FeatureMap.adopt(_apply_naive(weights.data, x.data, ratio))
 
 
 # --- end-to-end pipeline ----------------------------------------------------
@@ -334,7 +337,7 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     made("k", k)
     del q, k
     made("k_up", bilinear_resize(live.pop("k"), y.height, y.width))
-    made("q_gf", guided_filter(live["q"], live["k_up"], params.gf))
+    made("q_gf", guided_filter(live["q"], live["k_up"], GuidedFilterConfig()))
     made("s_s", pcdc_block(live.pop("q_gf"), live.pop("k_up"), params.block_s, cfg.ratio))
     made("q_gs", gaussian_smooth3(live["q"]))
     made("s_d", pcdc_block(live["q"], live.pop("q_gs"), params.block_d, cfg.ratio))
@@ -437,8 +440,8 @@ def generate_params(c_in: int, c_guide: int, seed: int = 0) -> ResfuParams:
 
     def make_block() -> PcdcBlockParams:
         pcdc_fan_in = (d // g) * ksq
-        block = PcdcBlockParams(
-            norm=GroupNormAffine(np.ones(d, np.float32), np.zeros(d, np.float32), NORM_GROUPS, NORM_EPS),
+        return PcdcBlockParams(
+            norm=GroupNormAffine(np.ones(d, np.float32), np.zeros(d, np.float32)),
             pcdc=PcdcParams(
                 weight=stream.uniform((ksq, d // g, l_out), 1.0 / np.sqrt(pcdc_fan_in)),
                 bias=np.zeros(l_out, np.float32),
@@ -447,16 +450,10 @@ def generate_params(c_in: int, c_guide: int, seed: int = 0) -> ResfuParams:
             comp=CompressorParams(
                 conv1_weight=stream.uniform((COMPRESSOR_HIDDEN, l_out // 4), 1.0 / np.sqrt(l_out // 4)),
                 conv1_bias=np.zeros(COMPRESSOR_HIDDEN, np.float32),
-                norm=GroupNormAffine(
-                    np.ones(COMPRESSOR_HIDDEN, np.float32),
-                    np.zeros(COMPRESSOR_HIDDEN, np.float32),
-                    NORM_GROUPS,
-                    NORM_EPS,
-                ),
+                norm=GroupNormAffine(np.ones(COMPRESSOR_HIDDEN, np.float32), np.zeros(COMPRESSOR_HIDDEN, np.float32)),
                 conv2_weight=stream.uniform((ksq, COMPRESSOR_HIDDEN), 1.0 / np.sqrt(COMPRESSOR_HIDDEN)),
                 conv2_bias=np.zeros(ksq, np.float32),
             ),
         )
-        return block
 
     return ResfuParams(proj=proj, block_s=make_block(), block_d=make_block())

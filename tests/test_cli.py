@@ -2,6 +2,7 @@
 mapping (0 ok, 1 failed check, 2 file/parse trouble, 3 shape/ratio trouble,
 4 out of memory)."""
 
+import dataclasses
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ from resfu import cli, upsampler
 from resfu.ops import bilinear_resize, nearest_resize
 from resfu.oracle import max_rel_error
 from resfu.params_io import load_params, save_params
+from resfu.pcdc import PcdcParams
 from resfu.selfcheck import CheckResult
 from resfu.tensor import FeatureMap, load_tensor, save_tensor
 from resfu.upsampler import UpsampleConfig, generate_params, innerprod_upsample, run_pipeline
@@ -121,6 +123,53 @@ class TestUpsample:
         assert cli.main(upsample_args(workspace) + ["--dump-dir", str(taken)]) == 2
         assert str(taken) in capsys.readouterr().err
         assert not (workspace / "out.rsft").exists()
+
+    @pytest.mark.parametrize("out", ["nodir/o.rsft", "subdir"])
+    def test_unwritable_out_exits_two_before_loading(self, workspace, capsys, monkeypatch, out):
+        # both ran every stage and wrote every dump before exiting 2
+        def no_load(*args):
+            raise AssertionError("an input was loaded although --out cannot be written")
+
+        monkeypatch.setattr(cli, "load_tensor", no_load)
+        monkeypatch.setattr(cli, "load_params", no_load)
+        (workspace / "subdir").mkdir()
+        out, dump = workspace / out, workspace / "dump"
+        assert cli.main(upsample_args(workspace, **{"--out": str(out)}) + ["--dump-dir", str(dump)]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert not dump.exists()
+
+    def test_non_finite_bundle_weight_exits_two_before_any_stage(self, workspace, capsys):
+        # an all-NaN projection ran every stage and exited 1 with a kernel row-sum message
+        params = generate_params(6, 3, seed=1)
+        object.__setattr__(params.proj, "weight_q", np.full_like(params.proj.weight_q, np.nan))
+        save_params(workspace / "w.rsfw", params)
+        dump = workspace / "dump"
+        assert cli.main(upsample_args(workspace) + ["--dump-dir", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert "w.rsfw" in err and "proj_q.weight: holds NaN or infinite values" in err
+        assert not dump.exists()
+        assert not (workspace / "out.rsft").exists()
+
+    def test_kernel_defaults_to_the_bundles(self, workspace):
+        rng = np.random.default_rng(5)
+        params = generate_params(6, 3, seed=1)
+
+        def with_k5(block):
+            ksq, hidden = 25, block.comp.conv2_weight.shape[1]
+            weight = 0.1 * rng.standard_normal((ksq,) + block.pcdc.weight.shape[1:])
+            comp = dataclasses.replace(block.comp, conv2_weight=0.1 * rng.standard_normal((ksq, hidden)),
+                                       conv2_bias=np.zeros(ksq))
+            return dataclasses.replace(block, pcdc=PcdcParams(weight, block.pcdc.bias, block.pcdc.groups),
+                                       comp=comp)
+
+        params = dataclasses.replace(params, block_s=with_k5(params.block_s), block_d=with_k5(params.block_d))
+        save_params(workspace / "w.rsfw", params)
+        assert cli.main(upsample_args(workspace)) == 0
+        want = run_pipeline(load_tensor(workspace / "x.rsft"), load_tensor(workspace / "y.rsft"),
+                            load_params(workspace / "w.rsfw"), UpsampleConfig(ratio=2)).output
+        assert np.array_equal(load_tensor(workspace / "out.rsft").data, want.data)
+        assert cli.main(upsample_args(workspace, **{"--kernel": "5"})) == 0
+        assert cli.main(upsample_args(workspace, **{"--kernel": "3"})) == 3
 
     @pytest.mark.parametrize("baseline,resize", [("bilinear", bilinear_resize), ("nearest", nearest_resize)])
     def test_resize_baselines(self, workspace, baseline, resize):

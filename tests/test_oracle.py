@@ -34,21 +34,21 @@ class TestGridwiseOracle:
         rng = np.random.default_rng(0)
         x = fm(rng.standard_normal((6, 7, 3)))
         weights = softmax_rows(fm(rng.standard_normal((6, 7, 9))))
-        grid = oracle_kernel_apply_gridwise(weights, x, ratio=1, kernel=3)
+        grid = oracle_kernel_apply_gridwise(weights, x, ratio=1)
         fns = kernel_apply_fns(weights, x, ratio=1)
         assert max_rel_error(fns.astype64(), grid) <= 1e-6
 
     def test_one_hot_center_replicates_blocks(self):
         rng = np.random.default_rng(1)
         x = fm(rng.standard_normal((3, 4, 2)))
-        out = oracle_kernel_apply_gridwise(one_hot_center(12, 16), x, ratio=4, kernel=3)
+        out = oracle_kernel_apply_gridwise(one_hot_center(12, 16), x, ratio=4)
         want = np.repeat(np.repeat(x.astype64(), 4, axis=0), 4, axis=1)
         assert np.array_equal(out, want)
 
     def test_uniform_ramp_makes_plateaus(self):
         ratio, h, w = 4, 4, 8
         x = ramp_columns(h, w)
-        out = oracle_kernel_apply_gridwise(uniform_weights(h * ratio, w * ratio), x, ratio, 3)
+        out = oracle_kernel_apply_gridwise(uniform_weights(h * ratio, w * ratio), x, ratio)
         cols = out[0, :, 0]
         # constant within each ratio-wide block, jumping only at boundaries
         blocks = cols.reshape(w, ratio)
@@ -60,9 +60,9 @@ class TestGridwiseOracle:
     def test_shape_validation(self):
         x = fm(np.zeros((3, 3, 1)))
         with pytest.raises(ShapeMismatch):
-            oracle_kernel_apply_gridwise(uniform_weights(6, 6, slots=8), x, 2, 3)
+            oracle_kernel_apply_gridwise(uniform_weights(6, 6, slots=8), x, 2)
         with pytest.raises(ShapeMismatch):
-            oracle_kernel_apply_gridwise(uniform_weights(6, 5), x, 2, 3)
+            oracle_kernel_apply_gridwise(uniform_weights(6, 5), x, 2)
 
 
 class TestAntiMosaicContrast:
@@ -86,7 +86,7 @@ class TestAntiMosaicContrast:
 
     def test_grid_wise_interior_staircases(self):
         x, weights = self._setup()
-        out = oracle_kernel_apply_gridwise(weights, x, self.RATIO, 3)
+        out = oracle_kernel_apply_gridwise(weights, x, self.RATIO)
         cols = out[0, :, 0]
         second = np.abs(np.diff(cols[6 : self.W * self.RATIO - 6], 2))
         # a staircase has kinks: many second differences far from zero

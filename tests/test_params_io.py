@@ -1,5 +1,8 @@
 """Weight-bundle (.rsfw) serialization."""
 
+import dataclasses
+import functools
+import re
 import struct
 
 import numpy as np
@@ -29,6 +32,28 @@ from resfu.upsampler import generate_params
 
 def bundle(seed=0, c_in=6, c_guide=4):
     return generate_params(c_in=c_in, c_guide=c_guide, seed=seed)
+
+
+def leaves(node, path="params"):
+    """(path, owner, field name) of every value in a dataclass tree that is
+    not itself a dataclass."""
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaves(value, f"{path}.{field.name}")
+        else:
+            yield f"{path}.{field.name}", node, field.name
+
+
+def randomized_bundle(seed):
+    """A generated bundle with every array refilled with distinct values,
+    set on the frozen fields directly."""
+    params, rng = bundle(seed=seed), np.random.default_rng(seed)
+    for _, owner, name in leaves(params):
+        value = getattr(owner, name)
+        if isinstance(value, np.ndarray):
+            object.__setattr__(owner, name, rng.standard_normal(value.shape).astype(np.float32))
+    return params
 
 
 class TestLayout:
@@ -77,8 +102,12 @@ class TestRoundTrip:
         assert np.array_equal(back.proj.weight_q, params.proj.weight_q)
         assert np.array_equal(back.block_s.pcdc.weight, params.block_s.pcdc.weight)
         assert back.block_s.pcdc.groups == params.block_s.pcdc.groups
-        assert back.block_d.comp.norm.groups == params.block_d.comp.norm.groups
-        assert back.gf == params.gf
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.rsfw", tmp_path / "second.rsfw"
+        save_params(first, randomized_bundle(7))
+        save_params(second, load_params(first))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_file_round_trip(self, tmp_path):
         params = bundle(seed=3)
@@ -87,6 +116,20 @@ class TestRoundTrip:
         blob = path.read_bytes()
         assert blob == serialize_params(params)
         assert serialize_params(load_params(path)) == blob
+
+
+class TestBundleIsTheModel:
+    def test_every_leaf_is_a_stored_array_or_an_inferred_group_count(self):
+        # a settable value the bundle drops would load back as another model
+        params = randomized_bundle(8)
+        tree = list(leaves(params))
+        kept = [path for path, owner, name in tree
+                if not isinstance(getattr(owner, name), np.ndarray) and not path.endswith(".pcdc.groups")]
+        assert kept == []
+        assert sum(isinstance(getattr(owner, name), np.ndarray) for _, owner, name in tree) == len(BUNDLE_ENTRY_NAMES)
+        back = deserialize_params(serialize_params(params))
+        for (path, owner, name), (_, back_owner, back_name) in zip(tree, leaves(back), strict=True):
+            assert np.array_equal(getattr(back_owner, back_name), getattr(owner, name)), path
 
 
 class TestRejects:
@@ -148,6 +191,20 @@ class TestRejects:
         params = bundle()
         object.__setattr__(getattr(params, f"block_{tag}").comp, "conv1_bias", np.zeros(7, np.float32))
         with pytest.raises(TensorFormatError, match=f"^inconsistent weight bundle: comp_{tag}: conv1 bias has 7"):
+            deserialize_params(serialize_params(params))
+
+    @pytest.mark.parametrize("entry,block,field,bad", [
+        ("proj_q.weight", "proj", "weight_q", np.nan),  # matrix
+        ("norm_s.gamma", "block_s.norm", "gamma", np.inf),  # vector
+        ("pcdc_d.weight", "block_d.pcdc", "weight", -np.inf),  # rank 3
+    ])
+    def test_non_finite_entry_is_rejected_by_name(self, entry, block, field, bad):
+        params = bundle()
+        owner = functools.reduce(getattr, block.split("."), params)
+        value = getattr(owner, field).copy()
+        value.flat[value.size // 2] = bad
+        object.__setattr__(owner, field, value)
+        with pytest.raises(TensorFormatError, match=rf"^{re.escape(entry)}: holds NaN or infinite values"):
             deserialize_params(serialize_params(params))
 
     def test_misshapen_vector_names_its_entry(self):

@@ -48,7 +48,6 @@ def rand_block(rng, d=8, l_out=8, hidden=16, kernel=3, groups=2):
         norm=GroupNormAffine(
             rng.standard_normal(d).astype(np.float32),
             rng.standard_normal(d).astype(np.float32),
-            groups=4,
         ),
         pcdc=rand_pcdc(rng, kernel, d, l_out, groups),
         comp=CompressorParams(
@@ -57,7 +56,6 @@ def rand_block(rng, d=8, l_out=8, hidden=16, kernel=3, groups=2):
             norm=GroupNormAffine(
                 rng.standard_normal(hidden).astype(np.float32),
                 rng.standard_normal(hidden).astype(np.float32),
-                groups=4,
             ),
             conv2_weight=rng.standard_normal((kernel * kernel, hidden)).astype(np.float32),
             conv2_bias=rng.standard_normal(kernel * kernel).astype(np.float32),
@@ -221,7 +219,7 @@ class TestCompressor:
             CompressorParams(
                 conv1_weight=good.conv1_weight,
                 conv1_bias=good.conv1_bias,
-                norm=GroupNormAffine(np.ones(8), np.zeros(8), groups=4),
+                norm=GroupNormAffine(np.ones(8), np.zeros(8)),
                 conv2_weight=good.conv2_weight,
                 conv2_bias=good.conv2_bias,
             )
@@ -238,12 +236,12 @@ class TestPcdcBlock:
         rng = np.random.default_rng(30)
         d, l_out, hidden = 8, 8, 16
         zero = PcdcBlockParams(
-            norm=GroupNormAffine(np.zeros(d), np.zeros(d), groups=4),
+            norm=GroupNormAffine(np.zeros(d), np.zeros(d)),
             pcdc=PcdcParams(np.zeros((9, d // 2, l_out), np.float32), np.zeros(l_out, np.float32), groups=2),
             comp=CompressorParams(
                 conv1_weight=np.zeros((hidden, l_out // 4), np.float32),
                 conv1_bias=np.zeros(hidden, np.float32),
-                norm=GroupNormAffine(np.zeros(hidden), np.zeros(hidden), groups=4),
+                norm=GroupNormAffine(np.zeros(hidden), np.zeros(hidden)),
                 conv2_weight=np.zeros((9, hidden), np.float32),
                 conv2_bias=np.zeros(9, np.float32),
             ),
@@ -323,7 +321,7 @@ class TestPcdcBlock:
         blk = rand_block(rng)
         with pytest.raises(ShapeMismatch):
             PcdcBlockParams(
-                norm=GroupNormAffine(np.ones(4), np.zeros(4), groups=4),
+                norm=GroupNormAffine(np.ones(4), np.zeros(4)),
                 pcdc=blk.pcdc,
                 comp=blk.comp,
             )

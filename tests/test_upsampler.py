@@ -1,7 +1,6 @@
 """End-to-end pipeline: projections, score assembly, kernel application."""
 
 import dataclasses
-import math
 import sys
 import tracemalloc
 
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resfu import upsampler
-from resfu.guided_filter import guided_filter
+from resfu.guided_filter import GuidedFilterConfig, guided_filter
 from resfu.ops import (
     GroupNormAffine,
     ShapeMismatch,
@@ -21,7 +20,7 @@ from resfu.ops import (
     neighbor_offsets,
     softmax_rows,
 )
-from resfu.oracle import max_rel_error
+from resfu.oracle import max_rel_error, oracle_kernel_apply_gridwise
 from resfu.pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
 from resfu.selfcheck import zeroed_score_params
 from resfu.tensor import FeatureMap
@@ -60,7 +59,7 @@ def small_params(rng, d=8, l_out=8, hidden=16, kernel=3):
 
     def block():
         return PcdcBlockParams(
-            norm=GroupNormAffine(np.ones(d, np.float32), np.zeros(d, np.float32), 4),
+            norm=GroupNormAffine(np.ones(d, np.float32), np.zeros(d, np.float32)),
             pcdc=PcdcParams(
                 weight=rng.standard_normal((kernel * kernel, d // 2, l_out)).astype(np.float32) * 0.2,
                 bias=rng.standard_normal(l_out).astype(np.float32) * 0.1,
@@ -69,7 +68,7 @@ def small_params(rng, d=8, l_out=8, hidden=16, kernel=3):
             comp=CompressorParams(
                 conv1_weight=rng.standard_normal((hidden, l_out // 4)).astype(np.float32) * 0.3,
                 conv1_bias=rng.standard_normal(hidden).astype(np.float32) * 0.1,
-                norm=GroupNormAffine(np.ones(hidden, np.float32), np.zeros(hidden, np.float32), 4),
+                norm=GroupNormAffine(np.ones(hidden, np.float32), np.zeros(hidden, np.float32)),
                 conv2_weight=rng.standard_normal((kernel * kernel, hidden)).astype(np.float32) * 0.3,
                 conv2_bias=rng.standard_normal(kernel * kernel).astype(np.float32) * 0.1,
             ),
@@ -154,7 +153,7 @@ class TestComputeSimilarity:
     def test_matches_staged_composition_bitwise(self):
         params = small_params(np.random.default_rng(12))
         res = self._run(params, 12, h=3, w=2, ratio=3)
-        q_gf = guided_filter(res.q, res.k_up, params.gf)
+        q_gf = guided_filter(res.q, res.k_up, GuidedFilterConfig())
         s_s = pcdc_block(q_gf, res.k_up, params.block_s, 3)
         s_d = pcdc_block(res.q, res.q_gs, params.block_d, 3)
         assert np.array_equal(res.q_gf.data, q_gf.data)
@@ -323,13 +322,14 @@ class TestKernelApplyFns:
 
     @pytest.mark.parametrize("slots", [1, 9, 25])
     def test_kernel_comes_from_the_slot_count(self, slots):
+        # at ratio 1 fine-grained and grid-wise selection coincide, so the
+        # oracle, which reads K from the slot count on its own, is the reference
         rng = np.random.default_rng(30 + slots)
-        x = rand_map(rng, 3, 4, 2)
-        weights = softmax_rows(rand_map(rng, 6, 8, slots))
-        kernel = math.isqrt(slots)
-        for fused, apply in ((False, _apply_naive), (True, _apply_fused)):
-            want = apply(weights.data, x.data, 2, kernel)
-            assert np.array_equal(kernel_apply_fns(weights, x, 2, fused=fused).data, want)
+        x = rand_map(rng, 5, 6, 2)
+        weights = softmax_rows(rand_map(rng, 5, 6, slots))
+        want = oracle_kernel_apply_gridwise(weights, x, 1)
+        for fused in (False, True):
+            assert max_rel_error(kernel_apply_fns(weights, x, 1, fused=fused).data, want) <= 1e-6
 
     @pytest.mark.parametrize("slots", [2, 4, 8, 16])
     def test_rejects_a_slot_count_that_is_no_odd_square(self, slots):
@@ -338,6 +338,9 @@ class TestKernelApplyFns:
         for fused in (True, False):
             with pytest.raises(ShapeMismatch, match=f"{slots} neighbor slots is not an odd kernel squared"):
                 kernel_apply_fns(weights, x, 2, fused=fused)
+        for apply in (_apply_naive, _apply_fused):
+            with pytest.raises(ShapeMismatch, match=f"{slots} neighbor slots is not an odd kernel squared"):
+                apply(weights.data, x.data, 2)
 
     def test_ratio_must_be_a_non_bool_integer(self):
         # True == 1 would pass a 2x2 map at ratio 1; a bool is no ratio
@@ -356,8 +359,8 @@ class TestKernelApplyFns:
         weights = softmax_rows(rand_map(rng, 256, 256, 9)).data
         one_map = 256 * 256 * 8 * 4
         scratch = {}
-        for name, apply in (("fused", lambda: _apply_fused(weights, x, 4, 3)),
-                            ("naive", lambda: _apply_naive(weights, x, 4, 3))):
+        for name, apply in (("fused", lambda: _apply_fused(weights, x, 4)),
+                            ("naive", lambda: _apply_naive(weights, x, 4))):
             tracemalloc.start()
             try:
                 out = apply()
@@ -375,7 +378,7 @@ class TestKernelApplyFns:
         weights = softmax_rows(rand_map(rng, 64, 64, 9)).data
         tracemalloc.start()
         try:
-            out = _apply_fused(weights, x, 8, 3)
+            out = _apply_fused(weights, x, 8)
             scratch = tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()
