@@ -4,6 +4,8 @@ Subcommands: gen-weights, upsample, visualize, selfcheck, bench.  Exit
 codes are a stable contract: 0 success, 1 a correctness check failed
 (including NaN or Inf in an input), 2 file/parse problems (the failing path
 is named on stderr), 3 shape or ratio mismatches, 4 out of memory.
+`upsample` streams the pipeline's output into --out band by band, so it is
+never held whole, and a failed run leaves any earlier --out as it was.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ def _cmd_upsample(args) -> int:
     if args.baseline in ("bilinear", "nearest"):
         check_guide(x, y, cfg.ratio)
         resize = bilinear_resize if args.baseline == "bilinear" else nearest_resize
-        out = resize(x, y.height, y.width)
+        save_tensor(args.out, resize(x, y.height, y.width))
     elif args.baseline == "innerprod":
-        out = innerprod_upsample(x, y, params, cfg, fused=fused)
+        save_tensor(args.out, innerprod_upsample(x, y, params, cfg, fused=fused))
     else:
         if args.dump_dir is not None:
             os.makedirs(args.dump_dir, exist_ok=True)
@@ -75,9 +77,9 @@ def _cmd_upsample(args) -> int:
             if args.dump_dir is not None and name in DUMPED:
                 save_tensor(os.path.join(args.dump_dir, f"{name}.rsft"), fmap)
 
-        out = run_pipeline(x, y, params, cfg, fused=fused, sink=dump).output
-    save_tensor(args.out, out)
-    print(f"wrote {args.out} ({out.height}x{out.width}x{out.channels})")
+        save_tensor(args.out, (y.height, y.width, x.channels),
+                    lambda write: run_pipeline(x, y, params, cfg, fused=fused, sink=dump, rows=write))
+    print(f"wrote {args.out} ({y.height}x{y.width}x{x.channels})")
     return 0
 
 
@@ -142,7 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           "stages stay on disk and no output is written")
     ups.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored: resfu runs on the calling thread")
-    ups.add_argument("--out", required=True, help="output .rsft path")
+    ups.add_argument("--out", required=True,
+                     help="output .rsft path; the full pipeline streams its output into it band "
+                          "by band, and the file appears only once complete")
     ups.set_defaults(handler=_cmd_upsample)
 
     vis = sub.add_parser("visualize", help="render a feature map to a PPM image")

@@ -19,14 +19,18 @@ The .rsft file format is the same payload behind a fixed 24-byte header:
 followed by exactly 4*H*W*C payload bytes, little-endian float32, in the
 offset order above.  Serialization is bit-exact: deserialize(serialize(m))
 reproduces every payload byte.  save_tensor writes the same bytes as
-serialize without building them: the header, then the payload straight from
-the map's buffer through a memoryview, so saving copies no payload byte on a
-little-endian host.
+serialize without building them, the payload straight from the map's
+buffer; given a shape and a `fill` callback instead, it takes the payload
+in pieces, such as the bands of a streamed output.  It writes a ".part"
+sibling and moves it onto the path only once complete.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
+from collections.abc import Callable
 
 import numpy as np
 
@@ -127,8 +131,8 @@ class FeatureMap:
         return f"FeatureMap({self.height}x{self.width}x{self.channels})"
 
 
-def _header(fmap: FeatureMap) -> bytes:
-    return _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, 0, 3, fmap.height, fmap.width, fmap.channels)
+def _header(shape: tuple[int, int, int]) -> bytes:
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, DTYPE_FLOAT32, 0, 3, *shape)
 
 
 def _payload(fmap: FeatureMap) -> memoryview:
@@ -138,7 +142,7 @@ def _payload(fmap: FeatureMap) -> memoryview:
 
 def serialize(fmap: FeatureMap) -> bytes:
     """Encode a FeatureMap as .rsft bytes (24-byte header + payload)."""
-    return _header(fmap) + _payload(fmap)
+    return _header(fmap.shape) + _payload(fmap)
 
 
 def read_tensor_at(buf, offset: int) -> tuple[FeatureMap, int]:
@@ -184,12 +188,43 @@ def deserialize(buf) -> FeatureMap:
     return fmap
 
 
-def save_tensor(path, fmap: FeatureMap) -> None:
-    """Write serialize(fmap) to `path`: the header, then the payload straight
-    from the map's buffer, with no copy of the payload in between."""
-    with open(path, "wb") as fh:
-        fh.write(_header(fmap))
-        fh.write(_payload(fmap))
+def save_tensor(path, fmap: FeatureMap | tuple[int, int, int],
+                fill: Callable[[Callable[[np.ndarray], None]], None] | None = None) -> None:
+    """save_tensor(path, fmap) writes serialize(fmap) with no copy of the
+    payload.  save_tensor(path, (H, W, C), fill) calls fill(write), where
+    each write(values) appends a float32 array's values in payload order;
+    exactly 4*H*W*C bytes must arrive, else TensorFormatError.  The bytes
+    go to `path` + ".part", which replaces `path` once complete; on any
+    exception the ".part" file is removed and `path` is left as it was."""
+    shape = fmap.shape if fill is None else tuple(fmap)
+    if fill is None:
+        fill = lambda write: write(fmap.data)  # noqa: E731
+    elif len(shape) != 3 or min(shape) < 1:
+        raise TensorFormatError(f"a .rsft payload needs three dims >= 1, got {shape}")
+    h, w, c = shape
+    nbytes = 4 * h * w * c
+    written = 0
+
+    def write(values: np.ndarray) -> None:
+        nonlocal written
+        data = np.ascontiguousarray(values, "<f4")  # a copy only on big-endian hosts
+        written += data.nbytes
+        if written > nbytes:
+            raise TensorFormatError(f"more than the {nbytes} payload bytes of {h}x{w}x{c} written")
+        fh.write(data)
+
+    part = os.fspath(path) + ".part"
+    try:
+        with open(part, "wb") as fh:
+            fh.write(_header(shape))
+            fill(write)
+            if written != nbytes:
+                raise TensorFormatError(f"{written} of the {nbytes} payload bytes of {h}x{w}x{c} written")
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
 
 
 def load_tensor(path) -> FeatureMap:

@@ -17,10 +17,12 @@ run_pipeline is the one path through these stages.  It either collects
 every intermediate or hands each one to a sink as it is made and keeps a
 map only until the last stage that reads it; resfu_upsample keeps none, so
 when the value channels C far exceed D its peak is little more than the
-output.  The last reader takes a map as a temporary, and each score block
-drops its inputs once it has normalized them, so under CPython >= 3.11
-q_gf, k_up and q_gs are freed before their block's contraction and the
-peak is set in the detail block's compressor.  Every upsampling entry
+output.  Given `rows`, it streams the output too, band by band, and the
+fused path allocates no output-sized array.  The last reader takes a map
+as a temporary, and each score block drops its inputs once it has
+normalized them, so under CPython >= 3.11 q_gf, k_up and q_gs are freed
+before their block's contraction and the peak is set in the detail
+block's compressor.  Every upsampling entry
 point starts with check_guide, which rejects a guide that is not ratio
 times the input's size and NaN or Inf in either map.  ResfuParams holds
 exactly what a weight bundle stores; the guided filter always runs with
@@ -208,10 +210,13 @@ def _window_taps(n_in: int, ratio: int, kernel: int) -> np.ndarray:
     return taps.astype(np.float32)
 
 
-def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int) -> np.ndarray:
+def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int,
+                 emit: Callable[[np.ndarray], None] | None = None) -> np.ndarray | None:
     """Fused path on the float32 (H, W, C) value array x: one small matrix
     product per input cell; the upsampled buffer never exists.  K comes
-    from the slot count of the (H, W, K*K) weights.
+    from the slot count of the (H, W, K*K) weights.  With `emit`, each
+    finished row of cells goes to emit(band) as a (ratio, W, C) band in
+    one reused buffer, and None is returned.
 
     The dilation equals the ratio and bilinear interpolation is linear, so
     the ratio x ratio output pixels of input cell (a, b) read only the
@@ -222,8 +227,8 @@ def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int) -> np.ndarray:
     batched matmul (row taps do not vary along a row), into (K+2)^2 window
     weights.  One more batched matmul writes each cell's
     (ratio x (K+2)^2) @ ((K+2)^2 x C) products straight into the output,
-    in channel pieces of at most BLAS_PIECE multiply-adds.  Every buffer is
-    sized for one row of cells and allocated once per call.
+    in channel pieces of at most BLAS_PIECE multiply-adds.  Every buffer
+    but the output is sized for one row of cells and allocated once.
     """
     out_h, out_w, slots = weights.shape
     kernel = _odd_kernel(slots)
@@ -236,7 +241,7 @@ def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int) -> np.ndarray:
     win_rows = np.clip(np.arange(h)[:, None] + reach, 0, h - 1) * w  # (a, u): pixel offsets
     win_cols = np.clip(np.arange(w)[:, None] + reach, 0, w - 1)  # (b, v)
     pixels = x.reshape(h * w, c)
-    out = np.empty((out_h, out_w, c), np.float32)
+    out = np.empty((out_h if emit is None else ratio, out_w, c), np.float32)
     k = np.empty((ratio, kernel, kernel, 1, out_w), np.float32)  # kernel weights (s, dr, dc, ., j)
     by_col = np.empty((ratio, kernel, kernel, span, out_w), np.float32)  # (s, dr, dc, v, j)
     folded = np.empty((ratio, kernel, span, out_w), np.float32)  # (s, dr, v, j)
@@ -252,19 +257,26 @@ def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int) -> np.ndarray:
         np.matmul(rows[i0:i1], folded.transpose(0, 2, 1, 3), out=mixed.transpose(0, 2, 1, 3))
         np.take(pixels, win_rows[a, None, :, None] + win_cols[:, None, :], axis=0, mode="clip",
                 out=window.reshape(w, span, span, c))
-        dst = out[i0:i1].reshape(ratio, w, ratio, c)
+        band = out[i0:i1] if emit is None else out
+        dst = band.reshape(ratio, w, ratio, c)
         for c0 in range(0, c, piece):
             np.matmul(mix, window[:, :, c0 : c0 + piece], out=dst[..., c0 : c0 + piece])
-    return out
+        if emit is not None:
+            emit(band)
+    return out if emit is None else None
 
 
-def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused: bool = True) -> FeatureMap:
+def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused: bool = True, *,
+                     rows: Callable[[np.ndarray], None] | None = None) -> FeatureMap | None:
     """Mix bilinearly upsampled values of x with per-pixel kernel weights.
 
     `weights` holds one post-softmax weight per slot of an odd K x K
     neighborhood (else ShapeMismatch); slot n of output pixel i addresses
     x_up at i plus the n-th dilated offset (dilation = ratio, clamped at
     edges).  The fused and naive paths are held to agree within 1e-5.
+    With `rows`, None is returned and the output goes to rows(band) in
+    float32 (rows, W, C) bands, top to bottom, each valid only during the
+    call: one per row of input cells (fused) or the whole output (naive).
     """
     _odd_kernel(weights.channels)
     ratio = _positive_int("ratio", ratio, RatioMismatch)
@@ -278,8 +290,12 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused
     if not worst <= 1e-3:  # NaN fails too
         raise RowNotNormalized(f"kernel rows sum off by {worst:.3g}; run softmax_rows first")
     if fused:
-        return FeatureMap.adopt(_apply_fused(weights.data, x.data, ratio))
-    return FeatureMap.adopt(_apply_naive(weights.data, x.data, ratio))
+        out = _apply_fused(weights.data, x.data, ratio, emit=rows)
+    else:
+        out = _apply_naive(weights.data, x.data, ratio)
+        if rows is not None:
+            rows(out)
+    return None if rows is not None else FeatureMap.adopt(out)
 
 
 # --- end-to-end pipeline ----------------------------------------------------
@@ -287,10 +303,11 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused
 
 @dataclass
 class PipelineResult:
-    """The output of one upsampling run, with every intermediate when
-    run_pipeline collected them (None when a sink received them instead)."""
+    """The output of one upsampling run (None when streamed to `rows`),
+    with every intermediate when run_pipeline collected them (None when a
+    sink received them instead)."""
 
-    output: FeatureMap
+    output: FeatureMap | None
     q: FeatureMap | None = None
     k: FeatureMap | None = None
     k_up: FeatureMap | None = None
@@ -304,7 +321,8 @@ class PipelineResult:
 
 def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
                  fused: bool = True, threads: int = 1, *,
-                 sink: Callable[[str, FeatureMap], None] | None = None) -> PipelineResult:
+                 sink: Callable[[str, FeatureMap], None] | None = None,
+                 rows: Callable[[np.ndarray], None] | None = None) -> PipelineResult:
     """Run every stage once.
 
     Without a sink the result keeps every intermediate.  With one,
@@ -320,6 +338,9 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     contraction (see pcdc_block).  q is held until the detail block
     returns.  q_gs is computed after the semantic block so that fewer
     D-channel maps are live at once.
+
+    With `rows`, the output goes to rows(band) band by band (see
+    kernel_apply_fns) and the result's output is None.
 
     `threads` is accepted and ignored: every stage runs on the calling
     thread."""
@@ -344,7 +365,7 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     del live["q"]
     made("scores", FeatureMap.adopt(live.pop("s_s").data + live.pop("s_d").data))
     made("kernels", softmax_rows(live.pop("scores")))
-    output = kernel_apply_fns(live.pop("kernels"), x, cfg.ratio, fused=fused)
+    output = kernel_apply_fns(live.pop("kernels"), x, cfg.ratio, fused=fused, rows=rows)
     return PipelineResult(output, **maps)
 
 

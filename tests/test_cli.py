@@ -3,21 +3,29 @@ mapping (0 ok, 1 failed check, 2 file/parse trouble, 3 shape/ratio trouble,
 4 out of memory)."""
 
 import dataclasses
+import errno
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from resfu import cli, upsampler
-from resfu.ops import bilinear_resize, nearest_resize
+from resfu.ops import ShapeMismatch, bilinear_resize, nearest_resize
 from resfu.oracle import max_rel_error
 from resfu.params_io import load_params, save_params
 from resfu.pcdc import PcdcParams
 from resfu.selfcheck import CheckResult
-from resfu.tensor import FeatureMap, load_tensor, save_tensor
-from resfu.upsampler import UpsampleConfig, generate_params, innerprod_upsample, run_pipeline
+from resfu.tensor import HEADER_SIZE, FeatureMap, load_tensor, save_tensor
+from resfu.upsampler import (
+    RowNotNormalized,
+    UpsampleConfig,
+    generate_params,
+    innerprod_upsample,
+    run_pipeline,
+)
 
 
 @pytest.fixture
@@ -288,6 +296,74 @@ class TestUpsample:
         assert "error:" in err
         assert "Traceback" not in err
         assert not (workspace / "out.rsft").exists()
+
+
+def fail_after_first_band(monkeypatch, error):
+    """Make the kernel apply raise `error` once its first output band has
+    gone to the stream; returns the list of bands that went."""
+    real = upsampler.kernel_apply_fns
+    sent = []
+
+    def failing(*args, rows, **kwargs):
+        def first_band_then_fail(band):
+            rows(band)
+            sent.append(band.shape)
+            raise error
+
+        return real(*args, rows=first_band_then_fail, **kwargs)
+
+    monkeypatch.setattr(upsampler, "kernel_apply_fns", failing)
+    return sent
+
+
+class TestStreamedOut:
+    @pytest.mark.parametrize("fused", ["true", "false"])
+    @pytest.mark.parametrize("error, code", [
+        (RowNotNormalized("kernel rows sum off"), 1),
+        (OSError(errno.ENOSPC, "No space left on device"), 2),
+        (ShapeMismatch("band shape"), 3),
+        (MemoryError("Unable to allocate"), 4),
+    ])
+    def test_failure_after_a_band_keeps_the_existing_out(self, workspace, capsys, monkeypatch,
+                                                         error, code, fused):
+        out = workspace / "out.rsft"
+        assert cli.main(upsample_args(workspace, **{"--fused": fused})) == 0
+        before = out.read_bytes()
+        sent = fail_after_first_band(monkeypatch, error)
+        assert cli.main(upsample_args(workspace, **{"--fused": fused})) == code
+        assert sent == [(2, 16, 6) if fused == "true" else (16, 16, 6)]
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in workspace.iterdir()) == ["out.rsft", "w.rsfw", "x.rsft", "y.rsft"]
+
+    def test_failure_after_a_band_writes_no_out(self, workspace, monkeypatch):
+        sent = fail_after_first_band(monkeypatch, MemoryError())
+        dump = workspace / "dump"
+        assert cli.main(upsample_args(workspace) + ["--dump-dir", str(dump)]) == 4
+        assert len(sent) == 1
+        assert sorted(p.name for p in workspace.iterdir()) == ["dump", "w.rsfw", "x.rsft", "y.rsft"]
+        assert len(list(dump.iterdir())) == 7  # every stage before the apply finished
+
+    def test_peak_stays_below_the_output(self, tmp_path):
+        # 16x16x384 -> 128x128 at ratio 8: the 24 MiB output goes into --out
+        # band by band, so the traced peak of the whole command stays below
+        # 0.75 of it (1.1x while the output was held whole for one write)
+        rng = np.random.default_rng(6)
+        save_tensor(tmp_path / "x.rsft", FeatureMap(rng.standard_normal((16, 16, 384), dtype=np.float32)))
+        save_tensor(tmp_path / "y.rsft", FeatureMap(rng.random((128, 128, 3), dtype=np.float32)))
+        assert cli.main(["gen-weights", "--cin", "384", "--cguide", "3", "--out", str(tmp_path / "w.rsfw")]) == 0
+        args = upsample_args(tmp_path, **{"--ratio": "8"})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rc = cli.main(args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        out_bytes = 128 * 128 * 384 * 4
+        assert rc == 0
+        assert (tmp_path / "out.rsft").stat().st_size == HEADER_SIZE + out_bytes
+        assert peak < 0.75 * out_bytes
 
 
 class TestVisualize:

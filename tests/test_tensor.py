@@ -92,6 +92,51 @@ def test_save_copies_no_payload(tmp_path):
     assert path.stat().st_size == HEADER_SIZE + fmap.data.nbytes
 
 
+class TestStreamedSave:
+    def _map(self):
+        return FeatureMap(np.random.default_rng(4).standard_normal((6, 5, 3)).astype(np.float32))
+
+    def test_bands_give_the_bytes_of_serialize(self, tmp_path):
+        fmap = self._map()
+        path = tmp_path / "m.rsft"
+
+        def fill(write):
+            for i0 in range(0, 6, 4):  # a band of 4 rows, then one of 2
+                write(fmap.data[i0 : i0 + 4])
+
+        save_tensor(path, (6, 5, 3), fill)
+        assert path.read_bytes() == serialize(fmap)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rsft"]
+
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_wrong_payload_size_raises_and_leaves_no_file(self, tmp_path, rows):
+        with pytest.raises(TensorFormatError, match="payload bytes"):
+            save_tensor(tmp_path / "m.rsft", (6, 5, 3), lambda write: write(np.zeros((rows, 5, 3), np.float32)))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [TensorFormatError("short"), MemoryError(), KeyboardInterrupt()])
+    def test_failed_fill_keeps_an_existing_file(self, tmp_path, error):
+        path = tmp_path / "m.rsft"
+        save_tensor(path, self._map())
+        before = path.read_bytes()
+
+        def fill(write):
+            write(np.zeros((1, 5, 3), np.float32))
+            assert (tmp_path / "m.rsft.part").exists()
+            raise error
+
+        with pytest.raises(type(error)):
+            save_tensor(path, (6, 5, 3), fill)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rsft"]
+
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 0, 3), (1, 1, 1, 1)])
+    def test_rejects_a_shape_that_is_no_map(self, tmp_path, shape):
+        with pytest.raises(TensorFormatError):
+            save_tensor(tmp_path / "m.rsft", shape, lambda write: None)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRejects:
     def _good(self):
         return serialize(FeatureMap(np.zeros((2, 2, 1), np.float32)))

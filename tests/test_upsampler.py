@@ -192,6 +192,45 @@ class TestRunPipelineSink:
         assert streamed.output.data.tobytes() == collected.output.data.tobytes()
 
 
+class TestRunPipelineRows:
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("side, c, c_guide, ratio", [(13, 5, 3, 3), (64, 32, 4, 4), (9, 6, 4, 1)])
+    def test_bands_concatenate_to_the_upsampled_bytes(self, side, c, c_guide, ratio, fused):
+        # fused: one (ratio, W, C) band per row of input cells, from one
+        # reused buffer; naive: the whole output as one band
+        rng = np.random.default_rng(side + ratio)
+        x = rand_map(rng, side, side, c)
+        y = FeatureMap(rng.random((side * ratio, side * ratio, c_guide), dtype=np.float32))
+        params = generate_params(c_in=c, c_guide=c_guide, seed=1)
+        cfg = UpsampleConfig(ratio=ratio)
+        bands = []
+        res = run_pipeline(x, y, params, cfg, fused=fused, sink=lambda name, fmap: None,
+                           rows=lambda band: bands.append(band.copy()))
+        assert res.output is None
+        assert [band.shape for band in bands] == (
+            [(ratio, side * ratio, c)] * side if fused else [(side * ratio, side * ratio, c)])
+        assert all(band.dtype == np.float32 for band in bands)
+        want = resfu_upsample(x, y, params, cfg, fused=fused)
+        assert np.concatenate(bands).tobytes() == want.data.tobytes()
+
+    def test_streamed_fused_apply_allocates_no_output(self):
+        # 8x8x384 -> 64x64 at ratio 8: the traced peak of a streamed apply
+        # is its one-band buffer and scratch, below a quarter of the 6 MiB
+        # output it emits
+        rng = np.random.default_rng(27)
+        x = rand_map(rng, 8, 8, 384)
+        weights = softmax_rows(rand_map(rng, 64, 64, 9))
+        out_bytes = 64 * 64 * 384 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert kernel_apply_fns(weights, x, 8, rows=lambda band: None) is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < out_bytes / 4
+
+
 class TestKernelApplyFns:
     def _one_hot(self, h, w, kernel=3, slot=None):
         slot = (kernel * kernel - 1) // 2 if slot is None else slot
