@@ -6,6 +6,9 @@ codes are a stable contract: 0 success, 1 a correctness check failed
 is named on stderr), 3 shape or ratio mismatches, 4 out of memory.
 `upsample` streams the pipeline's output into --out band by band, so it is
 never held whole, and a failed run leaves any earlier --out as it was.
+Every written file's full size is reserved before it is filled, so a disk
+too full for --out exits 2, naming --out, before any stage runs or any
+dump is written.
 """
 
 from __future__ import annotations
@@ -145,8 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ups.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored: resfu runs on the calling thread")
     ups.add_argument("--out", required=True,
-                     help="output .rsft path; the full pipeline streams its output into it band "
-                          "by band, and the file appears only once complete")
+                     help="output .rsft path; its full size is reserved before any stage runs "
+                          "(a full disk exits 2 at once), the full pipeline streams its output "
+                          "into it band by band, and the file appears only once complete")
     ups.set_defaults(handler=_cmd_upsample)
 
     vis = sub.add_parser("visualize", help="render a feature map to a PPM image")

@@ -32,6 +32,7 @@ from .tensor import (
     TensorFormatError,
     TruncatedPayload,
     UnsupportedVersion,
+    _write_file,
     read_tensor_at,
     serialize,
 )
@@ -206,8 +207,11 @@ def deserialize_params(buf) -> ResfuParams:
 
 
 def save_params(path, params: ResfuParams) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize_params(params))
+    """Write serialize_params(params) atomically and preallocated, as
+    save_tensor writes a map: an earlier bundle stays whole until the new
+    one is complete."""
+    blob = serialize_params(params)
+    _write_file(path, len(blob), lambda write: write(blob))
 
 
 def load_params(path) -> ResfuParams:

@@ -221,8 +221,10 @@ def _quiet_cli(argv: list[str]) -> int:
 
 
 def check_cli_determinism(seed: int = 0) -> CheckResult:
-    """`upsample` with a fixed seed: repeated runs must write byte-identical
-    outputs."""
+    """`upsample` with a fixed seed: repeated runs onto one --out path must
+    write byte-identical outputs.  Before each repeat the path is given a
+    stale file, so every repeat saves over an existing file and one that
+    does not replace it shows as a mismatch."""
     rng = np.random.default_rng(seed)
     with tempfile.TemporaryDirectory() as tmp:
         x_path = os.path.join(tmp, "x.rsft")
@@ -234,8 +236,11 @@ def check_cli_determinism(seed: int = 0) -> CheckResult:
                        "--out", w_path]) != 0:
             return CheckResult("upsample-determinism", 1.0, EXACT, "gen-weights failed")
 
-        def run(tag):
-            out_path = os.path.join(tmp, f"out_{tag}.rsft")
+        out_path = os.path.join(tmp, "out.rsft")
+
+        def run():
+            with open(out_path, "wb") as fh:
+                fh.write(b"stale")
             code = _quiet_cli([
                 "upsample", "--input", x_path, "--guide", y_path, "--weights", w_path,
                 "--ratio", "4", "--out", out_path,
@@ -245,13 +250,13 @@ def check_cli_determinism(seed: int = 0) -> CheckResult:
             with open(out_path, "rb") as fh:
                 return fh.read()
 
-        blobs = [run(f"rep{i}") for i in range(3)]
+        blobs = [run() for _ in range(3)]
         if any(b is None for b in blobs):
             return CheckResult("upsample-determinism", 1.0, EXACT, "a run failed")
-        mismatches = sum(b != blobs[0] for b in blobs[1:])
+        mismatches = sum(b != blobs[0] or b == b"stale" for b in blobs)
         return CheckResult(
             "upsample-determinism", float(mismatches), EXACT,
-            "3 repeats, byte compare",
+            "3 repeats over a stale --out, byte compare",
         )
 
 

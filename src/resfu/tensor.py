@@ -21,13 +21,34 @@ offset order above.  Serialization is bit-exact: deserialize(serialize(m))
 reproduces every payload byte.  save_tensor writes the same bytes as
 serialize without building them, the payload straight from the map's
 buffer; given a shape and a `fill` callback instead, it takes the payload
-in pieces, such as the bands of a streamed output.  It writes a ".part"
-sibling and moves it onto the path only once complete.
+in pieces, such as the bands of a streamed output.
+
+Every file resfu writes (maps, weight bundles, PPM images) goes through one
+writer, _write_file: it writes a ".part" sibling and moves it onto the path
+only once complete, so a failed or killed write leaves an earlier file as
+it was.  Before any byte is written it reserves the file's final size with
+posix_fallocate.  A full disk then fails before the work that would fill
+the file, and the reserved blocks are allocated already: ext4 flushes a
+file's delayed-allocation blocks when it is renamed over an existing file
+(auto_da_alloc), which made a save over an earlier file wait for the new
+one's writeback.  Where the platform has no posix_fallocate, or it fails as
+unsupported, the write goes on without it; glibc emulates it on a file
+system without native preallocation by writing one byte into every block
+first, so there the file's blocks are written twice.
+
+That flush was also what kept the old file or the new one across a machine
+crash, and nothing here replaces it: no save is fsynced.  After a crash or
+power loss within the kernel's writeback delay (about 30 s by default on
+Linux), a saved path can hold a zero-filled file of its full size in place
+of both; a .rsft or .rsfw file then fails to load with BadMagic.  Every
+file the CLI writes can be made again by running its command again.  An
+fsync before the rename would cost what the preallocation saves.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import struct
 from collections.abc import Callable
@@ -188,14 +209,49 @@ def deserialize(buf) -> FeatureMap:
     return fmap
 
 
+# posix_fallocate errors that mean "cannot preallocate here", not "no room"
+_NO_PREALLOCATION = (errno.EOPNOTSUPP, errno.EINVAL, errno.ENOSYS)
+
+
+def _write_file(path, size: int, fill: Callable[[Callable[[bytes], None]], None]) -> None:
+    """Write the `size` bytes that fill(write) passes to `write` to `path`.
+
+    The bytes go to `path` + ".part", whose full size is reserved first;
+    fill must write exactly `size` bytes.  The ".part" replaces `path` once
+    fill returns; on any exception it is removed and `path` is left as it
+    was.  A failed reservation (ENOSPC, EFBIG, EDQUOT) raises OSError naming
+    `path` before fill is called.  Nothing is fsynced (see the module
+    docstring).
+    """
+    part = os.fspath(path) + ".part"
+    try:
+        with open(part, "wb") as fh:
+            fallocate = getattr(os, "posix_fallocate", None)  # not on every platform
+            if fallocate is not None:
+                try:
+                    fallocate(fh.fileno(), 0, size)
+                except OSError as err:
+                    if err.errno not in _NO_PREALLOCATION:
+                        raise OSError(err.errno, os.strerror(err.errno), os.fspath(path)) from err
+            fill(fh.write)
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)
+        raise
+
+
 def save_tensor(path, fmap: FeatureMap | tuple[int, int, int],
                 fill: Callable[[Callable[[np.ndarray], None]], None] | None = None) -> None:
     """save_tensor(path, fmap) writes serialize(fmap) with no copy of the
     payload.  save_tensor(path, (H, W, C), fill) calls fill(write), where
     each write(values) appends a float32 array's values in payload order;
-    exactly 4*H*W*C bytes must arrive, else TensorFormatError.  The bytes
-    go to `path` + ".part", which replaces `path` once complete; on any
-    exception the ".part" file is removed and `path` is left as it was."""
+    exactly 4*H*W*C bytes must arrive, else TensorFormatError.  The file's
+    full size is reserved before fill runs, so a full disk fails before the
+    payload is computed.  The bytes go to `path` + ".part", which replaces
+    `path` once complete; on any exception the ".part" file is removed and
+    `path` is left as it was.  The file is not fsynced: after a machine
+    crash `path` may hold zeros (see the module docstring)."""
     shape = fmap.shape if fill is None else tuple(fmap)
     if fill is None:
         fill = lambda write: write(fmap.data)  # noqa: E731
@@ -203,28 +259,24 @@ def save_tensor(path, fmap: FeatureMap | tuple[int, int, int],
         raise TensorFormatError(f"a .rsft payload needs three dims >= 1, got {shape}")
     h, w, c = shape
     nbytes = 4 * h * w * c
-    written = 0
 
-    def write(values: np.ndarray) -> None:
-        nonlocal written
-        data = np.ascontiguousarray(values, "<f4")  # a copy only on big-endian hosts
-        written += data.nbytes
-        if written > nbytes:
-            raise TensorFormatError(f"more than the {nbytes} payload bytes of {h}x{w}x{c} written")
-        fh.write(data)
+    def fill_file(write_bytes) -> None:
+        written = 0
 
-    part = os.fspath(path) + ".part"
-    try:
-        with open(part, "wb") as fh:
-            fh.write(_header(shape))
-            fill(write)
-            if written != nbytes:
-                raise TensorFormatError(f"{written} of the {nbytes} payload bytes of {h}x{w}x{c} written")
-        os.replace(part, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(part)
-        raise
+        def write(values: np.ndarray) -> None:
+            nonlocal written
+            data = np.ascontiguousarray(values, "<f4")  # a copy only on big-endian hosts
+            written += data.nbytes
+            if written > nbytes:
+                raise TensorFormatError(f"more than the {nbytes} payload bytes of {h}x{w}x{c} written")
+            write_bytes(data)
+
+        write_bytes(_header(shape))
+        fill(write)
+        if written != nbytes:
+            raise TensorFormatError(f"{written} of the {nbytes} payload bytes of {h}x{w}x{c} written")
+
+    _write_file(path, HEADER_SIZE + nbytes, fill_file)
 
 
 def load_tensor(path) -> FeatureMap:

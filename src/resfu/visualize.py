@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import ShapeMismatch
-from .tensor import FeatureMap
+from .tensor import FeatureMap, _write_file
 
 MID_GRAY = 128
 _VARIANCE_FLOOR = 1e-10  # eigenvalues below floor * largest count as zero
@@ -64,5 +64,7 @@ def encode_ppm(rgb: np.ndarray) -> bytes:
 
 
 def save_ppm(path, rgb: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        fh.write(encode_ppm(rgb))
+    """Write encode_ppm(rgb) atomically and preallocated, as save_tensor
+    writes a map."""
+    blob = encode_ppm(rgb)
+    _write_file(path, len(blob), lambda write: write(blob))

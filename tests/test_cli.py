@@ -4,6 +4,7 @@ mapping (0 ok, 1 failed check, 2 file/parse trouble, 3 shape/ratio trouble,
 
 import dataclasses
 import errno
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -51,6 +52,18 @@ def upsample_args(ws, **overrides):
     return ["upsample"] + [piece for pair in args.items() for piece in pair]
 
 
+def no_room_for(monkeypatch, size):
+    """Make os.posix_fallocate fail with ENOSPC for a file of `size` bytes."""
+    real = os.posix_fallocate
+
+    def full(fd, offset, length):
+        if length == size:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        real(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", full)
+
+
 class TestGenWeights:
     def test_writes_loadable_deterministic_bundle(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a.rsfw", tmp_path / "b.rsfw"
@@ -78,6 +91,17 @@ class TestGenWeights:
                        "--out", str(tmp_path / "no" / "dir" / "w.rsfw")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_full_disk_keeps_the_earlier_bundle(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "w.rsfw"
+        args = ["gen-weights", "--cin", "4", "--cguide", "2", "--out", str(out)]
+        assert cli.main(args + ["--seed", "1"]) == 0
+        before = out.read_bytes()
+        no_room_for(monkeypatch, len(before))
+        assert cli.main(args + ["--seed", "2"]) == 2
+        assert str(out) in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["w.rsfw"]
 
 
 class TestUpsample:
@@ -344,6 +368,21 @@ class TestStreamedOut:
         assert sorted(p.name for p in workspace.iterdir()) == ["dump", "w.rsfw", "x.rsft", "y.rsft"]
         assert len(list(dump.iterdir())) == 7  # every stage before the apply finished
 
+    def test_full_disk_for_out_exits_two_before_any_stage(self, workspace, capsys, monkeypatch):
+        out, dump = workspace / "out.rsft", workspace / "dump"
+        assert cli.main(upsample_args(workspace)) == 0
+        before = out.read_bytes()
+        no_room_for(monkeypatch, len(before))
+        ran = []
+        monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: ran.append(args))
+        assert cli.main(upsample_args(workspace) + ["--dump-dir", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert ran == []
+        assert list(dump.iterdir()) == []
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in workspace.iterdir()) == ["dump", "out.rsft", "w.rsfw", "x.rsft", "y.rsft"]
+
     def test_peak_stays_below_the_output(self, tmp_path):
         # 16x16x384 -> 128x128 at ratio 8: the 24 MiB output goes into --out
         # band by band, so the traced peak of the whole command stays below
@@ -377,6 +416,17 @@ class TestVisualize:
         rc = cli.main(["visualize", "--input", str(workspace / "x.rsft"),
                        "--out", str(img), "--mode", "channel", "--channel", "5"])
         assert rc == 0 and img.exists()
+
+    def test_full_disk_keeps_the_earlier_image(self, workspace, capsys, monkeypatch):
+        img = workspace / "x.ppm"
+        args = ["visualize", "--input", str(workspace / "x.rsft"), "--out", str(img)]
+        assert cli.main(args) == 0
+        before = img.read_bytes()
+        no_room_for(monkeypatch, len(before))
+        assert cli.main(args + ["--mode", "channel"]) == 2
+        assert str(img) in capsys.readouterr().err
+        assert img.read_bytes() == before
+        assert not (workspace / "x.ppm.part").exists()
 
     def test_channel_out_of_range_exits_three(self, workspace):
         rc = cli.main(["visualize", "--input", str(workspace / "x.rsft"),

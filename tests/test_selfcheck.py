@@ -1,6 +1,8 @@
 """Diagnostic-suite tests: check-result bookkeeping, the individual checks at
 reduced case counts, and the micro-benchmark harness."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from resfu.ops import ShapeMismatch
 from resfu.selfcheck import (
     CheckResult,
     check_anti_mosaic,
+    check_cli_determinism,
     check_constant_preservation,
     check_degenerate_scores,
     check_format_round_trips,
@@ -79,6 +82,22 @@ class TestIndividualChecks:
         trips, magic = check_format_round_trips(seed=8, bundles=3)
         assert trips.passed and trips.max_error == 0.0
         assert magic.passed and magic.name == "corrupted-magic-rejected"
+
+    def test_cli_determinism_passes(self):
+        result = check_cli_determinism(seed=2)
+        assert result.passed and result.name == "upsample-determinism"
+
+    def test_cli_determinism_fails_when_a_save_never_replaces_the_path(self, monkeypatch):
+        real = os.replace
+
+        def replace_only_missing(src, dst):
+            if os.path.exists(dst):
+                os.remove(src)  # the new file is dropped and the old one kept
+            else:
+                real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_only_missing)
+        assert not check_cli_determinism(seed=2).passed
 
     def test_weights_file_check_fails_on_garbage(self, tmp_path):
         path = tmp_path / "junk.rsfw"
