@@ -39,7 +39,6 @@ from .upsampler import (
     ResfuParams,
     UpsampleConfig,
     generate_params,
-    innerprod_upsample,
     kernel_apply_fns,
     resfu_upsample,
     run_pipeline,
@@ -70,7 +69,6 @@ __all__ = [
     "group_normalize",
     "grouped_pointwise_conv",
     "guided_filter",
-    "innerprod_upsample",
     "kernel_apply_fns",
     "load_params",
     "load_tensor",

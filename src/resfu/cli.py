@@ -4,8 +4,9 @@ Subcommands: gen-weights, upsample, visualize, selfcheck, bench.  Exit
 codes are a stable contract: 0 success, 1 a correctness check failed
 (including NaN or Inf in an input), 2 file/parse problems (the failing path
 is named on stderr), 3 shape or ratio mismatches, 4 out of memory.
-`upsample` streams the pipeline's output into --out band by band, so it is
-never held whole, and a failed run leaves any earlier --out as it was.
+`upsample` streams run_pipeline's output, also the inner-product baseline's,
+into --out band by band, so it is never held whole, and a failed run leaves
+any earlier --out as it was.
 Every written file's full size is reserved before it is filled, so a disk
 too full for --out exits 2, naming --out, before any stage runs or any
 dump is written.
@@ -16,6 +17,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from .bench import EQUIVALENCE_TOL, CheckFailed, run_bench
 from .ops import ChannelGroupMismatch, ShapeMismatch, bilinear_resize, nearest_resize
@@ -29,7 +32,6 @@ from .upsampler import (
     UpsampleConfig,
     check_guide,
     generate_params,
-    innerprod_upsample,
     run_pipeline,
 )
 from .visualize import channel_rgb, pca_rgb, save_ppm
@@ -64,14 +66,11 @@ def _cmd_upsample(args) -> int:
     cfg = UpsampleConfig(ratio=args.ratio)
     if args.kernel is not None and args.kernel != params.kernel:
         raise ShapeMismatch(f"--kernel {args.kernel}, but {args.weights} holds kernel {params.kernel}")
-    fused = args.fused == "true"
 
     if args.baseline in ("bilinear", "nearest"):
         check_guide(x, y, cfg.ratio)
         resize = bilinear_resize if args.baseline == "bilinear" else nearest_resize
         save_tensor(args.out, resize(x, y.height, y.width))
-    elif args.baseline == "innerprod":
-        save_tensor(args.out, innerprod_upsample(x, y, params, cfg, fused=fused))
     else:
         if args.dump_dir is not None:
             os.makedirs(args.dump_dir, exist_ok=True)
@@ -81,13 +80,16 @@ def _cmd_upsample(args) -> int:
                 save_tensor(os.path.join(args.dump_dir, f"{name}.rsft"), fmap)
 
         save_tensor(args.out, (y.height, y.width, x.channels),
-                    lambda write: run_pipeline(x, y, params, cfg, fused=fused, sink=dump, rows=write))
+                    lambda write: run_pipeline(x, y, params, cfg, fused=args.fused == "true",
+                                               similarity=args.baseline or "pcdc", sink=dump, rows=write))
     print(f"wrote {args.out} ({y.height}x{y.width}x{x.channels})")
     return 0
 
 
 def _cmd_visualize(args) -> int:
     fmap = _load_checked(load_tensor, args.input)
+    if not np.isfinite(fmap.data).all():  # no PCA or min-max scaling of them is defined
+        raise NonFiniteInput(f"{args.input} holds NaN or infinite values")
     rgb = pca_rgb(fmap) if args.mode == "pca" else channel_rgb(fmap, args.channel)
     save_ppm(args.out, rgb)
     print(f"wrote {args.out}")
@@ -143,13 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ups.add_argument("--fused", choices=["true", "false"], default="true")
     ups.add_argument("--dump-dir", default=None,
                      help="also write pipeline intermediates here, each as its stage finishes "
-                          "(full pipeline only); if a later stage fails, the maps of the finished "
-                          "stages stay on disk and no output is written")
+                          "(--baseline innerprod writes q, k_up and kernels; the resize baselines "
+                          "write none); if a later stage fails, the maps of the finished stages "
+                          "stay on disk and no output is written")
     ups.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored: resfu runs on the calling thread")
     ups.add_argument("--out", required=True,
                      help="output .rsft path; its full size is reserved before any stage runs "
-                          "(a full disk exits 2 at once), the full pipeline streams its output "
+                          "(a full disk exits 2 at once), all but the resize baselines stream "
                           "into it band by band, and the file appears only once complete")
     ups.set_defaults(handler=_cmd_upsample)
 

@@ -9,11 +9,12 @@ guide y (H x W x c), the pipeline is:
     s_s     <- pcdc_block(q_gf, k_up)          # semantic branch scores
     q_gs    <- gaussian_smooth3(q)             # self-similarity reference
     s_d     <- pcdc_block(q, q_gs)             # detail branch scores
-    scores  <- s_s + s_d
+    scores  <- s_s + s_d      (similarity="innerprod": q . k_up instead)
     kernels <- softmax_rows(scores)
     out_i   <- sum_n kernels[i, n] * x_up[N(i)_n]
 
-run_pipeline is the one path through these stages.  It either collects
+run_pipeline is the one path through these stages, the inner-product
+baseline's too (it makes no q_gf, s_s, q_gs or s_d).  It either collects
 every intermediate or hands each one to a sink as it is made and keeps a
 map only until the last stage that reads it; resfu_upsample keeps none, so
 when the value channels C far exceed D its peak is little more than the
@@ -303,9 +304,9 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused
 
 @dataclass
 class PipelineResult:
-    """The output of one upsampling run (None when streamed to `rows`),
-    with every intermediate when run_pipeline collected them (None when a
-    sink received them instead)."""
+    """The output of one upsampling run (None when streamed to `rows`) and,
+    when run_pipeline collected them, its intermediates (None when a sink
+    received them, and q_gf, s_s, q_gs and s_d in the innerprod baseline)."""
 
     output: FeatureMap | None
     q: FeatureMap | None = None
@@ -320,10 +321,12 @@ class PipelineResult:
 
 
 def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
-                 fused: bool = True, threads: int = 1, *,
+                 fused: bool = True, threads: int = 1, *, similarity: str = "pcdc",
                  sink: Callable[[str, FeatureMap], None] | None = None,
                  rows: Callable[[np.ndarray], None] | None = None) -> PipelineResult:
-    """Run every stage once.
+    """Run every stage once.  `similarity` is "pcdc", the two score blocks,
+    or "innerprod", the baseline that scores with inner_product_scores(q,
+    k_up) in their place; any other value raises ValueError.
 
     Without a sink the result keeps every intermediate.  With one,
     sink(name, fmap) is called once per intermediate, named after its
@@ -344,6 +347,8 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
 
     `threads` is accepted and ignored: every stage runs on the calling
     thread."""
+    if similarity not in ("pcdc", "innerprod"):
+        raise ValueError(f"similarity must be 'pcdc' or 'innerprod', got {similarity!r}")
     maps: dict[str, FeatureMap] = {}
     emit = maps.__setitem__ if sink is None else sink
     live: dict[str, FeatureMap] = {}  # maps a later stage reads; the last reader pops them
@@ -358,12 +363,15 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     made("k", k)
     del q, k
     made("k_up", bilinear_resize(live.pop("k"), y.height, y.width))
-    made("q_gf", guided_filter(live["q"], live["k_up"], GuidedFilterConfig()))
-    made("s_s", pcdc_block(live.pop("q_gf"), live.pop("k_up"), params.block_s, cfg.ratio))
-    made("q_gs", gaussian_smooth3(live["q"]))
-    made("s_d", pcdc_block(live["q"], live.pop("q_gs"), params.block_d, cfg.ratio))
-    del live["q"]
-    made("scores", FeatureMap.adopt(live.pop("s_s").data + live.pop("s_d").data))
+    if similarity == "innerprod":
+        made("scores", inner_product_scores(live.pop("q"), live.pop("k_up"), params.kernel, cfg.ratio))
+    else:
+        made("q_gf", guided_filter(live["q"], live["k_up"], GuidedFilterConfig()))
+        made("s_s", pcdc_block(live.pop("q_gf"), live.pop("k_up"), params.block_s, cfg.ratio))
+        made("q_gs", gaussian_smooth3(live["q"]))
+        made("s_d", pcdc_block(live["q"], live.pop("q_gs"), params.block_d, cfg.ratio))
+        del live["q"]
+        made("scores", FeatureMap.adopt(live.pop("s_s").data + live.pop("s_d").data))
     made("kernels", softmax_rows(live.pop("scores")))
     output = kernel_apply_fns(live.pop("kernels"), x, cfg.ratio, fused=fused, rows=rows)
     return PipelineResult(output, **maps)
@@ -393,17 +401,6 @@ def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: in
         shifted = padded[pad + di : pad + di + h, pad + dj : pad + dj + w]
         np.einsum("hwd,hwd->hw", q64, shifted, out=scores[:, :, n])
     return FeatureMap(scores)
-
-
-def innerprod_upsample(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
-                       fused: bool = True) -> FeatureMap:
-    """Baseline pipeline with both score branches replaced by the
-    inner-product similarity."""
-    check_guide(x, y, cfg.ratio)
-    q, k = project_qk(x, y, params.proj)
-    k_up = bilinear_resize(k, y.height, y.width)
-    kernels = softmax_rows(inner_product_scores(q, k_up, params.kernel, cfg.ratio))
-    return kernel_apply_fns(kernels, x, cfg.ratio, fused=fused)
 
 
 # --- deterministic parameter synthesis --------------------------------------

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from innerprod_reference import innerprod_chain
 
 from resfu import cli, upsampler
 from resfu.ops import ShapeMismatch, bilinear_resize, nearest_resize
@@ -24,7 +25,6 @@ from resfu.upsampler import (
     RowNotNormalized,
     UpsampleConfig,
     generate_params,
-    innerprod_upsample,
     run_pipeline,
 )
 
@@ -211,15 +211,23 @@ class TestUpsample:
         np.testing.assert_array_equal(got.data, want.data)
 
     def test_innerprod_baseline(self, workspace):
-        assert cli.main(upsample_args(workspace) + ["--baseline", "innerprod"]) == 0
-        got = load_tensor(workspace / "out.rsft")
-        want = innerprod_upsample(
-            load_tensor(workspace / "x.rsft"),
-            load_tensor(workspace / "y.rsft"),
-            load_params(workspace / "w.rsfw"),
-            UpsampleConfig(ratio=2),
-        )
-        np.testing.assert_array_equal(got.data, want.data)
+        x, y = load_tensor(workspace / "x.rsft"), load_tensor(workspace / "y.rsft")
+        params = load_params(workspace / "w.rsfw")
+        for fused in ("true", "false"):
+            assert cli.main(upsample_args(workspace, **{"--fused": fused}) + ["--baseline", "innerprod"]) == 0
+            want = innerprod_chain(x, y, params, 2, fused=fused == "true")["output"]
+            save_tensor(workspace / "want.rsft", want)
+            assert (workspace / "out.rsft").read_bytes() == (workspace / "want.rsft").read_bytes(), fused
+
+    def test_innerprod_dump_dir_writes_its_intermediates(self, workspace):
+        dump = workspace / "dump"
+        assert cli.main(upsample_args(workspace) + ["--baseline", "innerprod", "--dump-dir", str(dump)]) == 0
+        assert {p.name for p in dump.iterdir()} == {"q.rsft", "k_up.rsft", "kernels.rsft"}
+        result = run_pipeline(load_tensor(workspace / "x.rsft"), load_tensor(workspace / "y.rsft"),
+                              load_params(workspace / "w.rsfw"), UpsampleConfig(ratio=2), similarity="innerprod")
+        for path in dump.iterdir():
+            save_tensor(workspace / "want.rsft", getattr(result, path.stem))
+            assert path.read_bytes() == (workspace / "want.rsft").read_bytes(), path.name
 
     def test_missing_input_exits_two_and_names_path(self, workspace, capsys):
         missing = str(workspace / "absent.rsft")
@@ -369,40 +377,44 @@ class TestStreamedOut:
         assert len(list(dump.iterdir())) == 7  # every stage before the apply finished
 
     def test_full_disk_for_out_exits_two_before_any_stage(self, workspace, capsys, monkeypatch):
+        # the full pipeline and the inner-product baseline, through one path
         out, dump = workspace / "out.rsft", workspace / "dump"
         assert cli.main(upsample_args(workspace)) == 0
         before = out.read_bytes()
         no_room_for(monkeypatch, len(before))
         ran = []
-        monkeypatch.setattr(cli, "run_pipeline", lambda *args, **kwargs: ran.append(args))
-        assert cli.main(upsample_args(workspace) + ["--dump-dir", str(dump)]) == 2
-        err = capsys.readouterr().err
-        assert str(out) in err and "Traceback" not in err
-        assert ran == []
-        assert list(dump.iterdir()) == []
-        assert out.read_bytes() == before
+        monkeypatch.setattr(upsampler, "project_qk", lambda *args: ran.append(args))
+        for baseline in ([], ["--baseline", "innerprod"]):
+            assert cli.main(upsample_args(workspace) + baseline + ["--dump-dir", str(dump)]) == 2
+            err = capsys.readouterr().err
+            assert str(out) in err and "Traceback" not in err
+            assert ran == []
+            assert list(dump.iterdir()) == []
+            assert out.read_bytes() == before
         assert sorted(p.name for p in workspace.iterdir()) == ["dump", "out.rsft", "w.rsfw", "x.rsft", "y.rsft"]
 
     def test_peak_stays_below_the_output(self, tmp_path):
         # 16x16x384 -> 128x128 at ratio 8: the 24 MiB output goes into --out
         # band by band, so the traced peak of the whole command stays below
-        # 0.75 of it (1.1x while the output was held whole for one write)
+        # 0.75 of it, for the full pipeline and the inner-product baseline
+        # alike (1.1x and 1.27x while the output was held whole for one write)
         rng = np.random.default_rng(6)
         save_tensor(tmp_path / "x.rsft", FeatureMap(rng.standard_normal((16, 16, 384), dtype=np.float32)))
         save_tensor(tmp_path / "y.rsft", FeatureMap(rng.random((128, 128, 3), dtype=np.float32)))
         assert cli.main(["gen-weights", "--cin", "384", "--cguide", "3", "--out", str(tmp_path / "w.rsfw")]) == 0
-        args = upsample_args(tmp_path, **{"--ratio": "8"})
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            rc = cli.main(args)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
         out_bytes = 128 * 128 * 384 * 4
-        assert rc == 0
-        assert (tmp_path / "out.rsft").stat().st_size == HEADER_SIZE + out_bytes
-        assert peak < 0.75 * out_bytes
+        for baseline in ([], ["--baseline", "innerprod"]):
+            args = upsample_args(tmp_path, **{"--ratio": "8"}) + baseline
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                rc = cli.main(args)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            assert (tmp_path / "out.rsft").stat().st_size == HEADER_SIZE + out_bytes
+            assert peak < 0.75 * out_bytes, (baseline, peak / out_bytes)
 
 
 class TestVisualize:
@@ -427,6 +439,21 @@ class TestVisualize:
         assert str(img) in capsys.readouterr().err
         assert img.read_bytes() == before
         assert not (workspace / "x.ppm.part").exists()
+
+    @pytest.mark.parametrize("mode", ["pca", "channel"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_exits_one(self, workspace, capsys, mode, bad):
+        x = load_tensor(workspace / "x.rsft").data.copy()
+        x[2, 5, 1] = bad
+        save_tensor(workspace / "bad.rsft", FeatureMap(x))
+        img = workspace / "bad.ppm"
+        rc = cli.main(["visualize", "--input", str(workspace / "bad.rsft"), "--out", str(img),
+                       "--mode", mode, "--channel", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not img.exists() and not (workspace / "bad.ppm.part").exists()
 
     def test_channel_out_of_range_exits_three(self, workspace):
         rc = cli.main(["visualize", "--input", str(workspace / "x.rsft"),

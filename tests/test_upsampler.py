@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from innerprod_reference import innerprod_chain
 
 from resfu import upsampler
 from resfu.guided_filter import GuidedFilterConfig, guided_filter
@@ -38,7 +39,6 @@ from resfu.upsampler import (
     _window_taps,
     generate_params,
     inner_product_scores,
-    innerprod_upsample,
     kernel_apply_fns,
     project_qk,
     resfu_upsample,
@@ -548,9 +548,21 @@ class TestResfuUpsample:
             raise AssertionError("a stage ran on a non-finite guide")
 
         monkeypatch.setattr(upsampler, "project_qk", no_stage)
-        for upsample in (resfu_upsample, innerprod_upsample):
+        for similarity in ("pcdc", "innerprod"):
             with pytest.raises(NonFiniteInput, match="guide"):
-                upsample(rand_map(rng, 5, 5, 4), FeatureMap(y), params, UpsampleConfig(ratio=2))
+                run_pipeline(rand_map(rng, 5, 5, 4), FeatureMap(y), params, UpsampleConfig(ratio=2),
+                             similarity=similarity)
+
+    def test_unknown_similarity_rejected_before_any_stage(self, monkeypatch):
+        def no_stage(*args):
+            raise AssertionError("a stage ran for an unknown similarity")
+
+        monkeypatch.setattr(upsampler, "check_guide", no_stage)
+        rng = np.random.default_rng(39)
+        for similarity in ("dot", "PCDC", None):
+            with pytest.raises(ValueError, match="similarity"):
+                run_pipeline(rand_map(rng, 5, 5, 4), rand_map(rng, 10, 10, 2), generate_params(4, 2),
+                             UpsampleConfig(ratio=2), similarity=similarity)
 
 
 class TestInnerProductScores:
@@ -594,11 +606,46 @@ class TestInnerProductScores:
         assert peak <= 4 * q.astype64().nbytes
 
     def test_baseline_pipeline_shapes_and_rows(self):
+        # fused: one (ratio, W, C) band per row of input cells; naive: one band
         rng = np.random.default_rng(43)
+        x, y = rand_map(rng, 6, 5, 3), rand_map(rng, 12, 10, 2)
         params = generate_params(c_in=3, c_guide=2)
-        out = innerprod_upsample(rand_map(rng, 6, 5, 3), rand_map(rng, 12, 10, 2),
-                                 params, UpsampleConfig(ratio=2))
-        assert out.shape == (12, 10, 3)
+        for fused in (True, False):
+            want = innerprod_chain(x, y, params, 2, fused=fused)["output"]
+            bands = []
+            res = run_pipeline(x, y, params, UpsampleConfig(ratio=2), fused=fused, similarity="innerprod",
+                               sink=lambda name, fmap: None, rows=lambda band: bands.append(band.copy()))
+            assert res.output is None
+            assert [band.shape for band in bands] == ([(2, 10, 3)] * 6 if fused else [(12, 10, 3)])
+            assert np.concatenate(bands).tobytes() == want.data.tobytes()
+
+
+class TestInnerProductBaseline:
+    """run_pipeline(similarity="innerprod") against the hand-built chain."""
+
+    def _inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return rand_map(rng, 5, 4, 6), rand_map(rng, 15, 12, 5), small_params(rng)
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_collected_maps_equal_the_chain_bitwise(self, fused):
+        x, y, params = self._inputs(45)
+        want = innerprod_chain(x, y, params, 3, fused=fused)
+        res = run_pipeline(x, y, params, UpsampleConfig(ratio=3), fused=fused, similarity="innerprod")
+        for name, fmap in want.items():
+            assert getattr(res, name).data.tobytes() == fmap.data.tobytes(), name
+        assert res.q_gf is res.s_s is res.q_gs is res.s_d is None
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_sink_gets_the_chain_maps_in_stage_order(self, fused):
+        x, y, params = self._inputs(46)
+        want = innerprod_chain(x, y, params, 3, fused=fused)
+        seen = []
+        res = run_pipeline(x, y, params, UpsampleConfig(ratio=3), fused=fused, similarity="innerprod",
+                           sink=lambda name, fmap: seen.append((name, fmap.data.tobytes())))
+        assert [name for name, _ in seen] == ["q", "k", "k_up", "scores", "kernels"]
+        assert all(blob == want[name].data.tobytes() for name, blob in seen)
+        assert res.output.data.tobytes() == want["output"].data.tobytes()
 
 
 class TestGenerateParams:
