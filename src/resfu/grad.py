@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ShapeMismatch, _odd_kernel, _resize_linear, axis_linear_coords, neighbor_offsets
+from .ops import ShapeMismatch, _odd_kernel, _resize_linear, _softmax64, axis_linear_coords, neighbor_offsets
 from .oracle import max_rel_error
 from .pcdc import _pcdc_core
 from .upsampler import _apply_naive
@@ -50,19 +50,10 @@ class GradCheckReport:
 # --- 64-bit helpers ---------------------------------------------------------
 
 
-def _clamped_indices(h, w, offsets, dilation):
+def _clamped_indices(h, w, offsets):
     rows = np.arange(h)[:, None]
     cols = np.arange(w)[None, :]
-    return [
-        (np.clip(rows + di * dilation, 0, h - 1), np.clip(cols + dj * dilation, 0, w - 1))
-        for di, dj in offsets
-    ]
-
-
-def _softmax64(scores):
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return [(np.clip(rows + di, 0, h - 1), np.clip(cols + dj, 0, w - 1)) for di, dj in offsets]
 
 
 # --- finite differences ------------------------------------------------------
@@ -125,7 +116,7 @@ def pcdc_backward(upstream, q_bar, k_bar, weight, bias, groups: int, dilation: i
     kernel = int(round(ksq**0.5))
     out_per = l_out // groups
     wsum = weight.sum(axis=0)
-    index_maps = _clamped_indices(h, w, neighbor_offsets(kernel, dilation), 1)
+    index_maps = _clamped_indices(h, w, neighbor_offsets(kernel, dilation))
 
     d_q = np.zeros_like(q)
     d_k = np.zeros_like(k)
@@ -171,7 +162,7 @@ def kernel_apply_backward(upstream, weights, x, ratio: int):
         raise ShapeMismatch(
             f"upstream {upstream.shape}, weights {weights.shape}, and value {x.shape} disagree"
         )
-    index_maps = _clamped_indices(out_h, out_w, neighbor_offsets(kernel, ratio), 1)
+    index_maps = _clamped_indices(out_h, out_w, neighbor_offsets(kernel, ratio))
     x_up = _resize_linear(x, out_h, out_w)
 
     d_post = np.empty_like(weights)

@@ -428,9 +428,13 @@ def gather_neighbors(src: FeatureMap, kernel: int, dilation: int = 1) -> np.ndar
     return out
 
 
+def _softmax64(scores: np.ndarray) -> np.ndarray:
+    """Max-stabilized softmax across the last axis of a float64 array."""
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax_rows(scores: SimilarityScores) -> SimilarityScores:
     """Max-stabilized softmax across the slot (channel) axis of a score map."""
-    raw = scores.astype64()
-    shifted = raw - raw.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    return FeatureMap(e / e.sum(axis=2, keepdims=True))
+    return FeatureMap(_softmax64(scores.astype64()))

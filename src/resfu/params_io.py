@@ -4,23 +4,27 @@ Layout: magic "RSFW", version byte (1), three zero pad bytes, u32 LE entry
 count, then per entry a u32 LE name length, the UTF-8 name, and the tensor
 as an embedded .rsft blob.
 
-Every tensor is stored as a rank-3 map:
+The entries are the table _LAYOUT, in file order: each entry's name, the
+attribute path of its array in ResfuParams and that array's rank (the
+projections, then the s and d score blocks).  A bundle is the whole
+ResfuParams: the difference convs' group counts follow from their weights'
+shapes, and nothing else is settable.  param_arrays and params_from_arrays
+map between the two through that table.  Every tensor is stored as a
+rank-3 map:
 
     * rank-3 parameters keep their shape: the difference-conv weight
       (K*K, D/G, L) maps to H=K*K, W=D/G, C=L;
     * matrices (R, S) are stored as 1 x R x S;
     * vectors (n,) are stored as 1 x 1 x n.
 
-The entry set is fixed (projections, then the s and d score blocks); bundles
-with missing, duplicate, or unknown names, or a NaN or Inf value, are
-rejected.  A bundle is the whole ResfuParams: the difference convs' group
-counts follow from their weights' shapes, and nothing else is settable.
+Bundles with missing, duplicate, or unknown names, or a NaN or Inf value,
+are rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -41,90 +45,90 @@ from .upsampler import ProjectionParams, ResfuParams
 BUNDLE_MAGIC = b"RSFW"
 BUNDLE_VERSION = 1
 
-_BLOCK_FIELDS = (
-    "norm.gamma",
-    "norm.beta",
-    "pcdc.weight",
-    "pcdc.bias",
-    "comp.conv1.weight",
-    "comp.conv1.bias",
-    "comp.norm.gamma",
-    "comp.norm.beta",
-    "comp.conv2.weight",
-    "comp.conv2.bias",
+# Entry name, attribute path in ResfuParams, rank; "{t}" is the block's tag.
+_BLOCK_LAYOUT = (
+    ("norm_{t}.gamma", "norm.gamma", 1),
+    ("norm_{t}.beta", "norm.beta", 1),
+    ("pcdc_{t}.weight", "pcdc.weight", 3),
+    ("pcdc_{t}.bias", "pcdc.bias", 1),
+    ("comp_{t}.conv1.weight", "comp.conv1_weight", 2),
+    ("comp_{t}.conv1.bias", "comp.conv1_bias", 1),
+    ("comp_{t}.norm.gamma", "comp.norm.gamma", 1),
+    ("comp_{t}.norm.beta", "comp.norm.beta", 1),
+    ("comp_{t}.conv2.weight", "comp.conv2_weight", 2),
+    ("comp_{t}.conv2.bias", "comp.conv2_bias", 1),
 )
+_LAYOUT = (
+    ("proj_q.weight", "proj.weight_q", 2),
+    ("proj_q.bias", "proj.bias_q", 1),
+    ("proj_k.weight", "proj.weight_k", 2),
+    ("proj_k.bias", "proj.bias_k", 1),
+) + tuple((name.format(t=t), f"block_{t}.{path}", rank) for t in "sd" for name, path, rank in _BLOCK_LAYOUT)
 
-BUNDLE_ENTRY_NAMES = tuple(
-    ["proj_q.weight", "proj_q.bias", "proj_k.weight", "proj_k.bias"]
-    + [field.replace(".", f"_{tag}.", 1) for tag in ("s", "d") for field in _BLOCK_FIELDS]
-)
+BUNDLE_ENTRY_NAMES = tuple(name for name, _, _ in _LAYOUT)
 
-
-def _pack(arr: np.ndarray) -> FeatureMap:
-    arr = np.asarray(arr, np.float32)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, 1, -1)
-    elif arr.ndim == 2:
-        arr = arr.reshape(1, *arr.shape)
-    return FeatureMap(arr)
+_STORED_AS = {1: "vectors are stored as 1x1xN maps", 2: "matrices are stored as 1xRxS maps"}
 
 
-def _block_entries(tag: str, block: PcdcBlockParams) -> list[tuple[str, FeatureMap]]:
-    return [
-        (f"norm_{tag}.gamma", _pack(block.norm.gamma)),
-        (f"norm_{tag}.beta", _pack(block.norm.beta)),
-        (f"pcdc_{tag}.weight", _pack(block.pcdc.weight)),
-        (f"pcdc_{tag}.bias", _pack(block.pcdc.bias)),
-        (f"comp_{tag}.conv1.weight", _pack(block.comp.conv1_weight)),
-        (f"comp_{tag}.conv1.bias", _pack(block.comp.conv1_bias)),
-        (f"comp_{tag}.norm.gamma", _pack(block.comp.norm.gamma)),
-        (f"comp_{tag}.norm.beta", _pack(block.comp.norm.beta)),
-        (f"comp_{tag}.conv2.weight", _pack(block.comp.conv2_weight)),
-        (f"comp_{tag}.conv2.bias", _pack(block.comp.conv2_bias)),
-    ]
+def param_arrays(params: ResfuParams) -> dict[str, np.ndarray]:
+    """Every array of `params` by its entry name, in file order."""
+    return {name: functools.reduce(getattr, path.split("."), params) for name, path, _ in _LAYOUT}
+
+
+def _build(cls, what: str, **fields):
+    """cls(**fields), with a shape error turned into a format error that
+    names `what`: the entries the fields were read from."""
+    try:
+        return cls(**fields)
+    except (ShapeMismatch, ChannelGroupMismatch) as err:
+        raise TensorFormatError(f"inconsistent weight bundle: {what}: {err}") from err
+
+
+def params_from_arrays(arrays: dict[str, np.ndarray]) -> ResfuParams:
+    """The ResfuParams whose param_arrays are `arrays`; a difference conv's
+    group count is its block's channels over the weight's group width.
+    Arrays that do not fit together raise TensorFormatError naming the
+    entries they came from."""
+    tree: dict = {}
+    for name, path, _ in _LAYOUT:
+        *parents, leaf = path.split(".")
+        node = tree
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = arrays[name]
+
+    def block(t: str, b: dict) -> PcdcBlockParams:
+        norm = _build(GroupNormAffine, f"norm_{t}", **b["norm"])
+        width, d = b["pcdc"]["weight"].shape[1], norm.channels
+        if d % width:
+            raise TensorFormatError(f"pcdc_{t}.weight group width {width} does not divide {d} channels")
+        pcdc = _build(PcdcParams, f"pcdc_{t}", **b["pcdc"], groups=d // width)
+        comp_norm = _build(GroupNormAffine, f"comp_{t}.norm", **b["comp"]["norm"])
+        comp = _build(CompressorParams, f"comp_{t}", **{**b["comp"], "norm": comp_norm})
+        return _build(PcdcBlockParams, f"norm_{t}, pcdc_{t}, comp_{t}", norm=norm, pcdc=pcdc, comp=comp)
+
+    proj = _build(ProjectionParams, "proj_q, proj_k", **tree["proj"])
+    block_s, block_d = block("s", tree["block_s"]), block("d", tree["block_d"])
+    return _build(ResfuParams, "projections and score blocks", proj=proj, block_s=block_s, block_d=block_d)
 
 
 def serialize_params(params: ResfuParams) -> bytes:
-    entries = [
-        ("proj_q.weight", _pack(params.proj.weight_q)),
-        ("proj_q.bias", _pack(params.proj.bias_q)),
-        ("proj_k.weight", _pack(params.proj.weight_k)),
-        ("proj_k.bias", _pack(params.proj.bias_k)),
-    ]
-    entries += _block_entries("s", params.block_s)
-    entries += _block_entries("d", params.block_d)
-
-    chunks = [BUNDLE_MAGIC, bytes([BUNDLE_VERSION, 0, 0, 0]), struct.pack("<I", len(entries))]
-    for name, fmap in entries:
+    arrays = param_arrays(params)
+    chunks = [BUNDLE_MAGIC, bytes([BUNDLE_VERSION, 0, 0, 0]), struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
         raw = name.encode("utf-8")
         chunks.append(struct.pack("<I", len(raw)))
         chunks.append(raw)
-        chunks.append(serialize(fmap))
+        chunks.append(serialize(FeatureMap(arr.reshape((1,) * (3 - arr.ndim) + arr.shape))))
     return b"".join(chunks)
 
 
-def _matrix(tensors: dict[str, FeatureMap], name: str) -> np.ndarray:
-    fmap = tensors[name]
-    if fmap.height != 1:
-        raise TensorFormatError(f"{name}: matrices are stored as 1xRxS maps, got {fmap.shape}")
-    return fmap.data[0]
-
-
-def _vector(tensors: dict[str, FeatureMap], name: str) -> np.ndarray:
-    fmap = tensors[name]
-    if fmap.height != 1 or fmap.width != 1:
-        raise TensorFormatError(f"{name}: vectors are stored as 1x1xN maps, got {fmap.shape}")
-    return fmap.data[0, 0]
-
-
-@contextmanager
-def _consistent(what: str):
-    """Turn a shape error of the parameters built inside into a format error
-    that names `what`: the entries they were read from."""
-    try:
-        yield
-    except (ShapeMismatch, ChannelGroupMismatch) as err:
-        raise TensorFormatError(f"inconsistent weight bundle: {what}: {err}") from err
+def _unpack(name: str, fmap: FeatureMap, rank: int) -> np.ndarray:
+    """The rank-`rank` array a stored map holds, as a view of it."""
+    lead = 3 - rank
+    if fmap.shape[:lead] != (1,) * lead:
+        raise TensorFormatError(f"{name}: {_STORED_AS[rank]}, got {fmap.shape}")
+    return fmap.data[(0,) * lead]
 
 
 def deserialize_params(buf) -> ResfuParams:
@@ -167,43 +171,7 @@ def deserialize_params(buf) -> ResfuParams:
     for name in BUNDLE_ENTRY_NAMES:
         if not np.isfinite(tensors[name].data).all():
             raise TensorFormatError(f"{name}: holds NaN or infinite values")
-
-    def norm(prefix: str) -> GroupNormAffine:
-        with _consistent(prefix):
-            return GroupNormAffine(_vector(tensors, f"{prefix}.gamma"), _vector(tensors, f"{prefix}.beta"))
-
-    def block(tag: str) -> PcdcBlockParams:
-        block_norm = norm(f"norm_{tag}")
-        pw = tensors[f"pcdc_{tag}.weight"].data  # (K*K, D/G, L) stored verbatim
-        d = block_norm.channels
-        if d % pw.shape[1]:
-            raise TensorFormatError(
-                f"pcdc_{tag}.weight group width {pw.shape[1]} does not divide {d} channels"
-            )
-        with _consistent(f"pcdc_{tag}"):
-            pcdc = PcdcParams(weight=pw, bias=_vector(tensors, f"pcdc_{tag}.bias"), groups=d // pw.shape[1])
-        comp_norm = norm(f"comp_{tag}.norm")
-        with _consistent(f"comp_{tag}"):
-            comp = CompressorParams(
-                conv1_weight=_matrix(tensors, f"comp_{tag}.conv1.weight"),
-                conv1_bias=_vector(tensors, f"comp_{tag}.conv1.bias"),
-                norm=comp_norm,
-                conv2_weight=_matrix(tensors, f"comp_{tag}.conv2.weight"),
-                conv2_bias=_vector(tensors, f"comp_{tag}.conv2.bias"),
-            )
-        with _consistent(f"norm_{tag}, pcdc_{tag}, comp_{tag}"):
-            return PcdcBlockParams(norm=block_norm, pcdc=pcdc, comp=comp)
-
-    with _consistent("proj_q, proj_k"):
-        proj = ProjectionParams(
-            weight_q=_matrix(tensors, "proj_q.weight"),
-            bias_q=_vector(tensors, "proj_q.bias"),
-            weight_k=_matrix(tensors, "proj_k.weight"),
-            bias_k=_vector(tensors, "proj_k.bias"),
-        )
-    block_s, block_d = block("s"), block("d")
-    with _consistent("projections and score blocks"):
-        return ResfuParams(proj=proj, block_s=block_s, block_d=block_d)
+    return params_from_arrays({name: _unpack(name, tensors[name], rank) for name, _, rank in _LAYOUT})
 
 
 def save_params(path, params: ResfuParams) -> None:

@@ -10,7 +10,6 @@ property cannot hide the rest.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import os
 import tempfile
@@ -27,7 +26,7 @@ from .oracle import (
     oracle_kernel_apply_gridwise,
     oracle_pcdc_direct,
 )
-from .params_io import deserialize_params, load_params, serialize_params
+from .params_io import deserialize_params, load_params, param_arrays, params_from_arrays, serialize_params
 from .pcdc import PcdcParams, pcdc_layer
 from .tensor import BadMagic, FeatureMap, deserialize, serialize, save_tensor
 from .upsampler import (
@@ -60,26 +59,10 @@ def _rand_map(rng, h, w, c, scale=1.0):
 def zeroed_score_params(params):
     """Copy of a parameter bundle with both score blocks silenced: all
     difference-conv and compressor weights/biases set to zero."""
-
-    def wipe(block):
-        comp = block.comp
-        return dataclasses.replace(
-            block,
-            pcdc=dataclasses.replace(
-                block.pcdc,
-                weight=np.zeros_like(block.pcdc.weight),
-                bias=np.zeros_like(block.pcdc.bias),
-            ),
-            comp=dataclasses.replace(
-                comp,
-                conv1_weight=np.zeros_like(comp.conv1_weight),
-                conv1_bias=np.zeros_like(comp.conv1_bias),
-                conv2_weight=np.zeros_like(comp.conv2_weight),
-                conv2_bias=np.zeros_like(comp.conv2_bias),
-            ),
-        )
-
-    return dataclasses.replace(params, block_s=wipe(params.block_s), block_d=wipe(params.block_d))
+    return params_from_arrays({
+        name: np.zeros_like(arr) if name.startswith("pcdc_") or ".conv" in name else arr
+        for name, arr in param_arrays(params).items()
+    })
 
 
 # --- individual checks -------------------------------------------------------

@@ -390,17 +390,17 @@ def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: in
     kept as the baseline the difference blocks are compared against."""
     if q.shape != k_up.shape:
         raise ShapeMismatch(f"query {q.shape} and key {k_up.shape} must match")
-    ratio = int(ratio)
+    ratio = _positive_int("ratio", ratio, RatioMismatch)
     offsets = neighbor_offsets(kernel, ratio)
     h, w = q.height, q.width
     pad = (kernel - 1) // 2 * ratio
     padded = np.pad(k_up.data, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
-    q64 = q.astype64()
-    scores = np.empty((h, w, len(offsets)), np.float64)
+    scores = np.empty((h, w, len(offsets)), np.float32)
     for n, (di, dj) in enumerate(offsets):
         shifted = padded[pad + di : pad + di + h, pad + dj : pad + dj + w]
-        np.einsum("hwd,hwd->hw", q64, shifted, out=scores[:, :, n])
-    return FeatureMap(scores)
+        # summed in float64, rounded once into the float32 slot
+        np.einsum("hwd,hwd->hw", q.data, shifted, dtype=np.float64, out=scores[:, :, n], casting="unsafe")
+    return FeatureMap.adopt(scores)
 
 
 # --- deterministic parameter synthesis --------------------------------------
@@ -441,10 +441,9 @@ def generate_params(c_in: int, c_guide: int, seed: int = 0) -> ResfuParams:
     splitmix64 stream (drawn in serialization order); biases are zero, norm
     gains one, norm shifts zero.
     """
-    if c_in < 1 or c_guide < 1:
-        raise ShapeMismatch(f"channel counts must be >= 1, got c_in={c_in}, c_guide={c_guide}")
-    if not 0 <= int(seed) < 2**64:
-        raise ShapeMismatch(f"seed must fit in 64 unsigned bits, got {seed}")
+    c_in, c_guide = _positive_int("c_in", c_in), _positive_int("c_guide", c_guide)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise ShapeMismatch(f"seed must be an integer in [0, 2**64), got {seed!r}")
     d, l_out, g = PROJ_DIM, PCDC_CHANNELS, PCDC_GROUPS
     ksq = KERNEL * KERNEL
     stream = _MixStream(int(seed))

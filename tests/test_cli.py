@@ -83,7 +83,8 @@ class TestGenWeights:
             rc = cli.main(["gen-weights", *[p for pair in args.items() for p in pair],
                            "--out", str(tmp_path / "w.rsfw")])
         assert rc == 3
-        assert "channel counts must be >= 1" in capsys.readouterr().err
+        name = {"--cin": "c_in", "--cguide": "c_guide"}[flag]
+        assert f"error: {name} must be an integer >= 1, got {count}" in capsys.readouterr().err
         assert not (tmp_path / "w.rsfw").exists()
 
     def test_unwritable_path_exits_two(self, tmp_path, capsys):

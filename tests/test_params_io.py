@@ -15,6 +15,8 @@ from resfu.params_io import (
     BUNDLE_MAGIC,
     deserialize_params,
     load_params,
+    param_arrays,
+    params_from_arrays,
     save_params,
     serialize_params,
 )
@@ -132,6 +134,25 @@ class TestBundleIsTheModel:
             assert np.array_equal(getattr(back_owner, back_name), getattr(owner, name)), path
 
 
+class TestLayoutTable:
+    def test_param_arrays_follow_the_file_order(self):
+        params = randomized_bundle(9)
+        arrays = param_arrays(params)
+        assert tuple(arrays) == BUNDLE_ENTRY_NAMES
+        assert arrays["comp_d.conv2.weight"] is params.block_d.comp.conv2_weight
+
+    def test_params_from_arrays_inverts_param_arrays(self):
+        params = randomized_bundle(10)
+        back = params_from_arrays(param_arrays(params))
+        assert serialize_params(back) == serialize_params(params)
+        assert back.block_s.pcdc.groups == params.block_s.pcdc.groups
+
+    def test_deserialized_arrays_are_views_of_the_stored_maps(self):
+        # a copy per entry would double what loading a bundle allocates
+        back = deserialize_params(serialize_params(bundle()))
+        assert all(arr.base is not None for arr in param_arrays(back).values())
+
+
 class TestRejects:
     def test_bad_magic(self):
         blob = bytearray(serialize_params(bundle()))
@@ -205,6 +226,21 @@ class TestRejects:
         value.flat[value.size // 2] = bad
         object.__setattr__(owner, field, value)
         with pytest.raises(TensorFormatError, match=rf"^{re.escape(entry)}: holds NaN or infinite values"):
+            deserialize_params(serialize_params(params))
+
+    @pytest.mark.parametrize("width", [3, 64])
+    def test_group_width_must_divide_the_channels(self, width):
+        params = bundle()
+        object.__setattr__(params.block_s.pcdc, "weight", np.zeros((9, width, 32), np.float32))
+        with pytest.raises(TensorFormatError, match=rf"^pcdc_s\.weight group width {width} does not divide 32 channels"):
+            deserialize_params(serialize_params(params))
+
+    def test_storage_form_is_checked_before_consistency(self):
+        # every entry is unpacked before the tree is built
+        params = bundle()
+        object.__setattr__(params.block_s.comp, "conv1_bias", np.zeros(7, np.float32))
+        object.__setattr__(params.block_d.comp.norm, "beta", np.zeros((2, 64), np.float32))
+        with pytest.raises(TensorFormatError, match=r"^comp_d\.norm\.beta: vectors are stored as 1x1xN"):
             deserialize_params(serialize_params(params))
 
     def test_misshapen_vector_names_its_entry(self):

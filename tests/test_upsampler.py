@@ -1,6 +1,7 @@
 """End-to-end pipeline: projections, score assembly, kernel application."""
 
 import dataclasses
+import hashlib
 import sys
 import tracemalloc
 
@@ -22,6 +23,7 @@ from resfu.ops import (
     softmax_rows,
 )
 from resfu.oracle import max_rel_error, oracle_kernel_apply_gridwise
+from resfu.params_io import serialize_params
 from resfu.pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
 from resfu.selfcheck import zeroed_score_params
 from resfu.tensor import FeatureMap
@@ -591,9 +593,29 @@ class TestInnerProductScores:
         want = np.stack([(flat_q * gathered[:, n]).sum(axis=1) for n in range(9)], axis=1)
         assert max_rel_error(scores.astype64().reshape(-1, 9), want) <= 1e-6
 
+    def test_sums_in_float64_and_rounds_once(self):
+        # the reference is a float64 score map cast to float32 at the end
+        rng = np.random.default_rng(46)
+        q, k_up = rand_map(rng, 17, 9, 32), rand_map(rng, 17, 9, 32)
+        scores = inner_product_scores(q, k_up, kernel=3, ratio=2)
+        padded = np.pad(k_up.astype64(), ((2, 2), (2, 2), (0, 0)), mode="edge")
+        want = np.stack([np.einsum("hwd,hwd->hw", q.astype64(), padded[2 + di : 19 + di, 2 + dj : 11 + dj])
+                         for di, dj in neighbor_offsets(3, 2)], axis=2)
+        assert scores.data.dtype == np.float32
+        assert scores.data.tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("ratio", [2.5, 0, True])
+    def test_ratio_must_be_a_positive_integer(self, ratio):
+        rng = np.random.default_rng(45)
+        q = rand_map(rng, 4, 4, 3)
+        with pytest.raises(RatioMismatch, match="ratio must be an integer >= 1"):
+            inner_product_scores(q, q, kernel=3, ratio=ratio)
+
     def test_peak_stays_within_four_query_maps(self):
-        # scores are taken slot by slot from shifted views of the key, so no
-        # (pixels, K^2, D) gather and no float64 copy of it exist
+        # scores are taken slot by slot from shifted views of the key and
+        # summed in float64 straight into the float32 result, so no
+        # (pixels, K^2, D) gather, no float64 copy of q and no float64
+        # score map exist: the edge-padded key and the result are what is left
         rng = np.random.default_rng(44)
         q = rand_map(rng, 64, 64, 32)
         k_up = rand_map(rng, 64, 64, 32)
@@ -603,7 +625,7 @@ class TestInnerProductScores:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * q.astype64().nbytes
+        assert peak <= 2 * q.data.nbytes
 
     def test_baseline_pipeline_shapes_and_rows(self):
         # fused: one (ratio, W, C) band per row of input cells; naive: one band
@@ -650,13 +672,22 @@ class TestInnerProductBaseline:
 
 class TestGenerateParams:
     def test_same_seed_bitwise_identical(self):
-        from resfu.params_io import serialize_params
-
         a = generate_params(c_in=8, c_guide=3, seed=42)
         b = generate_params(c_in=8, c_guide=3, seed=42)
         c = generate_params(c_in=8, c_guide=3, seed=43)
         assert serialize_params(a) == serialize_params(b)
         assert serialize_params(a) != serialize_params(c)
+
+    @pytest.mark.parametrize("c_in,c_guide,seed,digest", [
+        (6, 4, 0, "7552b1ecd87531424ea23f1f8328ab1a31e6b13283832dbdcd02bd61dd4d34b9"),
+        (32, 4, 0, "3f62f60a3840d5208f7c4fb5566bc011a75179273140127c7e9b98e8c11130cf"),  # ratio4_256
+        (384, 3, 0, "559524aaf591b85d64087ede60828bd1c886e8f07416c7ebaa64778e2542a5d0"),  # cli_dump_c384_r8
+    ])
+    def test_bundle_bytes_are_pinned(self, c_in, c_guide, seed, digest):
+        # pins the draw order and the file layout: a bundle written before a
+        # change to either would no longer be the one its seed names
+        blob = serialize_params(generate_params(c_in, c_guide, seed=seed))
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_biases_zero_norms_neutral(self):
         p = generate_params(c_in=4, c_guide=5, seed=9)
@@ -708,16 +739,18 @@ class TestConfigValidation:
         with pytest.raises(ShapeMismatch):
             neighbor_offsets(4, 1)
 
-    @pytest.mark.parametrize("c_in,c_guide", [(0, 3), (-2, 3), (3, 0)])
+    @pytest.mark.parametrize("c_in,c_guide", [(0, 3), (-2, 3), (3, 0), (True, 3), (2.5, 3), (3, True), (3, 2.5)])
     def test_bad_channel_counts(self, c_in, c_guide):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="must be an integer >= 1"):
             generate_params(c_in=c_in, c_guide=c_guide)
 
     def test_seed_must_fit_64_bits(self):
-        with pytest.raises(ShapeMismatch):
-            generate_params(c_in=2, c_guide=2, seed=2**64)
-        with pytest.raises(ShapeMismatch):
-            generate_params(c_in=2, c_guide=2, seed=-1)
+        for seed in (2**64, -1, 2.7, 2.0, True, np.float64(3.0), "1"):
+            with pytest.raises(ShapeMismatch, match=r"^seed must be an integer in \[0, 2\*\*64\)"):
+                generate_params(c_in=2, c_guide=2, seed=seed)
+        for seed in (np.int64(5), np.uint64(5), np.uint64(2**64 - 1)):
+            assert serialize_params(generate_params(2, 2, seed=seed)) == serialize_params(
+                generate_params(2, 2, seed=int(seed)))
 
     def test_block_channels_must_match_projection(self):
         rng = np.random.default_rng(50)
