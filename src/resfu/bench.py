@@ -2,7 +2,7 @@
 difference layer ("pcdc-decomposed", pcdc_layer) vs the literal oracle.
 
 Before any timing, the fused and naive outputs are compared; a disagreement
-aborts the run (the numbers would be meaningless).  Those two first calls
+or a NaN aborts the run (the numbers would be meaningless).  Those two calls
 also run under tracemalloc, whose peak (output included) is reported per
 path.  Timings are mean wall time over `iters` runs after two warmups.
 """

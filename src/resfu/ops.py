@@ -400,11 +400,10 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
 
 
 def neighbor_offsets(kernel: int, dilation: int) -> list[tuple[int, int]]:
-    """Row-major (di, dj) offsets of the dilated KxK neighborhood."""
-    if kernel < 1 or kernel % 2 == 0:
+    """Row-major (di, dj) offsets of the dilated KxK neighborhood (K odd)."""
+    kernel, dilation = _positive_int("kernel", kernel), _positive_int("dilation", dilation)
+    if kernel % 2 == 0:
         raise ShapeMismatch(f"kernel size must be odd and >= 1, got {kernel}")
-    if dilation < 1:
-        raise ShapeMismatch(f"dilation must be >= 1, got {dilation}")
     reach = (kernel - 1) // 2
     return [(di * dilation, dj * dilation) for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)]
 

@@ -8,6 +8,9 @@ truth for the fast paths; they return plain float64 arrays.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .guided_filter import GuidedFilterConfig
@@ -15,16 +18,34 @@ from .ops import ShapeMismatch, _odd_kernel
 from .tensor import FeatureMap
 
 
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    max_error: float
+    tolerance: float
+    detail: str = ""
+    passed: bool = field(init=False, default=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.max_error <= self.tolerance))
+
+
+def finite_or_inf(err: float) -> float:
+    """err, or inf if it is NaN or Inf: the one rule for a non-finite error,
+    so every `<=` tolerance, `>` guard and max(worst, ...) on it fails."""
+    return err if math.isfinite(err) else math.inf
+
+
 def max_rel_error(actual, expected) -> float:
     """Max absolute deviation, normalized by the magnitude of `expected`.
 
     The scale floor keeps the metric meaningful when the reference output is
-    identically zero.
+    identically zero.  NaN or Inf on either side gives inf.
     """
     actual = np.asarray(actual, np.float64)
     expected = np.asarray(expected, np.float64)
     scale = max(float(np.max(np.abs(expected))), 1e-30)
-    return float(np.max(np.abs(actual - expected))) / scale
+    return finite_or_inf(float(np.max(np.abs(actual - expected))) / scale)
 
 
 def oracle_pcdc_direct(q_bar: FeatureMap, k_bar: FeatureMap, weight, bias,

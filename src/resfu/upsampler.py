@@ -65,7 +65,7 @@ from .ops import (
     neighbor_offsets,
     softmax_rows,
 )
-from .pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
+from .pcdc import COMPRESSOR_GROUPS, CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
 from .tensor import FeatureMap
 
 PROJ_DIM = 32  # D: projection width of q and k
@@ -445,6 +445,8 @@ def generate_params(c_in: int, c_guide: int, seed: int = 0) -> ResfuParams:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
         raise ShapeMismatch(f"seed must be an integer in [0, 2**64), got {seed!r}")
     d, l_out, g = PROJ_DIM, PCDC_CHANNELS, PCDC_GROUPS
+    if d * max(c_in, c_guide) * 8 > np.iinfo(np.intp).max:  # numpy cannot even size its uint64 draws
+        raise MemoryError(f"a {d}x{max(c_in, c_guide)} projection is more than this platform can address")
     ksq = KERNEL * KERNEL
     stream = _MixStream(int(seed))
 
@@ -456,7 +458,7 @@ def generate_params(c_in: int, c_guide: int, seed: int = 0) -> ResfuParams:
     )
 
     def make_block() -> PcdcBlockParams:
-        pcdc_fan_in = (d // g) * ksq
+        pcdc_fan_in, comp_in = (d // g) * ksq, l_out // COMPRESSOR_GROUPS
         return PcdcBlockParams(
             norm=GroupNormAffine(np.ones(d, np.float32), np.zeros(d, np.float32)),
             pcdc=PcdcParams(
@@ -465,7 +467,7 @@ def generate_params(c_in: int, c_guide: int, seed: int = 0) -> ResfuParams:
                 groups=g,
             ),
             comp=CompressorParams(
-                conv1_weight=stream.uniform((COMPRESSOR_HIDDEN, l_out // 4), 1.0 / np.sqrt(l_out // 4)),
+                conv1_weight=stream.uniform((COMPRESSOR_HIDDEN, comp_in), 1.0 / np.sqrt(comp_in)),
                 conv1_bias=np.zeros(COMPRESSOR_HIDDEN, np.float32),
                 norm=GroupNormAffine(np.ones(COMPRESSOR_HIDDEN, np.float32), np.zeros(COMPRESSOR_HIDDEN, np.float32)),
                 conv2_weight=stream.uniform((ksq, COMPRESSOR_HIDDEN), 1.0 / np.sqrt(COMPRESSOR_HIDDEN)),

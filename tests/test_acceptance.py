@@ -6,6 +6,7 @@ cover the same code at reduced sizes.
 """
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -99,10 +100,10 @@ def test_backward_passes_match_finite_differences():
     assert elapsed < 20.0, f"took {elapsed:.1f}s"
     assert len(reports) == 7
     for report in reports:
-        assert report.passed, f"{report.op_name}: {report.max_rel_error:.3e}"
-    fd_reports = [r for r in reports if "shift" not in r.op_name]
-    assert all(r.tolerance == 1e-6 and r.probes == 64 for r in fd_reports)
-    shift = next(r for r in reports if "shift" in r.op_name)
+        assert report.passed, f"{report.name}: {report.max_error:.3e}"
+    fd_reports = [r for r in reports if "shift" not in r.name]
+    assert all(r.tolerance == 1e-6 and r.detail == "64 probes" for r in fd_reports)
+    shift = next(r for r in reports if "shift" in r.name)
     assert shift.tolerance == 1e-10
 
 
@@ -195,15 +196,43 @@ def test_formats_round_trip_and_reject_corruption(tmp_path):
     assert magic.passed, magic.detail
 
 
+# (name, tolerance, detail) of each line that `resfu selfcheck` prints
+SELFCHECK_REPORT = [
+    ("pcdc-decomposition-equivalence", "1e-05", "200 cases"),
+    ("guided-filter-window-oracle", "0.0001", "20 cases, interior"),
+    ("fused-vs-naive-kernel-apply", "1e-05", "50 cases, ratios 1/2/4/8"),
+    ("constant-preservation", "1e-05", "20 bundles"),
+    ("kernel-row-normalization", "1e-06", "20 bundles"),
+    ("degenerate-score-box-mean", "1e-05", "ratios 2/4/8"),
+    ("fns-ramp-linearity", "1e-05", "interior second differences"),
+    ("gridwise-mosaic-staircase", "0", "7 boundaries with jump >= half the LR step (need 6)"),
+    ("grad/pcdc/d_query", "1e-06", "64 probes"),
+    ("grad/pcdc/d_key", "1e-06", "64 probes"),
+    ("grad/pcdc/d_weight", "1e-06", "64 probes"),
+    ("grad/pcdc/d_bias", "1e-06", "64 probes"),
+    ("grad/kernel_apply/d_scores", "1e-06", "64 probes"),
+    ("grad/kernel_apply/d_value", "1e-06", "64 probes"),
+    ("grad/kernel_apply/shift_invariance", "1e-10", "64 probes"),
+    ("upsample-determinism", "0", "3 repeats over a stale --out, byte compare"),
+    ("format-round-trips", "0", "100 bundles"),
+    ("corrupted-magic-rejected", "0", "BadMagic raised=True, exit=2"),
+]
+
+
 def test_selfcheck_and_full_size_upsample_fit_budgets(tmp_path, capsys):
     # the complete single-threaded diagnostic suite exits 0 in under two
-    # minutes, and upsampling 64x64x32 -> 256x256x32 takes under a second
+    # minutes, printing one PASS line per check of SELFCHECK_REPORT, and
+    # upsampling 64x64x32 -> 256x256x32 takes under a second
     start = time.perf_counter()
     rc = cli.main(["selfcheck"])
     selfcheck_elapsed = time.perf_counter() - start
-    capsys.readouterr()
+    *lines, summary = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert selfcheck_elapsed < 120.0, f"selfcheck took {selfcheck_elapsed:.1f}s"
+    parsed = [re.fullmatch(r"PASS (\S+) +max_err=\S+ tol=(\S+)  \[(.*)\]", line) for line in lines]
+    assert all(parsed), lines
+    assert [m.groups() for m in parsed] == SELFCHECK_REPORT
+    assert summary == "18/18 checks passed"
 
     rng = np.random.default_rng(10)
     save_tensor(tmp_path / "x.rsft", FeatureMap(rng.standard_normal((64, 64, 32)).astype(np.float32)))

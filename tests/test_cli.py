@@ -87,6 +87,23 @@ class TestGenWeights:
         assert f"error: {name} must be an integer >= 1, got {count}" in capsys.readouterr().err
         assert not (tmp_path / "w.rsfw").exists()
 
+    @pytest.mark.parametrize("flag", ["--cin", "--cguide"])
+    @pytest.mark.parametrize("count", [str(10**19), str(2**57)])
+    def test_impossible_size_exits_four_before_any_draw(self, tmp_path, capsys, monkeypatch, flag, count):
+        # 10**19 overflowed numpy's size check in the first draw and 2**57
+        # its byte count; both raised ValueError with a traceback
+        def no_draw(*args):
+            raise AssertionError("drew before the size check")
+
+        monkeypatch.setattr(upsampler._MixStream, "uniform", no_draw)
+        args = {"--cin": "4", "--cguide": "2", flag: count}
+        rc = cli.main(["gen-weights", *[p for pair in args.items() for p in pair],
+                       "--out", str(tmp_path / "w.rsfw")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path_exits_two(self, tmp_path, capsys):
         rc = cli.main(["gen-weights", "--cin", "4", "--cguide", "2",
                        "--out", str(tmp_path / "no" / "dir" / "w.rsfw")])

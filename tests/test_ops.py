@@ -464,6 +464,12 @@ class TestGatherNeighbors:
             gather_neighbors(src, 2, 1)
         with pytest.raises(ShapeMismatch):
             gather_neighbors(src, 3, 0)
+        # K and the dilation must be integers, not bools or floats
+        for bad in (True, 3.0, 1.5):
+            with pytest.raises(ShapeMismatch, match="^kernel must be an integer >= 1"):
+                gather_neighbors(src, bad, 1)
+            with pytest.raises(ShapeMismatch, match="^dilation must be an integer >= 1"):
+                gather_neighbors(src, 3, bad)
 
 
 class TestSoftmaxRows:

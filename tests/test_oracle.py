@@ -1,6 +1,8 @@
 """Grid-wise neighbor-selection oracle, and the mosaic-vs-smooth contrast
 between it and fine-grained selection on the same kernels."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,32 @@ def one_hot_center(h, w, slots=9):
     weights = np.zeros((h, w, slots), np.float32)
     weights[:, :, (slots - 1) // 2] = 1.0
     return FeatureMap(weights)
+
+
+class TestMaxRelError:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["actual", "expected", "both"])
+    def test_nonfinite_on_either_side_is_inf(self, bad, side):
+        clean = np.array([[1.0, -2.0], [0.5, 3.0]])
+        dirty = clean.copy()
+        dirty[1, 0] = bad
+        actual = dirty if side in ("actual", "both") else clean
+        expected = dirty if side in ("expected", "both") else clean
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert max_rel_error(actual, expected) == math.inf
+            assert max_rel_error(actual.astype(np.float32), expected) == math.inf
+
+    def test_finite_arguments_keep_the_quotient(self):
+        rng = np.random.default_rng(3)
+        for actual, expected in (
+            (rng.standard_normal((4, 5, 3)), rng.standard_normal((4, 5, 3))),
+            (rng.standard_normal(7).astype(np.float32), np.float32(0.25)),
+            (np.full(3, 1e-40), np.zeros(3)),  # the 1e-30 scale floor
+            (np.array([1e300]), np.array([-1e300])),  # overflowed difference stays inf
+        ):
+            a, e = np.asarray(actual, np.float64), np.asarray(expected, np.float64)
+            want = float(np.max(np.abs(a - e))) / max(float(np.max(np.abs(e))), 1e-30)
+            assert max_rel_error(actual, expected) == want
 
 
 class TestGridwiseOracle:

@@ -1,11 +1,15 @@
 """Diagnostic-suite tests: check-result bookkeeping, the individual checks at
 reduced case counts, and the micro-benchmark harness."""
 
+import dataclasses
+import math
 import os
 
 import numpy as np
 import pytest
 
+import resfu.selfcheck as selfcheck_mod
+import resfu.upsampler as upsampler_mod
 from resfu.bench import BenchReport, CheckFailed, run_bench
 from resfu.ops import ShapeMismatch
 from resfu.selfcheck import (
@@ -21,7 +25,31 @@ from resfu.selfcheck import (
     check_weights_file,
     zeroed_score_params,
 )
+from resfu.tensor import FeatureMap
 from resfu.upsampler import generate_params
+
+
+def _with_nan(fmap, index=(0, 0, 0)):
+    data = fmap.data.copy()
+    data[index] = np.nan
+    return FeatureMap(data)
+
+
+def _nan_output(real, index=(0, 0, 0)):
+    """real, with one NaN put into the feature map it returns."""
+    return lambda *args, **kwargs: _with_nan(real(*args, **kwargs), index)
+
+
+def _nan_fused(monkeypatch):
+    """Make the fused kernel application emit one NaN."""
+    real = upsampler_mod._apply_fused
+
+    def fused(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(upsampler_mod, "_apply_fused", fused)
 
 
 class TestCheckResult:
@@ -108,6 +136,44 @@ class TestIndividualChecks:
         assert result.detail
 
 
+class TestNanFailsEveryCheck:
+    """A kernel that emits one NaN fails its check with a non-finite error
+    (a running max(worst, nan) would keep 0.0 and pass it)."""
+
+    @staticmethod
+    def _fails(result):
+        assert not result.passed and not math.isfinite(result.max_error), result
+
+    def test_pcdc_equivalence(self, monkeypatch):
+        monkeypatch.setattr(selfcheck_mod, "pcdc_layer", _nan_output(selfcheck_mod.pcdc_layer))
+        self._fails(check_pcdc_equivalence(seed=3, cases=2))
+
+    def test_guided_filter_interior_pixel(self, monkeypatch):
+        monkeypatch.setattr(selfcheck_mod, "guided_filter",
+                            _nan_output(selfcheck_mod.guided_filter, (5, 6, 1)))
+        self._fails(check_guided_filter(seed=4, cases=2))
+
+    def test_fused_vs_naive(self, monkeypatch):
+        _nan_fused(monkeypatch)
+        self._fails(check_fused_vs_naive(seed=5, cases=4))
+
+    def test_degenerate_scores(self, monkeypatch):
+        monkeypatch.setattr(selfcheck_mod, "resfu_upsample", _nan_output(selfcheck_mod.resfu_upsample))
+        self._fails(check_degenerate_scores(seed=7))
+
+    def test_constant_preservation_and_row_sums(self, monkeypatch):
+        real = selfcheck_mod.run_pipeline
+
+        def pipeline(*args, **kwargs):
+            res = real(*args, **kwargs)
+            return dataclasses.replace(res, output=_with_nan(res.output), kernels=_with_nan(res.kernels))
+
+        monkeypatch.setattr(selfcheck_mod, "run_pipeline", pipeline)
+        flat, rows = check_constant_preservation(seed=6, bundles=2)
+        self._fails(flat)
+        self._fails(rows)
+
+
 class TestRunBench:
     def test_report_contents(self):
         report = run_bench(h=8, w=8, c=6, ratio=2, iters=1, seed=0)
@@ -143,4 +209,9 @@ class TestRunBench:
 
         monkeypatch.setattr(bench_mod, "EQUIVALENCE_TOL", -1.0)
         with pytest.raises(CheckFailed):
+            run_bench(h=8, w=8, c=6, ratio=2, iters=1, seed=0)
+
+    def test_nan_in_the_fused_output_raises_check_failed(self, monkeypatch):
+        _nan_fused(monkeypatch)
+        with pytest.raises(CheckFailed, match="disagree: inf > 1e-05"):
             run_bench(h=8, w=8, c=6, ratio=2, iters=1, seed=0)

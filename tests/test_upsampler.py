@@ -24,7 +24,7 @@ from resfu.ops import (
 )
 from resfu.oracle import max_rel_error, oracle_kernel_apply_gridwise
 from resfu.params_io import serialize_params
-from resfu.pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
+from resfu.pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block, pcdc_layer
 from resfu.selfcheck import zeroed_score_params
 from resfu.tensor import FeatureMap
 from resfu.upsampler import (
@@ -738,6 +738,24 @@ class TestConfigValidation:
             PcdcParams(weight=np.zeros((16, 2, 4), np.float32), bias=np.zeros(4, np.float32), groups=2)
         with pytest.raises(ShapeMismatch):
             neighbor_offsets(4, 1)
+        # neighbor_offsets is the one check of K and the dilation: bools and
+        # floats fail there, and so in every caller, before any padding
+        rng = np.random.default_rng(0)
+        q, k = (FeatureMap(rng.standard_normal((4, 5, PROJ_DIM)).astype(np.float32)) for _ in range(2))
+        block = generate_params(3, 3).block_s
+        for bad in (True, 3.0, 1.5):
+            with pytest.raises(ShapeMismatch, match="^kernel must be an integer >= 1"):
+                neighbor_offsets(bad, 1)
+            with pytest.raises(ShapeMismatch, match="^kernel must be an integer >= 1"):
+                inner_product_scores(q, k, bad, 1)
+            with pytest.raises(ShapeMismatch, match="^dilation must be an integer >= 1"):
+                neighbor_offsets(3, bad)
+            with pytest.raises(ShapeMismatch, match="^dilation must be an integer >= 1"):
+                pcdc_layer(q, k, block.pcdc, bad)
+            with pytest.raises(ShapeMismatch, match="^dilation must be an integer >= 1"):
+                pcdc_block(q, k, block, bad)
+            with pytest.raises(RatioMismatch):  # the baseline's dilation is its ratio
+                inner_product_scores(q, k, 3, bad)
 
     @pytest.mark.parametrize("c_in,c_guide", [(0, 3), (-2, 3), (3, 0), (True, 3), (2.5, 3), (3, True), (3, 2.5)])
     def test_bad_channel_counts(self, c_in, c_guide):
