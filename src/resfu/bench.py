@@ -77,8 +77,8 @@ def run_bench(h: int, w: int, c: int, ratio: int, iters: int, seed: int = 0) -> 
     x = FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32))
     weights = softmax_rows(FeatureMap(rng.standard_normal((h * ratio, w * ratio, 9)).astype(np.float32)))
 
-    fused, fused_peak = _traced(lambda: kernel_apply_fns(weights, x, ratio, fused=True))
-    naive, naive_peak = _traced(lambda: kernel_apply_fns(weights, x, ratio, fused=False))
+    fused, fused_peak = _traced(lambda: kernel_apply_fns(weights, x, fused=True))
+    naive, naive_peak = _traced(lambda: kernel_apply_fns(weights, x, fused=False))
     equivalence = max_rel_error(fused.astype64(), naive.astype64())
     if equivalence > EQUIVALENCE_TOL:
         raise CheckFailed(
@@ -91,12 +91,11 @@ def run_bench(h: int, w: int, c: int, ratio: int, iters: int, seed: int = 0) -> 
     params = PcdcParams(
         weight=rng.standard_normal((9, depth // 4, depth)).astype(np.float32) * 0.3,
         bias=rng.standard_normal(depth).astype(np.float32) * 0.1,
-        groups=4,
     )
 
     rows = (
-        BenchRow("fns-fused", _timed(lambda: kernel_apply_fns(weights, x, ratio, fused=True), iters), iters),
-        BenchRow("fns-naive", _timed(lambda: kernel_apply_fns(weights, x, ratio, fused=False), iters), iters),
+        BenchRow("fns-fused", _timed(lambda: kernel_apply_fns(weights, x, fused=True), iters), iters),
+        BenchRow("fns-naive", _timed(lambda: kernel_apply_fns(weights, x, fused=False), iters), iters),
         BenchRow("pcdc-decomposed", _timed(lambda: pcdc_layer(q, k, params, ratio), iters), iters),
         BenchRow(
             "pcdc-direct",

@@ -175,8 +175,7 @@ def check_pcdc_gradients(seed: int = 0, probes: int = DEFAULT_PROBES) -> list[Ch
         def loss(arr):
             parts = {"q": q, "k": k, "weight": weight, "bias": bias, name: arr}
             return float(
-                (proj * _pcdc_core(parts["q"], parts["k"], parts["weight"], parts["bias"],
-                                   groups, dilation)).sum()
+                (proj * _pcdc_core(parts["q"], parts["k"], parts["weight"], parts["bias"], dilation)).sum()
             )
 
         return loss

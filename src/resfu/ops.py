@@ -183,7 +183,7 @@ def nearest_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     h, w, _ = src.shape
     ri = np.clip(np.floor((np.arange(out_h) + 0.5) * (h / out_h)).astype(np.intp), 0, h - 1)
     ci = np.clip(np.floor((np.arange(out_w) + 0.5) * (w / out_w)).astype(np.intp), 0, w - 1)
-    return FeatureMap(src.data[np.ix_(ri, ci)])
+    return FeatureMap.adopt(src.data[np.ix_(ri, ci)])
 
 
 def _window_sums(arr: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray:

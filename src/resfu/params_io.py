@@ -7,10 +7,10 @@ as an embedded .rsft blob.
 The entries are the table _LAYOUT, in file order: each entry's name, the
 attribute path of its array in ResfuParams and that array's rank (the
 projections, then the s and d score blocks).  A bundle is the whole
-ResfuParams: the difference convs' group counts follow from their weights'
-shapes, and nothing else is settable.  param_arrays and params_from_arrays
-map between the two through that table.  Every tensor is stored as a
-rank-3 map:
+ResfuParams: every field of it is a stored array, and a difference conv's
+group count is read at each call as the maps' channels over the weight's
+group width.  param_arrays and params_from_arrays map between the two
+through that table.  Every tensor is stored as a rank-3 map:
 
     * rank-3 parameters keep their shape: the difference-conv weight
       (K*K, D/G, L) maps to H=K*K, W=D/G, C=L;
@@ -85,10 +85,8 @@ def _build(cls, what: str, **fields):
 
 
 def params_from_arrays(arrays: dict[str, np.ndarray]) -> ResfuParams:
-    """The ResfuParams whose param_arrays are `arrays`; a difference conv's
-    group count is its block's channels over the weight's group width.
-    Arrays that do not fit together raise TensorFormatError naming the
-    entries they came from."""
+    """The ResfuParams whose param_arrays are `arrays`.  Arrays that do not
+    fit together raise TensorFormatError naming the entries they came from."""
     tree: dict = {}
     for name, path, _ in _LAYOUT:
         *parents, leaf = path.split(".")
@@ -99,10 +97,7 @@ def params_from_arrays(arrays: dict[str, np.ndarray]) -> ResfuParams:
 
     def block(t: str, b: dict) -> PcdcBlockParams:
         norm = _build(GroupNormAffine, f"norm_{t}", **b["norm"])
-        width, d = b["pcdc"]["weight"].shape[1], norm.channels
-        if d % width:
-            raise TensorFormatError(f"pcdc_{t}.weight group width {width} does not divide {d} channels")
-        pcdc = _build(PcdcParams, f"pcdc_{t}", **b["pcdc"], groups=d // width)
+        pcdc = _build(PcdcParams, f"pcdc_{t}", **b["pcdc"])
         comp_norm = _build(GroupNormAffine, f"comp_{t}.norm", **b["comp"]["norm"])
         comp = _build(CompressorParams, f"comp_{t}", **{**b["comp"], "norm": comp_norm})
         return _build(PcdcBlockParams, f"norm_{t}, pcdc_{t}, comp_{t}", norm=norm, pcdc=pcdc, comp=comp)

@@ -34,7 +34,6 @@ from .ops import (
     SimilarityScores,
     _block_diagonal,
     _odd_kernel,
-    _positive_int,
     group_normalize,
     grouped_pointwise_conv,
     matmul_rows,
@@ -52,12 +51,11 @@ def _as_float32(name: str, arr, rank: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcdcParams:
-    """Difference-convolution weights: (K*K, D//groups, L) plus per-output
-    bias.  `groups` divides L; a loaded bundle infers it from the weight."""
+    """Difference-convolution weights: (K*K, D/G, L) plus per-output bias;
+    each call reads the group count G from its maps (see _group_count)."""
 
     weight: np.ndarray
     bias: np.ndarray
-    groups: int
 
     def __post_init__(self):
         weight = _as_float32("weight", self.weight, 3)
@@ -66,29 +64,35 @@ class PcdcParams:
         _odd_kernel(ksq)
         if bias.size != l_out:
             raise ShapeMismatch(f"bias has {bias.size} entries, weight implies {l_out}")
-        groups = _positive_int("groups", self.groups, ChannelGroupMismatch)
-        if l_out % groups:
-            raise ChannelGroupMismatch(f"{l_out} outputs not divisible into {groups} groups")
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "groups", groups)
 
     @property
     def kernel(self) -> int:
         return math.isqrt(self.weight.shape[0])
 
     @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1] * self.groups
-
-    @property
     def out_channels(self) -> int:
         return self.weight.shape[2]
 
 
+def _group_count(channels: int, weight: np.ndarray) -> int:
+    """The maps' `channels` over the weight's group width: ShapeMismatch if
+    the width does not split them, ChannelGroupMismatch if the groups do
+    not split the weight's outputs."""
+    _, width, l_out = weight.shape
+    if not width or channels % width:
+        raise ShapeMismatch(f"pcdc weight group width {width} does not divide {channels} channels")
+    groups = channels // width
+    if l_out % groups:
+        raise ChannelGroupMismatch(f"{l_out} pcdc outputs not divisible into {groups} groups")
+    return groups
+
+
 def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-               groups: int, dilation: int) -> np.ndarray:
-    """Decomposed difference conv on raw (H, W, D) arrays; dtype follows q.
+               dilation: int) -> np.ndarray:
+    """Decomposed difference conv on raw (H, W, D) arrays; dtype follows q,
+    and the group count is _group_count(D, weight).
 
         v[i, l] = sum_n sum_d' weight[n, d', l] * k[N(i)_n, d]
                 - sum_d' (sum_n weight[n, d', l]) * q[i, d] + bias[l]
@@ -99,6 +103,7 @@ def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarra
     added at the tap's column offset; the query term is one more matmul.
     """
     h, w, d_in = q.shape
+    groups = _group_count(d_in, weight)
     ksq, _, l_out = weight.shape
     kernel = math.isqrt(ksq)
     offsets = neighbor_offsets(kernel, dilation)
@@ -125,15 +130,12 @@ def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarra
 def pcdc_layer(q_bar: FeatureMap, k_bar: FeatureMap, params: PcdcParams, dilation: int = 1) -> FeatureMap:
     """Apply the difference convolution, its KxK neighborhood dilated by
     `dilation`, to a projected query/key pair, in float32 (the taps and the
-    query weight sums are formed in float64, then rounded)."""
+    query weight sums are formed in float64, then rounded).  The maps may
+    have any channel count the weight's group width splits."""
     if q_bar.shape != k_bar.shape:
         raise ShapeMismatch(f"query {q_bar.shape} and key {k_bar.shape} must match")
-    if q_bar.channels != params.in_channels:
-        raise ShapeMismatch(
-            f"maps have {q_bar.channels} channels, params expect {params.in_channels}"
-        )
     return FeatureMap.adopt(_pcdc_core(q_bar.data, k_bar.data, params.weight.astype(np.float64),
-                                       params.bias, params.groups, dilation))
+                                       params.bias, dilation))
 
 
 # Channel groups of the compressor's hidden 1x1 conv.
@@ -197,10 +199,7 @@ class PcdcBlockParams:
     comp: CompressorParams
 
     def __post_init__(self):
-        if self.norm.channels != self.pcdc.in_channels:
-            raise ShapeMismatch(
-                f"norm covers {self.norm.channels} channels, pcdc expects {self.pcdc.in_channels}"
-            )
+        _group_count(self.norm.channels, self.pcdc.weight)
         if self.comp.conv1_weight.shape[1] * COMPRESSOR_GROUPS != self.pcdc.out_channels:
             raise ShapeMismatch("compressor input channels do not match pcdc outputs")
         scores, kernel = self.comp.conv2_weight.shape[0], self.pcdc.kernel

@@ -71,7 +71,6 @@ def check_pcdc_equivalence(seed: int = 0, cases: int = 200) -> CheckResult:
         params = PcdcParams(
             weight=(0.3 * rng.standard_normal((9, depth // groups, depth))).astype(np.float32),
             bias=(0.1 * rng.standard_normal(depth)).astype(np.float32),
-            groups=groups,
         )
         got = pcdc_layer(q, k, params, dilation).astype64()
         want = oracle_pcdc_direct(q, k, params.weight, params.bias, groups, dilation)
@@ -104,8 +103,8 @@ def check_fused_vs_naive(seed: int = 0, cases: int = 50) -> CheckResult:
         c = int(rng.integers(1, 7))
         x = _rand_map(rng, h, w, c)
         weights = softmax_rows(_rand_map(rng, h * ratio, w * ratio, 9))
-        fused = kernel_apply_fns(weights, x, ratio, fused=True)
-        naive = kernel_apply_fns(weights, x, ratio, fused=False)
+        fused = kernel_apply_fns(weights, x, fused=True)
+        naive = kernel_apply_fns(weights, x, fused=False)
         worst = max(worst, max_rel_error(fused.astype64(), naive.astype64()))
     return CheckResult("fused-vs-naive-kernel-apply", worst, 1e-5, f"{cases} cases, ratios 1/2/4/8")
 
@@ -154,7 +153,7 @@ def check_anti_mosaic() -> list[CheckResult]:
     )
     weights = FeatureMap(np.full((h * ratio, w * ratio, 9), 1.0 / 9.0, np.float32))
 
-    fns = kernel_apply_fns(weights, ramp, ratio).astype64()[0, :, 0]
+    fns = kernel_apply_fns(weights, ramp).astype64()[0, :, 0]
     interior = fns[ratio + ratio // 2 : -(ratio + ratio // 2)]
     linearity = float(np.max(np.abs(np.diff(interior, 2))))
 

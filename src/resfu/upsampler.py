@@ -267,25 +267,25 @@ def _apply_fused(weights: np.ndarray, x: np.ndarray, ratio: int,
     return out if emit is None else None
 
 
-def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, ratio: int, fused: bool = True, *,
+def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, *, fused: bool = True,
                      rows: Callable[[np.ndarray], None] | None = None) -> FeatureMap | None:
     """Mix bilinearly upsampled values of x with per-pixel kernel weights.
 
     `weights` holds one post-softmax weight per slot of an odd K x K
-    neighborhood (else ShapeMismatch); slot n of output pixel i addresses
-    x_up at i plus the n-th dilated offset (dilation = ratio, clamped at
-    edges).  The fused and naive paths are held to agree within 1e-5.
-    With `rows`, None is returned and the output goes to rows(band) in
-    float32 (rows, W, C) bands, top to bottom, each valid only during the
-    call: one per row of input cells (fused) or the whole output (naive).
+    neighborhood (else ShapeMismatch) on x's grid scaled by one integer
+    ratio on both axes (else RatioMismatch); K and the ratio are read from
+    these shapes.  Slot n of output pixel i addresses x_up at i plus the
+    n-th dilated offset (dilation = ratio, clamped at edges).  The fused
+    and naive paths are held to agree within 1e-5.  With `rows`, None is
+    returned and the output goes to rows(band) in float32 (rows, W, C)
+    bands, top to bottom, each valid only during the call: one per row of
+    input cells (fused) or the whole output (naive).
     """
     _odd_kernel(weights.channels)
-    ratio = _positive_int("ratio", ratio, RatioMismatch)
+    ratio = weights.height // x.height
     if weights.height != ratio * x.height or weights.width != ratio * x.width:
-        raise RatioMismatch(
-            f"weights are {weights.height}x{weights.width} but ratio {ratio} on "
-            f"{x.height}x{x.width} input implies {ratio * x.height}x{ratio * x.width}"
-        )
+        raise RatioMismatch(f"weights are {weights.height}x{weights.width}, not one integer multiple "
+                            f"of the {x.height}x{x.width} input on both axes")
     row_sums = weights.data.sum(axis=2, dtype=np.float64)
     worst = float(np.max(np.abs(row_sums - 1.0)))
     if not worst <= 1e-3:  # NaN fails too
@@ -373,7 +373,7 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
         del live["q"]
         made("scores", FeatureMap.adopt(live.pop("s_s").data + live.pop("s_d").data))
     made("kernels", softmax_rows(live.pop("scores")))
-    output = kernel_apply_fns(live.pop("kernels"), x, cfg.ratio, fused=fused, rows=rows)
+    output = kernel_apply_fns(live.pop("kernels"), x, fused=fused, rows=rows)
     return PipelineResult(output, **maps)
 
 
@@ -464,7 +464,6 @@ def generate_params(c_in: int, c_guide: int, seed: int = 0) -> ResfuParams:
             pcdc=PcdcParams(
                 weight=stream.uniform((ksq, d // g, l_out), 1.0 / np.sqrt(pcdc_fan_in)),
                 bias=np.zeros(l_out, np.float32),
-                groups=g,
             ),
             comp=CompressorParams(
                 conv1_weight=stream.uniform((COMPRESSOR_HIDDEN, comp_in), 1.0 / np.sqrt(comp_in)),

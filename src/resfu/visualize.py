@@ -29,9 +29,9 @@ def pca_rgb(fmap: FeatureMap) -> np.ndarray:
     """Project channels onto the top-3 principal directions, one per RGB
     plane, each min-max scaled to [0, 255]."""
     h, w, c = fmap.shape
-    flat = fmap.astype64().reshape(-1, c)
-    centered = flat - flat.mean(axis=0)
-    cov = centered.T @ centered / flat.shape[0]
+    centered = fmap.astype64().reshape(-1, c)
+    centered -= centered.mean(axis=0)
+    cov = centered.T @ centered / centered.shape[0]
     eigvals, eigvecs = np.linalg.eigh(cov)
     eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]  # descending
 
@@ -51,7 +51,7 @@ def channel_rgb(fmap: FeatureMap, channel: int) -> np.ndarray:
     """One channel as a min-max scaled grayscale image."""
     if not 0 <= channel < fmap.channels:
         raise ShapeMismatch(f"channel {channel} out of range for {fmap.channels} channels")
-    plane = _scale_to_bytes(fmap.astype64()[:, :, channel])
+    plane = _scale_to_bytes(fmap.data[:, :, channel].astype(np.float64))
     return np.repeat(plane[:, :, None], 3, axis=2)
 
 

@@ -19,4 +19,4 @@ def innerprod_chain(x, y, params, ratio, fused=True):
     scores = inner_product_scores(q, k_up, params.kernel, ratio)
     kernels = softmax_rows(scores)
     return {"q": q, "k": k, "k_up": k_up, "scores": scores, "kernels": kernels,
-            "output": kernel_apply_fns(kernels, x, ratio, fused=fused)}
+            "output": kernel_apply_fns(kernels, x, fused=fused)}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from innerprod_reference import innerprod_chain
 
-from resfu import cli, upsampler
+from resfu import cli, selfcheck, upsampler
 from resfu.ops import ShapeMismatch, bilinear_resize, nearest_resize
 from resfu.oracle import max_rel_error
 from resfu.params_io import load_params, save_params
@@ -200,6 +200,19 @@ class TestUpsample:
         assert not dump.exists()
         assert not (workspace / "out.rsft").exists()
 
+    @pytest.mark.parametrize("tag", ["s", "d"])
+    def test_group_width_that_does_not_split_the_channels_exits_two(self, workspace, capsys, tag):
+        # the bundle stores no group count; the weight's width 24 does not split D = 32
+        params = generate_params(6, 3, seed=1)
+        pcdc = getattr(params, f"block_{tag}").pcdc
+        object.__setattr__(pcdc, "weight", np.zeros((9, 24, pcdc.out_channels), np.float32))
+        save_params(workspace / "w.rsfw", params)
+        assert cli.main(upsample_args(workspace)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"pcdc_{tag}" in err and "group width 24 does not divide 32 channels" in err
+        assert not (workspace / "out.rsft").exists()
+
     def test_kernel_defaults_to_the_bundles(self, workspace):
         rng = np.random.default_rng(5)
         params = generate_params(6, 3, seed=1)
@@ -209,7 +222,7 @@ class TestUpsample:
             weight = 0.1 * rng.standard_normal((ksq,) + block.pcdc.weight.shape[1:])
             comp = dataclasses.replace(block.comp, conv2_weight=0.1 * rng.standard_normal((ksq, hidden)),
                                        conv2_bias=np.zeros(ksq))
-            return dataclasses.replace(block, pcdc=PcdcParams(weight, block.pcdc.bias, block.pcdc.groups),
+            return dataclasses.replace(block, pcdc=PcdcParams(weight, block.pcdc.bias),
                                        comp=comp)
 
         params = dataclasses.replace(params, block_s=with_k5(params.block_s), block_d=with_k5(params.block_d))
@@ -495,6 +508,24 @@ class TestSelfcheckCommand:
         assert cli.main(["selfcheck"]) == 1
         out = capsys.readouterr().out
         assert "FAIL beta" in out and "went sideways" in out and "1/2 checks passed" in out
+
+
+    def test_weights_adds_a_nineteenth_check(self, monkeypatch, tmp_path, capsys):
+        # the 18 suite checks are stubs; run_selfcheck and the bundle check are real
+        suite = {"check_pcdc_equivalence": 1, "check_guided_filter": 1, "check_fused_vs_naive": 1,
+                 "check_constant_preservation": 2, "check_degenerate_scores": 1, "check_anti_mosaic": 2,
+                 "check_gradients": 7, "check_cli_determinism": 1, "check_format_round_trips": 2}
+        for name, count in suite.items():
+            stubs = [CheckResult(f"{name}-{i}", 0.0, 0.0) for i in range(count)]
+            monkeypatch.setattr(selfcheck, name, lambda *args, stubs=stubs: stubs if len(stubs) > 1 else stubs[0])
+        path = tmp_path / "w.rsfw"
+        assert cli.main(["gen-weights", "--cin", "4", "--cguide", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["selfcheck", "--weights", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 20 and all(line.startswith("PASS ") for line in lines[:19])
+        assert lines[0].split()[1] == "check_pcdc_equivalence-0"
+        assert lines[18].split()[1] == "weights-file-loads" and lines[19] == "19/19 checks passed"
 
 
 class TestBenchCommand:

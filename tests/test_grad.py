@@ -74,7 +74,7 @@ class TestPcdcBackward:
             parts = {"q": q, "k": k, "weight": weight, "bias": bias, **named}
             return float(
                 (upstream * _pcdc_core(parts["q"], parts["k"], parts["weight"],
-                                       parts["bias"], groups, dilation)).sum()
+                                       parts["bias"], dilation)).sum()
             )
 
         for arr, grad, name in ((q, d_q, "q"), (k, d_k, "k"), (weight, d_w, "weight"), (bias, d_b, "bias")):

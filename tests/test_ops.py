@@ -50,6 +50,21 @@ class TestResize:
         out = nearest_resize(fm([[1.0, 3.0]]), 1, 4)
         np.testing.assert_array_equal(out.data[0, :, 0], [1.0, 1.0, 3.0, 3.0])
 
+    def test_nearest_holds_one_output(self):
+        # 16x16x96 -> 128x128 at ratio 8 picks cell i // 8 on each axis; the
+        # traced peak is the output alone (wrapping the gathered array in a
+        # copying constructor made it two outputs)
+        src = rand_map(np.random.default_rng(13), 16, 16, 96)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = nearest_resize(src, 128, 128)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.data.nbytes
+        assert out.data.tobytes() == np.repeat(np.repeat(src.data, 8, axis=0), 8, axis=1).tobytes()
+
     def test_identity_resize_is_exact(self):
         src = rand_map(np.random.default_rng(7), 5, 9, 3)
         assert np.array_equal(bilinear_resize(src, 5, 9).data, src.data)

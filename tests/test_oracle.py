@@ -63,7 +63,7 @@ class TestGridwiseOracle:
         x = fm(rng.standard_normal((6, 7, 3)))
         weights = softmax_rows(fm(rng.standard_normal((6, 7, 9))))
         grid = oracle_kernel_apply_gridwise(weights, x, ratio=1)
-        fns = kernel_apply_fns(weights, x, ratio=1)
+        fns = kernel_apply_fns(weights, x)
         assert max_rel_error(fns.astype64(), grid) <= 1e-6
 
     def test_one_hot_center_replicates_blocks(self):
@@ -106,7 +106,7 @@ class TestAntiMosaicContrast:
 
     def test_fine_grained_interior_is_linear(self):
         x, weights = self._setup()
-        out = kernel_apply_fns(weights, x, self.RATIO)
+        out = kernel_apply_fns(weights, x)
         interior = out.astype64()[0, 6 : self.W * self.RATIO - 6, 0]
         assert np.max(np.abs(np.diff(interior, 2))) <= 1e-5
         # and it really ramps: strictly increasing across the interior

@@ -103,7 +103,6 @@ class TestRoundTrip:
         back = deserialize_params(serialize_params(params))
         assert np.array_equal(back.proj.weight_q, params.proj.weight_q)
         assert np.array_equal(back.block_s.pcdc.weight, params.block_s.pcdc.weight)
-        assert back.block_s.pcdc.groups == params.block_s.pcdc.groups
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "first.rsfw", tmp_path / "second.rsfw"
@@ -125,9 +124,7 @@ class TestBundleIsTheModel:
         # a settable value the bundle drops would load back as another model
         params = randomized_bundle(8)
         tree = list(leaves(params))
-        kept = [path for path, owner, name in tree
-                if not isinstance(getattr(owner, name), np.ndarray) and not path.endswith(".pcdc.groups")]
-        assert kept == []
+        assert [path for path, owner, name in tree if not isinstance(getattr(owner, name), np.ndarray)] == []
         assert sum(isinstance(getattr(owner, name), np.ndarray) for _, owner, name in tree) == len(BUNDLE_ENTRY_NAMES)
         back = deserialize_params(serialize_params(params))
         for (path, owner, name), (_, back_owner, back_name) in zip(tree, leaves(back), strict=True):
@@ -145,7 +142,6 @@ class TestLayoutTable:
         params = randomized_bundle(10)
         back = params_from_arrays(param_arrays(params))
         assert serialize_params(back) == serialize_params(params)
-        assert back.block_s.pcdc.groups == params.block_s.pcdc.groups
 
     def test_deserialized_arrays_are_views_of_the_stored_maps(self):
         # a copy per entry would double what loading a bundle allocates
@@ -232,7 +228,8 @@ class TestRejects:
     def test_group_width_must_divide_the_channels(self, width):
         params = bundle()
         object.__setattr__(params.block_s.pcdc, "weight", np.zeros((9, width, 32), np.float32))
-        with pytest.raises(TensorFormatError, match=rf"^pcdc_s\.weight group width {width} does not divide 32 channels"):
+        with pytest.raises(TensorFormatError, match=rf"^inconsistent weight bundle: norm_s, pcdc_s, comp_s: "
+                                                     rf"pcdc weight group width {width} does not divide 32 channels"):
             deserialize_params(serialize_params(params))
 
     def test_storage_form_is_checked_before_consistency(self):

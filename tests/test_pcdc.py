@@ -39,7 +39,6 @@ def rand_pcdc(rng, kernel=3, d=8, l_out=8, groups=2):
     return PcdcParams(
         weight=rng.standard_normal((kernel * kernel, d // groups, l_out)).astype(np.float32),
         bias=rng.standard_normal(l_out).astype(np.float32),
-        groups=groups,
     )
 
 
@@ -81,7 +80,7 @@ class TestPcdcLayer:
         rng = np.random.default_rng(0)
         q = rand_map(rng, 6, 7, 1)
         k = rand_map(rng, 6, 7, 1)
-        p = PcdcParams(np.ones((9, 1, 1), np.float32), np.zeros(1, np.float32), groups=1)
+        p = PcdcParams(np.ones((9, 1, 1), np.float32), np.zeros(1, np.float32))
         out = pcdc_layer(q, k, p).astype64()
         k64 = k.astype64()[:, :, 0]
         for i in range(1, 5):
@@ -94,7 +93,7 @@ class TestPcdcLayer:
         q = rand_map(rng, 4, 5, 8)
         k = rand_map(rng, 4, 5, 8)
         bias = rng.standard_normal(8).astype(np.float32)
-        p = PcdcParams(np.zeros((9, 4, 8), np.float32), bias, groups=2)
+        p = PcdcParams(np.zeros((9, 4, 8), np.float32), bias)
         out = pcdc_layer(q, k, p)
         assert np.array_equal(out.data, np.broadcast_to(bias, (4, 5, 8)))
 
@@ -105,7 +104,7 @@ class TestPcdcLayer:
         rng = np.random.default_rng(2)
         const = np.full((5, 5, 8), 0.7, np.float32).astype(np.float64)
         p = rand_pcdc(rng)
-        out = _pcdc_core(const, const, p.weight.astype(np.float64), p.bias.astype(np.float64), p.groups, 1)
+        out = _pcdc_core(const, const, p.weight.astype(np.float64), p.bias.astype(np.float64), 1)
         assert np.array_equal(out.astype(np.float32), np.broadcast_to(p.bias, (5, 5, 8)))
 
     def test_linear_in_key_when_query_and_bias_are_zero(self):
@@ -113,7 +112,7 @@ class TestPcdcLayer:
         zero_q = FeatureMap(np.zeros((6, 6, 8), np.float32))
         k = rand_map(rng, 6, 6, 8)
         p = rand_pcdc(rng)
-        p = PcdcParams(p.weight, np.zeros(8, np.float32), p.groups)
+        p = PcdcParams(p.weight, np.zeros(8, np.float32))
         one = pcdc_layer(zero_q, k, p).astype64()
         three = pcdc_layer(zero_q, FeatureMap(3.0 * k.data), p).astype64()
         assert max_rel_error(three, 3.0 * one) <= 1e-5
@@ -134,7 +133,7 @@ class TestPcdcLayer:
         k = rand_map(rng, 70, 9, 8)
         p = rand_pcdc(rng)
         got = pcdc_layer(q, k, p).astype64()
-        want = oracle_pcdc_direct(q, k, p.weight, p.bias, p.groups, 1)
+        want = oracle_pcdc_direct(q, k, p.weight, p.bias, 2, 1)
         assert max_rel_error(got, want) <= 1e-5
 
     @pytest.mark.parametrize("threads", [2, 4, 8])
@@ -157,23 +156,33 @@ class TestPcdcLayer:
         with pytest.raises(ShapeMismatch):
             pcdc_layer(q, rand_map(rng, 3, 4, 8), rand_pcdc(rng))
         with pytest.raises(ShapeMismatch):
-            pcdc_layer(q, q, rand_pcdc(rng, d=4, groups=2))
-        with pytest.raises(ShapeMismatch):
-            PcdcParams(np.zeros((8, 4, 8), np.float32), np.zeros(8, np.float32), groups=2)
-        with pytest.raises(ChannelGroupMismatch):
-            PcdcParams(np.zeros((9, 4, 6), np.float32), np.zeros(6, np.float32), groups=4)
+            PcdcParams(np.zeros((8, 4, 8), np.float32), np.zeros(8, np.float32))
         with pytest.raises(ShapeMismatch):
             pcdc_layer(q, q, rand_pcdc(rng), dilation=0)
 
-    @pytest.mark.parametrize("groups", [True, 2.0, 0, "2"])
-    def test_rejects_non_integer_groups(self, groups):
-        # 2.0 once made in_channels 8.0
-        with pytest.raises(ChannelGroupMismatch, match=f"groups must be an integer >= 1, got {groups!r}"):
-            PcdcParams(np.zeros((9, 4, 8), np.float32), np.zeros(8, np.float32), groups=groups)
+    @pytest.mark.parametrize("width", [3, 5, 16])
+    def test_group_width_must_split_the_channels(self, width):
+        q = rand_map(np.random.default_rng(6), 3, 3, 8)
+        params = PcdcParams(np.zeros((9, width, 8), np.float32), np.zeros(8, np.float32))
+        with pytest.raises(ShapeMismatch, match=f"group width {width} does not divide 8 channels"):
+            pcdc_layer(q, q, params)
 
-    def test_stores_numpy_integer_groups_as_int(self):
-        params = PcdcParams(np.zeros((9, 4, 8), np.float32), np.zeros(8, np.float32), groups=np.int64(2))
-        assert type(params.groups) is int and params.in_channels == 8
+    def test_groups_must_split_the_outputs(self):
+        # width 2 on 8 channels makes 4 groups, which 6 outputs do not split
+        q = rand_map(np.random.default_rng(7), 3, 3, 8)
+        params = PcdcParams(np.zeros((9, 2, 6), np.float32), np.zeros(6, np.float32))
+        with pytest.raises(ChannelGroupMismatch, match="6 pcdc outputs not divisible into 4 groups"):
+            pcdc_layer(q, q, params)
+
+    def test_group_count_comes_from_the_maps(self):
+        # one weight of group width 2 runs on 2, 4 and 8 channels as 1, 2
+        # and 4 groups, each held to the oracle at that count
+        rng = np.random.default_rng(8)
+        params = rand_pcdc(rng, d=4, groups=2)
+        for d, groups in ((2, 1), (4, 2), (8, 4)):
+            q, k = rand_map(rng, 6, 5, d), rand_map(rng, 6, 5, d)
+            want = oracle_pcdc_direct(q, k, params.weight, params.bias, groups, 2)
+            assert max_rel_error(pcdc_layer(q, k, params, 2).astype64(), want) <= 1e-5
 
 
 class TestCompressor:
@@ -237,7 +246,7 @@ class TestPcdcBlock:
         d, l_out, hidden = 8, 8, 16
         zero = PcdcBlockParams(
             norm=GroupNormAffine(np.zeros(d), np.zeros(d)),
-            pcdc=PcdcParams(np.zeros((9, d // 2, l_out), np.float32), np.zeros(l_out, np.float32), groups=2),
+            pcdc=PcdcParams(np.zeros((9, d // 2, l_out), np.float32), np.zeros(l_out, np.float32)),
             comp=CompressorParams(
                 conv1_weight=np.zeros((hidden, l_out // 4), np.float32),
                 conv1_bias=np.zeros(hidden, np.float32),
@@ -317,14 +326,13 @@ class TestPcdcBlock:
         assert block_peak <= compressor_peak + 1.5 * v.data.nbytes
 
     def test_block_shape_validation(self):
-        rng = np.random.default_rng(33)
-        blk = rand_block(rng)
-        with pytest.raises(ShapeMismatch):
-            PcdcBlockParams(
-                norm=GroupNormAffine(np.ones(4), np.zeros(4)),
-                pcdc=blk.pcdc,
-                comp=blk.comp,
-            )
+        # the weight's group width 8 does not split a 12-channel norm, and
+        # the 3 groups it makes of a 24-channel norm do not split 8 outputs
+        blk = rand_block(np.random.default_rng(33), d=16)
+        with pytest.raises(ShapeMismatch, match="group width 8 does not divide 12 channels"):
+            dataclasses.replace(blk, norm=GroupNormAffine(np.ones(12), np.zeros(12)))
+        with pytest.raises(ChannelGroupMismatch, match="8 pcdc outputs not divisible into 3 groups"):
+            dataclasses.replace(blk, norm=GroupNormAffine(np.ones(24), np.zeros(24)))
 
     def test_compressor_must_score_every_kernel_slot(self):
         blk = rand_block(np.random.default_rng(34))

@@ -10,6 +10,7 @@ import pytest
 
 import resfu.selfcheck as selfcheck_mod
 import resfu.upsampler as upsampler_mod
+from resfu import cli
 from resfu.bench import BenchReport, CheckFailed, run_bench
 from resfu.ops import ShapeMismatch
 from resfu.selfcheck import (
@@ -126,6 +127,13 @@ class TestIndividualChecks:
 
         monkeypatch.setattr(os, "replace", replace_only_missing)
         assert not check_cli_determinism(seed=2).passed
+
+    def test_weights_file_check_passes_a_generated_bundle(self, tmp_path, capsys):
+        path = tmp_path / "w.rsfw"
+        assert cli.main(["gen-weights", "--cin", "5", "--cguide", "3", "--seed", "4", "--out", str(path)]) == 0
+        result = check_weights_file(str(path))
+        assert result.passed and result.name == "weights-file-loads" and result.max_error == 0.0
+        assert result.detail == str(path)
 
     def test_weights_file_check_fails_on_garbage(self, tmp_path):
         path = tmp_path / "junk.rsfw"

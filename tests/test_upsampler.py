@@ -65,7 +65,6 @@ def small_params(rng, d=8, l_out=8, hidden=16, kernel=3):
             pcdc=PcdcParams(
                 weight=rng.standard_normal((kernel * kernel, d // 2, l_out)).astype(np.float32) * 0.2,
                 bias=rng.standard_normal(l_out).astype(np.float32) * 0.1,
-                groups=2,
             ),
             comp=CompressorParams(
                 conv1_weight=rng.standard_normal((hidden, l_out // 4)).astype(np.float32) * 0.3,
@@ -226,7 +225,7 @@ class TestRunPipelineRows:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assert kernel_apply_fns(weights, x, 8, rows=lambda band: None) is None
+            assert kernel_apply_fns(weights, x, rows=lambda band: None) is None
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -248,8 +247,8 @@ class TestKernelApplyFns:
         for ratio in (2, 4):
             weights = self._one_hot(5 * ratio, 4 * ratio)
             want = bilinear_resize(x, 5 * ratio, 4 * ratio).data
-            assert np.array_equal(kernel_apply_fns(weights, x, ratio, fused=False).data, want)
-            assert max_rel_error(kernel_apply_fns(weights, x, ratio).data, want) <= 1e-6
+            assert np.array_equal(kernel_apply_fns(weights, x, fused=False).data, want)
+            assert max_rel_error(kernel_apply_fns(weights, x).data, want) <= 1e-6
 
     def test_uniform_weights_box_average(self):
         rng = np.random.default_rng(21)
@@ -257,7 +256,7 @@ class TestKernelApplyFns:
         ratio = 3
         h, w = 18, 15
         weights = FeatureMap(np.full((h, w, 9), 1.0 / 9.0, np.float32))
-        out = kernel_apply_fns(weights, x, ratio)
+        out = kernel_apply_fns(weights, x)
         x_up = bilinear_resize(x, h, w)
         want = gather_neighbors(x_up, 3, ratio).astype(np.float64).mean(axis=1)
         assert max_rel_error(out.astype64().reshape(-1, 4), want) <= 1e-6
@@ -265,7 +264,7 @@ class TestKernelApplyFns:
     def test_ratio_one_center_identity(self):
         rng = np.random.default_rng(22)
         x = rand_map(rng, 7, 6, 2)
-        out = kernel_apply_fns(self._one_hot(7, 6), x, ratio=1)
+        out = kernel_apply_fns(self._one_hot(7, 6), x)
         assert np.array_equal(out.data, x.data)
 
     def test_matches_neighbor_gather_oracle(self):
@@ -274,7 +273,7 @@ class TestKernelApplyFns:
         ratio = 2
         weights = softmax_rows(rand_map(rng, 10, 12, 9))
         for fused in (True, False):
-            out = kernel_apply_fns(weights, x, ratio, fused=fused)
+            out = kernel_apply_fns(weights, x, fused=fused)
             x_up = bilinear_resize(x, 10, 12)
             gathered = gather_neighbors(x_up, 3, ratio).astype(np.float64)
             want = np.einsum("pn,pnc->pc", weights.astype64().reshape(-1, 9), gathered)
@@ -287,10 +286,10 @@ class TestKernelApplyFns:
         for ratio, h, w, c in ((1, 9, 7, 3), (2, 6, 5, 4), (4, 5, 3, 2), (8, 4, 4, 1)):
             x = rand_map(rng, h, w, c)
             weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, 9))
-            fused = kernel_apply_fns(weights, x, ratio, fused=True)
-            naive = kernel_apply_fns(weights, x, ratio, fused=False)
+            fused = kernel_apply_fns(weights, x, fused=True)
+            naive = kernel_apply_fns(weights, x, fused=False)
             assert max_rel_error(fused.data, naive.data) <= 1e-6
-            assert fused.data.tobytes() == kernel_apply_fns(weights, x, ratio).data.tobytes()
+            assert fused.data.tobytes() == kernel_apply_fns(weights, x).data.tobytes()
 
     # Ids: ratio, h, w, c, K, and the row-tile size that the first two
     # cases were chosen for when the fused apply ran in row tiles.
@@ -310,8 +309,8 @@ class TestKernelApplyFns:
         rng = np.random.default_rng(27)
         x = rand_map(rng, h, w, c)
         weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, kernel * kernel))
-        naive = kernel_apply_fns(weights, x, ratio, fused=False)
-        fused = kernel_apply_fns(weights, x, ratio, fused=True)
+        naive = kernel_apply_fns(weights, x, fused=False)
+        fused = kernel_apply_fns(weights, x, fused=True)
         assert max_rel_error(fused.data, naive.data) <= 1e-6
 
     def test_window_taps_interpolate_the_dilated_samples(self):
@@ -340,26 +339,39 @@ class TestKernelApplyFns:
         x = fm(np.ones((2, 2, 1)))
         weights = FeatureMap(np.full((4, 4, 9), 0.2, np.float32))
         with pytest.raises(RowNotNormalized):
-            kernel_apply_fns(weights, x, 2)
+            kernel_apply_fns(weights, x)
 
     def test_nan_weight_rejected(self):
         x = fm(np.ones((2, 2, 1)))
         weights = self._one_hot(4, 4).data.copy()
         weights[1, 2, 4] = np.nan
         with pytest.raises(RowNotNormalized):
-            kernel_apply_fns(FeatureMap(weights), x, 2)
+            kernel_apply_fns(FeatureMap(weights), x)
 
     def test_dim_checks(self):
         x = fm(np.ones((2, 2, 1)))
         with pytest.raises(ShapeMismatch):
-            kernel_apply_fns(FeatureMap(np.ones((4, 4, 8), np.float32)), x, 2)
-        with pytest.raises(RatioMismatch):
-            kernel_apply_fns(self._one_hot(4, 4), x, 3)
-        with pytest.raises(RatioMismatch):
-            kernel_apply_fns(self._one_hot(4, 4), x, 0)
+            kernel_apply_fns(FeatureMap(np.ones((4, 4, 8), np.float32)), x)
         for fused in (True, False):  # 4 slots, but K = 2 has no center
             with pytest.raises(ShapeMismatch):
-                kernel_apply_fns(FeatureMap(np.full((4, 4, 4), 0.25, np.float32)), x, 2, fused=fused)
+                kernel_apply_fns(FeatureMap(np.full((4, 4, 4), 0.25, np.float32)), x, fused=fused)
+
+    @pytest.mark.parametrize("h,w", [
+        (1, 1), (2, 1), (1, 2),  # smaller than x
+        (5, 5), (6, 5), (5, 4),  # no integer multiple of x
+        (4, 6), (6, 4), (2, 4),  # different multiples on the two axes
+    ])
+    def test_ratio_comes_from_the_weights_grid(self, h, w):
+        x = fm(np.ones((2, 2, 1)))
+        for fused in (True, False):
+            with pytest.raises(RatioMismatch, match=f"weights are {h}x{w}, not one integer multiple"):
+                kernel_apply_fns(self._one_hot(h, w), x, fused=fused)
+
+    def test_takes_no_positional_ratio(self):
+        # an old caller's ratio must not be taken for `fused`
+        x = fm(np.ones((2, 2, 1)))
+        with pytest.raises(TypeError):
+            kernel_apply_fns(self._one_hot(4, 4), x, 2)
 
     @pytest.mark.parametrize("slots", [1, 9, 25])
     def test_kernel_comes_from_the_slot_count(self, slots):
@@ -370,7 +382,7 @@ class TestKernelApplyFns:
         weights = softmax_rows(rand_map(rng, 5, 6, slots))
         want = oracle_kernel_apply_gridwise(weights, x, 1)
         for fused in (False, True):
-            assert max_rel_error(kernel_apply_fns(weights, x, 1, fused=fused).data, want) <= 1e-6
+            assert max_rel_error(kernel_apply_fns(weights, x, fused=fused).data, want) <= 1e-6
 
     @pytest.mark.parametrize("slots", [2, 4, 8, 16])
     def test_rejects_a_slot_count_that_is_no_odd_square(self, slots):
@@ -378,19 +390,10 @@ class TestKernelApplyFns:
         weights = FeatureMap(np.full((4, 4, slots), 1 / slots, np.float32))
         for fused in (True, False):
             with pytest.raises(ShapeMismatch, match=f"{slots} neighbor slots is not an odd kernel squared"):
-                kernel_apply_fns(weights, x, 2, fused=fused)
+                kernel_apply_fns(weights, x, fused=fused)
         for apply in (_apply_naive, _apply_fused):
             with pytest.raises(ShapeMismatch, match=f"{slots} neighbor slots is not an odd kernel squared"):
                 apply(weights.data, x.data, 2)
-
-    def test_ratio_must_be_a_non_bool_integer(self):
-        # True == 1 would pass a 2x2 map at ratio 1; a bool is no ratio
-        x = fm(np.arange(4.0).reshape(2, 2, 1))
-        for bad in (True, False, 1.0, np.float64(1.0)):
-            with pytest.raises(RatioMismatch):
-                kernel_apply_fns(self._one_hot(2, 2), x, bad)
-        want = kernel_apply_fns(self._one_hot(4, 4), x, 2).data
-        assert np.array_equal(kernel_apply_fns(self._one_hot(4, 4), x, np.int64(2)).data, want)
 
     def test_fused_skips_full_upsampled_buffer(self):
         # traced peak minus the output: the fused path's scratch stays below
@@ -735,7 +738,7 @@ class TestConfigValidation:
     def test_bad_kernel(self):
         # the kernel size is carried by the parameters: 16 taps is no odd K
         with pytest.raises(ShapeMismatch):
-            PcdcParams(weight=np.zeros((16, 2, 4), np.float32), bias=np.zeros(4, np.float32), groups=2)
+            PcdcParams(weight=np.zeros((16, 2, 4), np.float32), bias=np.zeros(4, np.float32))
         with pytest.raises(ShapeMismatch):
             neighbor_offsets(4, 1)
         # neighbor_offsets is the one check of K and the dilation: bools and
@@ -795,6 +798,6 @@ def test_fused_naive_agree_property(seed, h, w, c, ratio):
     rng = np.random.default_rng(seed)
     x = rand_map(rng, h, w, c)
     weights = softmax_rows(rand_map(rng, h * ratio, w * ratio, 9))
-    fused = kernel_apply_fns(weights, x, ratio, fused=True)
-    naive = kernel_apply_fns(weights, x, ratio, fused=False)
+    fused = kernel_apply_fns(weights, x, fused=True)
+    naive = kernel_apply_fns(weights, x, fused=False)
     assert max_rel_error(fused.astype64(), naive.astype64()) <= 1e-6

@@ -1,5 +1,8 @@
 """Visualization tests: byte-image invariants of the PCA/channel renderers,
-and the PPM container format."""
+their pinned bytes and memory, and the PPM container format."""
+
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +76,45 @@ class TestChannelRgb:
     def test_rejects_out_of_range_channel(self, channel):
         with pytest.raises(ShapeMismatch):
             channel_rgb(FeatureMap(np.zeros((3, 3, 2), np.float32)), channel)
+
+
+def traced_peak(call) -> int:
+    """Traced peak, in bytes above the level at entry, of one call()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestPinnedRenders:
+    # PPM bytes of a seeded 32x24x16 map, as first written; the PCA digest
+    # holds per NumPy/LAPACK build, as the module says
+    FMAP = FeatureMap(np.random.default_rng(11).standard_normal((32, 24, 16)).astype(np.float32))
+
+    def test_pca_bytes(self):
+        digest = hashlib.sha256(encode_ppm(pca_rgb(self.FMAP))).hexdigest()
+        assert digest == "9f473d168590edd534e9ce403f94e392d049fb83bc1032ffcd062f3d929ff787"
+
+    def test_channel_bytes(self):
+        digest = hashlib.sha256(encode_ppm(channel_rgb(self.FMAP, 5))).hexdigest()
+        assert digest == "737edddf7c3d33f1dd2f3da1942d756af7224bca15dd99d53b105d03a147ceee"
+
+
+class TestRenderMemory:
+    # traced peaks on a 128x128x64 map, in float32 maps: a float64 copy of
+    # the map is two
+    FMAP = FeatureMap(np.random.default_rng(12).standard_normal((128, 128, 64)).astype(np.float32))
+
+    def test_pca_centres_its_one_float64_copy_in_place(self):
+        # a centred second copy beside the first made it 4.1
+        assert traced_peak(lambda: pca_rgb(self.FMAP)) <= 2.5 * self.FMAP.data.nbytes
+
+    def test_channel_casts_only_its_channel(self):
+        # casting every channel to read one made it 2.1
+        assert traced_peak(lambda: channel_rgb(self.FMAP, 3)) <= 0.25 * self.FMAP.data.nbytes
 
 
 class TestPpmFormat:
