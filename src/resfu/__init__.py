@@ -10,6 +10,7 @@ from .guided_filter import GuidedFilterConfig, guided_filter
 from .ops import (
     ChannelGroupMismatch,
     GroupNormAffine,
+    NonFiniteInput,
     ShapeMismatch,
     bilinear_resize,
     gaussian_smooth3,
@@ -33,7 +34,6 @@ from .tensor import (
     serialize,
 )
 from .upsampler import (
-    NonFiniteInput,
     ProjectionParams,
     RatioMismatch,
     ResfuParams,

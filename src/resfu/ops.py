@@ -44,6 +44,10 @@ class ChannelGroupMismatch(Exception):
     """A channel count is not divisible by the requested group count."""
 
 
+class NonFiniteInput(Exception):
+    """A map or a model array holds a NaN or an infinite value."""
+
+
 # Output rows per chunk of the row-chunked difference convolution
 # (resfu.pcdc): bounds its per-chunk scratch, and fixes where its work
 # splits.
@@ -96,6 +100,30 @@ def _positive_real(name: str, x) -> float:
     if isinstance(x, bool) or not isinstance(x, numbers.Real) or not (math.isfinite(x) and x > 0):
         raise ShapeMismatch(f"{name} must be a finite real > 0, got {x!r}")
     return float(x)
+
+
+def _as_float32(name: str, arr, rank: int) -> np.ndarray:
+    """arr as a float32 array of rank `rank` (else ShapeMismatch) that holds
+    no NaN or Inf (else NonFiniteInput): the rule for every model array."""
+    with np.errstate(over="ignore"):  # a value past float32's range becomes Inf, rejected below
+        arr = np.asarray(arr, np.float32)
+    if arr.ndim != rank:
+        raise ShapeMismatch(f"{name} must have rank {rank}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput(f"{name} holds NaN or infinite values")
+    return arr
+
+
+def _group_count(layer: str, channels: int, width: int, outputs: int) -> int:
+    """Groups of a grouped layer: its maps' `channels` over its weight's group
+    `width`.  ShapeMismatch if the width does not split the channels,
+    ChannelGroupMismatch if the groups do not split its `outputs`; both name `layer`."""
+    if not width or channels % width:
+        raise ShapeMismatch(f"{layer} weight group width {width} does not divide {channels} channels")
+    groups = channels // width
+    if outputs % groups:
+        raise ChannelGroupMismatch(f"{outputs} {layer} outputs not divisible into {groups} groups")
+    return groups
 
 
 def _odd_kernel(slots: int) -> int:
@@ -270,9 +298,9 @@ class GroupNormAffine:
     beta: np.ndarray
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma, np.float32)
-        beta = np.asarray(self.beta, np.float32)
-        if gamma.ndim != 1 or gamma.shape != beta.shape:
+        gamma = _as_float32("gamma", self.gamma, 1)
+        beta = _as_float32("beta", self.beta, 1)
+        if gamma.shape != beta.shape:
             raise ShapeMismatch(f"gamma/beta must be equal-length vectors, got {gamma.shape} vs {beta.shape}")
         if gamma.size % NORM_GROUPS:
             raise ChannelGroupMismatch(f"{gamma.size} channels not divisible into {NORM_GROUPS} groups")
@@ -360,17 +388,18 @@ def _block_diagonal(weight: np.ndarray, groups: int) -> np.ndarray:
     return dense
 
 
-def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray, groups: int,
+def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray,
                            *, relu: bool = False, out: np.ndarray | None = None) -> FeatureMap:
     """1x1 convolution with channel groups, optionally followed by a ReLU.
 
-    weight has shape (c_out, c_in // groups); output channel l belongs to
-    group floor(l * groups / c_out) and only sees the matching input slice.
-    `groups` is an integer >= 1, not a bool, that divides c_out.
-    Computes in float32: per pixel block, one product against the dense
-    block-diagonal weight (_block_diagonal, through matmul_rows) writes the
-    block's output rows, and the bias and, with relu=True, the clamp at
-    zero are applied to them in place.
+    weight has shape (c_out, width); the group count G is src's channels
+    over the group width (_group_count: ShapeMismatch if the width does not
+    split them, ChannelGroupMismatch if G does not split c_out), and output
+    channel l belongs to group floor(l * G / c_out) and only sees the
+    matching input slice.  Computes in float32: per pixel block, one
+    product against the dense block-diagonal weight (_block_diagonal,
+    through matmul_rows) writes the block's output rows, and the bias and,
+    with relu=True, the clamp at zero are applied to them in place.
 
     `out`, if given, is a writable C-contiguous float32 array of shape
     (H, W, c_out) (else ShapeMismatch) that receives the result; the
@@ -380,15 +409,9 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
     bias = np.asarray(bias, np.float32)
     if weight.ndim != 2 or bias.ndim != 1 or bias.size != weight.shape[0]:
         raise ShapeMismatch(f"weight {weight.shape} / bias {bias.shape} are not a conv parameter pair")
-    groups = _positive_int("groups", groups, ChannelGroupMismatch)
-    c_out = weight.shape[0]
-    c_in = weight.shape[1] * groups
-    if c_out % groups:
-        raise ChannelGroupMismatch(f"{c_out} output channels not divisible into {groups} groups")
-    if src.channels != c_in:
-        raise ShapeMismatch(f"map has {src.channels} channels, weight implies {c_in}")
-    dense = _block_diagonal(weight.T, groups)
-    flat = src.data.reshape(-1, c_in)
+    c_out, width = weight.shape
+    dense = _block_diagonal(weight.T, _group_count("1x1 conv", src.channels, width, c_out))
+    flat = src.data.reshape(-1, src.channels)
     result = _result_buffer(out, (src.height, src.width, c_out))
     out_flat = result.reshape(-1, c_out)
     for p0, p1 in _pixel_blocks(flat.shape[0]):

@@ -7,7 +7,7 @@ as an embedded .rsft blob.
 The entries are the table _LAYOUT, in file order: each entry's name, the
 attribute path of its array in ResfuParams and that array's rank (the
 projections, then the s and d score blocks).  A bundle is the whole
-ResfuParams: every field of it is a stored array, and a difference conv's
+ResfuParams: every field of it is a stored array, and a grouped conv's
 group count is read at each call as the maps' channels over the weight's
 group width.  param_arrays and params_from_arrays map between the two
 through that table.  Every tensor is stored as a rank-3 map:

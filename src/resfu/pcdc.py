@@ -28,11 +28,12 @@ import numpy as np
 
 from .ops import (
     CHUNK_ROWS,
-    ChannelGroupMismatch,
     GroupNormAffine,
     ShapeMismatch,
     SimilarityScores,
+    _as_float32,
     _block_diagonal,
+    _group_count,
     _odd_kernel,
     group_normalize,
     grouped_pointwise_conv,
@@ -42,17 +43,10 @@ from .ops import (
 from .tensor import FeatureMap
 
 
-def _as_float32(name: str, arr, rank: int) -> np.ndarray:
-    arr = np.asarray(arr, np.float32)
-    if arr.ndim != rank:
-        raise ShapeMismatch(f"{name} must have rank {rank}, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class PcdcParams:
     """Difference-convolution weights: (K*K, D/G, L) plus per-output bias;
-    each call reads the group count G from its maps (see _group_count)."""
+    each call reads the group count G from its maps (see ops._group_count)."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -76,23 +70,10 @@ class PcdcParams:
         return self.weight.shape[2]
 
 
-def _group_count(channels: int, weight: np.ndarray) -> int:
-    """The maps' `channels` over the weight's group width: ShapeMismatch if
-    the width does not split them, ChannelGroupMismatch if the groups do
-    not split the weight's outputs."""
-    _, width, l_out = weight.shape
-    if not width or channels % width:
-        raise ShapeMismatch(f"pcdc weight group width {width} does not divide {channels} channels")
-    groups = channels // width
-    if l_out % groups:
-        raise ChannelGroupMismatch(f"{l_out} pcdc outputs not divisible into {groups} groups")
-    return groups
-
-
 def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarray,
                dilation: int) -> np.ndarray:
     """Decomposed difference conv on raw (H, W, D) arrays; dtype follows q,
-    and the group count is _group_count(D, weight).
+    and the group count is D over the weight's group width (_group_count).
 
         v[i, l] = sum_n sum_d' weight[n, d', l] * k[N(i)_n, d]
                 - sum_d' (sum_n weight[n, d', l]) * q[i, d] + bias[l]
@@ -103,8 +84,8 @@ def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarra
     added at the tap's column offset; the query term is one more matmul.
     """
     h, w, d_in = q.shape
-    groups = _group_count(d_in, weight)
-    ksq, _, l_out = weight.shape
+    ksq, width, l_out = weight.shape
+    groups = _group_count("pcdc", d_in, width, l_out)
     kernel = math.isqrt(ksq)
     offsets = neighbor_offsets(kernel, dilation)
     reach = (kernel - 1) // 2 * dilation
@@ -138,18 +119,14 @@ def pcdc_layer(q_bar: FeatureMap, k_bar: FeatureMap, params: PcdcParams, dilatio
                                        params.bias, dilation))
 
 
-# Channel groups of the compressor's hidden 1x1 conv.
-COMPRESSOR_GROUPS = 4
-
-
 @dataclass(frozen=True)
 class CompressorParams:
     """Channel reduction after the difference layer: grouped 1x1 conv, ReLU,
     group norm, then a final 1x1 conv down to one score per neighbor slot.
 
-    The hidden conv uses COMPRESSOR_GROUPS channel groups, so conv1_weight
-    is (hidden, L // COMPRESSOR_GROUPS); the final conv is ungrouped since
-    its K*K outputs do not split evenly into 4.
+    conv1_weight is (hidden, L/G): its group count G is read from the
+    difference map's L channels at each call (see grouped_pointwise_conv).
+    conv2_weight is (K*K, hidden), so the final conv is ungrouped.
     """
 
     conv1_weight: np.ndarray
@@ -159,10 +136,8 @@ class CompressorParams:
     conv2_bias: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "conv1_weight", _as_float32("conv1_weight", self.conv1_weight, 2))
-        object.__setattr__(self, "conv1_bias", _as_float32("conv1_bias", self.conv1_bias, 1))
-        object.__setattr__(self, "conv2_weight", _as_float32("conv2_weight", self.conv2_weight, 2))
-        object.__setattr__(self, "conv2_bias", _as_float32("conv2_bias", self.conv2_bias, 1))
+        for name, rank in (("conv1_weight", 2), ("conv1_bias", 1), ("conv2_weight", 2), ("conv2_bias", 1)):
+            object.__setattr__(self, name, _as_float32(name, getattr(self, name), rank))
         for name, weight, bias in (("conv1", self.conv1_weight, self.conv1_bias),
                                    ("conv2", self.conv2_weight, self.conv2_bias)):
             if bias.size != weight.shape[0]:
@@ -183,25 +158,25 @@ def channel_compressor(v: FeatureMap, params: CompressorParams) -> SimilaritySco
     temporary, as pcdc_block does, it is freed before the norm.
     """
     buf = np.empty((v.height, v.width, params.conv1_weight.shape[0]), np.float32)
-    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, COMPRESSOR_GROUPS,
-                                    relu=True, out=buf)
+    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, relu=True, out=buf)
     del v
     hidden = group_normalize(hidden, params.norm, out=buf)
-    return grouped_pointwise_conv(hidden, params.conv2_weight, params.conv2_bias, groups=1)
+    return grouped_pointwise_conv(hidden, params.conv2_weight, params.conv2_bias)
 
 
 @dataclass(frozen=True)
 class PcdcBlockParams:
-    """Shared-affine input norm + difference layer + channel compressor."""
+    """Shared-affine input norm + difference layer + channel compressor; the
+    group counts of the difference conv and conv1 are read from D and L."""
 
     norm: GroupNormAffine
     pcdc: PcdcParams
     comp: CompressorParams
 
     def __post_init__(self):
-        _group_count(self.norm.channels, self.pcdc.weight)
-        if self.comp.conv1_weight.shape[1] * COMPRESSOR_GROUPS != self.pcdc.out_channels:
-            raise ShapeMismatch("compressor input channels do not match pcdc outputs")
+        _group_count("pcdc", self.norm.channels, *self.pcdc.weight.shape[1:])
+        hidden, width = self.comp.conv1_weight.shape
+        _group_count("conv1", self.pcdc.out_channels, width, hidden)
         scores, kernel = self.comp.conv2_weight.shape[0], self.pcdc.kernel
         if scores != kernel * kernel:
             raise ShapeMismatch(f"compressor emits {scores} scores, kernel {kernel} needs {kernel * kernel}")

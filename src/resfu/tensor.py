@@ -84,7 +84,8 @@ class FeatureMap:
 
     The constructor copies its input into a fresh C-contiguous float32 array
     and freezes it, so a FeatureMap never aliases caller-owned memory and all
-    operations on it are non-mutating by construction.
+    operations on it are non-mutating by construction.  Maps compare by
+    value and, like ndarrays, are unhashable.
     """
 
     __slots__ = ("_data",)
@@ -144,9 +145,6 @@ class FeatureMap:
         if not isinstance(other, FeatureMap):
             return NotImplemented
         return self.shape == other.shape and np.array_equal(self._data, other._data)
-
-    def __hash__(self):
-        return hash((self.shape, self._data.tobytes()))
 
     def __repr__(self) -> str:
         return f"FeatureMap({self.height}x{self.width}x{self.channels})"

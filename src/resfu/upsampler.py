@@ -53,8 +53,10 @@ from .guided_filter import GuidedFilterConfig, guided_filter
 from .ops import (
     BLAS_PIECE,
     GroupNormAffine,
+    NonFiniteInput,
     ShapeMismatch,
     SimilarityScores,
+    _as_float32,
     _odd_kernel,
     _positive_int,
     _resize_linear,
@@ -65,12 +67,13 @@ from .ops import (
     neighbor_offsets,
     softmax_rows,
 )
-from .pcdc import COMPRESSOR_GROUPS, CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
+from .pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
 from .tensor import FeatureMap
 
 PROJ_DIM = 32  # D: projection width of q and k
 PCDC_CHANNELS = 32  # L: difference-conv output channels
 PCDC_GROUPS = 4  # G
+COMPRESSOR_GROUPS = 4  # of the compressor's hidden conv
 COMPRESSOR_HIDDEN = 128
 KERNEL = 3  # K of generated bundles
 
@@ -81,10 +84,6 @@ class RatioMismatch(Exception):
 
 class RowNotNormalized(Exception):
     """Kernel weights were not softmax-normalized before application."""
-
-
-class NonFiniteInput(Exception):
-    """The input or the guide holds a NaN or an infinite value."""
 
 
 def check_guide(x: FeatureMap, y: FeatureMap, ratio: int) -> None:
@@ -112,10 +111,8 @@ class ProjectionParams:
     bias_k: np.ndarray
 
     def __post_init__(self):
-        for name in ("weight_q", "bias_q", "weight_k", "bias_k"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), np.float32))
-        if self.weight_q.ndim != 2 or self.weight_k.ndim != 2:
-            raise ShapeMismatch("projection weights must be matrices")
+        for name, rank in (("weight_q", 2), ("bias_q", 1), ("weight_k", 2), ("bias_k", 1)):
+            object.__setattr__(self, name, _as_float32(name, getattr(self, name), rank))
         d = self.weight_q.shape[0]
         if self.weight_k.shape[0] != d or self.bias_q.shape != (d,) or self.bias_k.shape != (d,):
             raise ShapeMismatch("projection tensors disagree on the output dimension")
@@ -167,8 +164,8 @@ def project_qk(x: FeatureMap, y: FeatureMap, proj: ProjectionParams) -> tuple[Fe
         raise ShapeMismatch(f"guide has {y.channels} channels, weight_q expects {proj.weight_q.shape[1]}")
     if x.channels != proj.weight_k.shape[1]:
         raise ShapeMismatch(f"input has {x.channels} channels, weight_k expects {proj.weight_k.shape[1]}")
-    return (grouped_pointwise_conv(y, proj.weight_q, proj.bias_q, groups=1),
-            grouped_pointwise_conv(x, proj.weight_k, proj.bias_k, groups=1))
+    return (grouped_pointwise_conv(y, proj.weight_q, proj.bias_q),
+            grouped_pointwise_conv(x, proj.weight_k, proj.bias_k))
 
 
 # --- kernel application with fine-grained neighbor selection ---------------

@@ -213,6 +213,18 @@ class TestUpsample:
         assert f"pcdc_{tag}" in err and "group width 24 does not divide 32 channels" in err
         assert not (workspace / "out.rsft").exists()
 
+    @pytest.mark.parametrize("tag", ["s", "d"])
+    def test_conv1_group_width_that_does_not_split_the_pcdc_outputs_exits_two(self, workspace, capsys, tag):
+        # the bundle stores no compressor group count; conv1's width 5 does not split L = 32
+        params = generate_params(6, 3, seed=1)
+        object.__setattr__(getattr(params, f"block_{tag}").comp, "conv1_weight", np.zeros((128, 5), np.float32))
+        save_params(workspace / "w.rsfw", params)
+        assert cli.main(upsample_args(workspace)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"comp_{tag}" in err and "conv1 weight group width 5 does not divide 32 channels" in err
+        assert not (workspace / "out.rsft").exists()
+
     def test_kernel_defaults_to_the_bundles(self, workspace):
         rng = np.random.default_rng(5)
         params = generate_params(6, 3, seed=1)

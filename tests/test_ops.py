@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from resfu.ops import (
     ChannelGroupMismatch,
     GroupNormAffine,
+    NonFiniteInput,
     ShapeMismatch,
     _window_sums,
     bilinear_resize,
@@ -22,9 +23,8 @@ from resfu.ops import (
     softmax_rows,
 )
 from resfu.oracle import max_rel_error
-from resfu.pcdc import COMPRESSOR_GROUPS
 from resfu.tensor import FeatureMap
-from resfu.upsampler import generate_params
+from resfu.upsampler import COMPRESSOR_GROUPS, generate_params
 
 from gf_reference import box_mean_array
 
@@ -286,6 +286,15 @@ class TestGroupNormalize:
         with pytest.raises(ShapeMismatch):
             group_normalize(src, GroupNormAffine(np.ones(8), np.zeros(8)))
 
+    def test_rejects_misshapen_or_non_finite_vectors(self):
+        with pytest.raises(ShapeMismatch, match=r"gamma/beta must be equal-length vectors, got \(8,\) vs \(4,\)"):
+            GroupNormAffine(np.ones(8), np.zeros(4))
+        with pytest.raises(ShapeMismatch, match=r"^gamma must have rank 1, got shape \(2, 4\)"):
+            GroupNormAffine(np.ones((2, 4)), np.zeros((2, 4)))
+        for bad in (np.nan, np.inf, 1e300):  # 1e300 overflows float32 to Inf
+            with pytest.raises(NonFiniteInput, match="^beta holds NaN or infinite values"):
+                GroupNormAffine(np.ones(4), np.array([0.0, bad, 0.0, 0.0]))
+
     def test_in_place_out_equals_allocating_call(self):
         rng = np.random.default_rng(24)
         affine = GroupNormAffine(rng.standard_normal(8), rng.standard_normal(8))
@@ -357,9 +366,25 @@ class TestGroupedPointwiseConv:
         src = rand_map(rng, 5, 4, c_in)
         weight = rng.standard_normal((c_out, c_in // groups)).astype(np.float32)
         bias = rng.standard_normal(c_out).astype(np.float32)
-        out = grouped_pointwise_conv(src, weight, bias, groups)
+        out = grouped_pointwise_conv(src, weight, bias)
         want = dense_conv_oracle(src, weight, bias, groups)
         np.testing.assert_allclose(out.astype64(), want, rtol=1e-6, atol=1e-6)
+
+    def test_group_count_comes_from_the_map(self):
+        # one weight of group width 3 runs on 3, 6 and 12 channels as 1, 2
+        # and 4 groups, each held to the oracle at that count
+        rng = np.random.default_rng(30)
+        weight = rng.standard_normal((8, 3)).astype(np.float32)
+        bias = rng.standard_normal(8).astype(np.float32)
+        for groups in (1, 2, 4):
+            src = rand_map(rng, 5, 4, 3 * groups)
+            want = dense_conv_oracle(src, weight, bias, groups)
+            assert max_rel_error(grouped_pointwise_conv(src, weight, bias).astype64(), want) <= 1e-6
+
+    def test_takes_no_group_count(self):
+        src = rand_map(np.random.default_rng(0), 2, 2, 6)
+        with pytest.raises(TypeError):
+            grouped_pointwise_conv(src, np.zeros((4, 3), np.float32), np.zeros(4, np.float32), 2)
 
     @pytest.mark.parametrize("name", ["conv1", "conv2", "projection"])
     def test_production_shapes_match_dense_oracle(self, name):
@@ -376,7 +401,7 @@ class TestGroupedPointwiseConv:
         rng = np.random.default_rng(44)
         bias = bias + rng.uniform(-0.1, 0.1, bias.size).astype(np.float32)
         src = rand_map(rng, 40, 36, weight.shape[1] * groups)  # several pixel blocks
-        got = grouped_pointwise_conv(src, weight, bias, groups, relu=relu)
+        got = grouped_pointwise_conv(src, weight, bias, relu=relu)
         want = dense_conv_oracle(src, weight, bias, groups)
         if relu:
             want = np.maximum(want, 0.0)
@@ -386,13 +411,13 @@ class TestGroupedPointwiseConv:
         rng = np.random.default_rng(41)
         src = rand_map(rng, 3, 3, 5)
         weight = rng.standard_normal((2, 5)).astype(np.float32)
-        out = grouped_pointwise_conv(src, weight, np.zeros(2, np.float32), 1)
+        out = grouped_pointwise_conv(src, weight, np.zeros(2, np.float32))
         want = src.astype64() @ weight.astype(np.float64).T
         np.testing.assert_allclose(out.astype64(), want, atol=1e-6)
 
     def test_relu_clamps_at_zero(self):
         src = fm([[-1.0, 0.0], [2.5, -0.0]])
-        out = grouped_pointwise_conv(src, np.ones((1, 1), np.float32), np.zeros(1, np.float32), 1, relu=True)
+        out = grouped_pointwise_conv(src, np.ones((1, 1), np.float32), np.zeros(1, np.float32), relu=True)
         np.testing.assert_array_equal(out.data[:, :, 0], [[0.0, 0.0], [2.5, 0.0]])
         assert not np.signbit(out.data).any()
 
@@ -401,9 +426,9 @@ class TestGroupedPointwiseConv:
         src = rand_map(rng, 30, 20, 8)  # two pixel blocks
         weight = rng.standard_normal((16, 4)).astype(np.float32)
         bias = rng.standard_normal(16).astype(np.float32)
-        want = grouped_pointwise_conv(src, weight, bias, 2, relu=True)
+        want = grouped_pointwise_conv(src, weight, bias, relu=True)
         buf = np.full((30, 20, 16), np.nan, np.float32)
-        got = grouped_pointwise_conv(src, weight, bias, 2, relu=True, out=buf)
+        got = grouped_pointwise_conv(src, weight, bias, relu=True, out=buf)
         assert np.array_equal(got.data, want.data)
         assert np.shares_memory(got.data, buf) and not got.data.flags.writeable
 
@@ -411,34 +436,19 @@ class TestGroupedPointwiseConv:
     def test_rejects_bad_out(self, bad):
         src = rand_map(np.random.default_rng(43), 3, 4, 6)
         with pytest.raises(ShapeMismatch, match="out must be"):
-            grouped_pointwise_conv(src, np.ones((4, 3), np.float32), np.zeros(4, np.float32), 2,
+            grouped_pointwise_conv(src, np.ones((4, 3), np.float32), np.zeros(4, np.float32),
                                    out=bad_out(bad, (3, 4, 4)))
 
     def test_rejects_mismatches(self):
         src = rand_map(np.random.default_rng(0), 2, 2, 6)
         w = np.zeros((4, 3), np.float32)
         b = np.zeros(4, np.float32)
-        with pytest.raises(ChannelGroupMismatch):
-            grouped_pointwise_conv(src, w, b, 3)  # 4 outputs not divisible by 3
-        with pytest.raises(ShapeMismatch):
-            grouped_pointwise_conv(src, np.zeros((4, 4), np.float32), b, 2)  # implies c_in 8
-        with pytest.raises(ShapeMismatch):
-            grouped_pointwise_conv(src, w, np.zeros(3, np.float32), 2)
-
-    @pytest.mark.parametrize("groups", [True, 2.0, 0, "2"])
-    def test_rejects_non_integer_groups(self, groups):
-        # 2.0 raised a bare TypeError
-        src = rand_map(np.random.default_rng(0), 2, 2, 6)
-        with pytest.raises(ChannelGroupMismatch, match=f"groups must be an integer >= 1, got {groups!r}"):
-            grouped_pointwise_conv(src, np.zeros((4, 3), np.float32), np.zeros(4, np.float32), groups)
-
-    def test_accepts_numpy_integer_groups(self):
-        rng = np.random.default_rng(44)
-        src = rand_map(rng, 3, 2, 6)
-        w = rng.standard_normal((4, 3)).astype(np.float32)
-        b = rng.standard_normal(4).astype(np.float32)
-        want = grouped_pointwise_conv(src, w, b, 2)
-        assert np.array_equal(grouped_pointwise_conv(src, w, b, np.int64(2)).data, want.data)
+        with pytest.raises(ChannelGroupMismatch, match="4 1x1 conv outputs not divisible into 3 groups"):
+            grouped_pointwise_conv(src, np.zeros((4, 2), np.float32), b)  # width 2 makes 3 groups of 6
+        with pytest.raises(ShapeMismatch, match="1x1 conv weight group width 4 does not divide 6 channels"):
+            grouped_pointwise_conv(src, np.zeros((4, 4), np.float32), b)
+        with pytest.raises(ShapeMismatch, match="not a conv parameter pair"):
+            grouped_pointwise_conv(src, w, np.zeros(3, np.float32))
 
 
 class TestGatherNeighbors:

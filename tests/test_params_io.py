@@ -174,6 +174,8 @@ class TestRejects:
             deserialize_params(blob[: len(blob) // 2])
         with pytest.raises(TruncatedPayload):
             deserialize_params(blob[:10])
+        with pytest.raises(TruncatedPayload, match="inside an entry header"):
+            deserialize_params(blob[:14])
 
     def test_trailing_bytes(self):
         blob = serialize_params(bundle())
@@ -195,6 +197,13 @@ class TestRejects:
         blob[tensor_at : tensor_at + 4] = b"XXXX"
         with pytest.raises(BadMagic):
             deserialize_params(bytes(blob))
+
+    def test_duplicate_entry(self):
+        # proj_k.bias renamed to proj_q.bias, a name of the same length
+        blob = serialize_params(bundle())
+        assert blob.count(b"proj_k.bias") == 1
+        with pytest.raises(TensorFormatError, match="^duplicate bundle entry 'proj_q.bias'"):
+            deserialize_params(blob.replace(b"proj_k.bias", b"proj_q.bias"))
 
     def test_non_utf8_entry_name(self):
         blob = bytearray(serialize_params(bundle()))
@@ -230,6 +239,15 @@ class TestRejects:
         object.__setattr__(params.block_s.pcdc, "weight", np.zeros((9, width, 32), np.float32))
         with pytest.raises(TensorFormatError, match=rf"^inconsistent weight bundle: norm_s, pcdc_s, comp_s: "
                                                      rf"pcdc weight group width {width} does not divide 32 channels"):
+            deserialize_params(serialize_params(params))
+
+    @pytest.mark.parametrize("tag", ["s", "d"])
+    def test_conv1_group_width_must_divide_the_pcdc_outputs(self, tag):
+        params = bundle()
+        comp = getattr(params, f"block_{tag}").comp
+        object.__setattr__(comp, "conv1_weight", np.zeros((128, 5), np.float32))
+        with pytest.raises(TensorFormatError, match=rf"^inconsistent weight bundle: norm_{tag}, pcdc_{tag}, comp_{tag}: "
+                                                     r"conv1 weight group width 5 does not divide 32 channels"):
             deserialize_params(serialize_params(params))
 
     def test_storage_form_is_checked_before_consistency(self):

@@ -13,13 +13,13 @@ import pytest
 from resfu.ops import (
     ChannelGroupMismatch,
     GroupNormAffine,
+    NonFiniteInput,
     ShapeMismatch,
     group_normalize,
     grouped_pointwise_conv,
 )
 from resfu.oracle import max_rel_error, oracle_pcdc_direct
 from resfu.pcdc import (
-    COMPRESSOR_GROUPS,
     CompressorParams,
     PcdcBlockParams,
     PcdcParams,
@@ -157,6 +157,12 @@ class TestPcdcLayer:
             pcdc_layer(q, rand_map(rng, 3, 4, 8), rand_pcdc(rng))
         with pytest.raises(ShapeMismatch):
             PcdcParams(np.zeros((8, 4, 8), np.float32), np.zeros(8, np.float32))
+        with pytest.raises(ShapeMismatch, match=r"^weight must have rank 3, got shape \(9, 4\)"):
+            PcdcParams(np.zeros((9, 4), np.float32), np.zeros(8, np.float32))
+        with pytest.raises(ShapeMismatch, match="^bias has 7 entries, weight implies 8"):
+            PcdcParams(np.zeros((9, 4, 8), np.float32), np.zeros(7, np.float32))
+        with pytest.raises(NonFiniteInput, match="^weight holds NaN or infinite values"):
+            PcdcParams(np.full((9, 4, 8), np.inf, np.float32), np.zeros(8, np.float32))
         with pytest.raises(ShapeMismatch):
             pcdc_layer(q, q, rand_pcdc(rng), dilation=0)
 
@@ -191,12 +197,11 @@ class TestCompressor:
         v = rand_map(rng, 6, 5, 8)
         p = rand_block(rng).comp
         got = channel_compressor(v, p)
-        hidden = grouped_pointwise_conv(v, p.conv1_weight, p.conv1_bias, COMPRESSOR_GROUPS)
+        hidden = grouped_pointwise_conv(v, p.conv1_weight, p.conv1_bias)
         want = grouped_pointwise_conv(
             group_normalize(FeatureMap(np.maximum(hidden.data, np.float32(0))), p.norm),
             p.conv2_weight,
             p.conv2_bias,
-            groups=1,
         )
         assert np.array_equal(got.data, want.data)
 
@@ -232,6 +237,10 @@ class TestCompressor:
                 conv2_weight=good.conv2_weight,
                 conv2_bias=good.conv2_bias,
             )
+        with pytest.raises(ShapeMismatch, match="^conv2 expects 8 channels, conv1 makes 16"):
+            dataclasses.replace(good, conv2_weight=good.conv2_weight[:, :8])
+        with pytest.raises(NonFiniteInput, match="^conv1_bias holds NaN or infinite values"):
+            dataclasses.replace(good, conv1_bias=np.full(16, np.nan))
 
     @pytest.mark.parametrize("field,entries", [("conv1_bias", 15), ("conv2_bias", 8)])
     def test_bias_must_match_weight_rows(self, field, entries):
@@ -333,6 +342,19 @@ class TestPcdcBlock:
             dataclasses.replace(blk, norm=GroupNormAffine(np.ones(12), np.zeros(12)))
         with pytest.raises(ChannelGroupMismatch, match="8 pcdc outputs not divisible into 3 groups"):
             dataclasses.replace(blk, norm=GroupNormAffine(np.ones(24), np.zeros(24)))
+
+    def test_conv1_group_width_must_split_the_pcdc_outputs(self):
+        # conv1's width 3 does not split L = 8, and width 1 makes 8 groups,
+        # which its 12 outputs do not split
+        blk = rand_block(np.random.default_rng(37))
+        comp = dataclasses.replace(blk.comp, conv1_weight=np.zeros((16, 3), np.float32))
+        with pytest.raises(ShapeMismatch, match="^conv1 weight group width 3 does not divide 8 channels"):
+            dataclasses.replace(blk, comp=comp)
+        comp = dataclasses.replace(blk.comp, conv1_weight=np.zeros((12, 1), np.float32), conv1_bias=np.zeros(12),
+                                   norm=GroupNormAffine(np.ones(12), np.zeros(12)),
+                                   conv2_weight=np.zeros((9, 12), np.float32))
+        with pytest.raises(ChannelGroupMismatch, match="^12 conv1 outputs not divisible into 8 groups"):
+            dataclasses.replace(blk, comp=comp)
 
     def test_compressor_must_score_every_kernel_slot(self):
         blk = rand_block(np.random.default_rng(34))

@@ -209,3 +209,25 @@ class TestFeatureMap:
     def test_rejects_wrong_rank(self):
         with pytest.raises(TensorFormatError):
             FeatureMap(np.zeros((2, 2), np.float32))
+
+    def test_rejects_a_zero_dim(self):
+        with pytest.raises(TensorFormatError, match=r"dims must be >= 1, got \(2, 0, 3\)"):
+            FeatureMap(np.zeros((2, 0, 3), np.float32))
+
+    def test_adopt_copies_what_it_cannot_hold_as_is(self):
+        # a float64 or strided array goes through the constructor's copy
+        base = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
+        for arr in (base, base.astype(np.float32)[:, ::2]):
+            fmap = FeatureMap.adopt(arr)
+            assert fmap.data.dtype == np.float32 and not np.shares_memory(fmap.data, arr)
+            assert np.array_equal(fmap.data, arr)
+        with pytest.raises(TensorFormatError):
+            FeatureMap.adopt(np.zeros((2, 2), np.float32))
+
+    def test_equality_is_by_value_and_maps_are_unhashable(self):
+        # +0.0 == -0.0, yet hashing the bytes gave the two equal maps two hashes
+        plus, minus = FeatureMap(np.zeros((1, 1, 1))), FeatureMap(np.full((1, 1, 1), -0.0))
+        assert plus == minus and plus != FeatureMap(np.ones((1, 1, 1)))
+        assert plus != "map" and not (plus == 0.0)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(plus)

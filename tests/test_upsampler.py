@@ -1,6 +1,7 @@
 """End-to-end pipeline: projections, score assembly, kernel application."""
 
 import dataclasses
+import functools
 import hashlib
 import sys
 import tracemalloc
@@ -127,8 +128,18 @@ class TestProjectQk:
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         params = small_params(rng)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch, match="^guide has 9 channels, weight_q expects 5"):
             project_qk(rand_map(rng, 2, 2, 6), rand_map(rng, 4, 4, 9), params.proj)
+        with pytest.raises(ShapeMismatch, match="^input has 4 channels, weight_k expects 6"):
+            project_qk(rand_map(rng, 2, 2, 4), rand_map(rng, 4, 4, 5), params.proj)
+
+    def test_misshapen_projections_rejected(self):
+        good = dict(weight_q=np.zeros((4, 5)), bias_q=np.zeros(4), weight_k=np.zeros((4, 6)), bias_k=np.zeros(4))
+        with pytest.raises(ShapeMismatch, match=r"^weight_k must have rank 2, got shape \(24,\)"):
+            ProjectionParams(**{**good, "weight_k": np.zeros(24)})
+        for field, value in (("weight_k", np.zeros((3, 6))), ("bias_q", np.zeros(5))):
+            with pytest.raises(ShapeMismatch, match="^projection tensors disagree on the output dimension"):
+                ProjectionParams(**{**good, field: value})
 
 
 class TestComputeSimilarity:
@@ -614,6 +625,11 @@ class TestInnerProductScores:
         with pytest.raises(RatioMismatch, match="ratio must be an integer >= 1"):
             inner_product_scores(q, q, kernel=3, ratio=ratio)
 
+    def test_query_and_key_must_match(self):
+        rng = np.random.default_rng(47)
+        with pytest.raises(ShapeMismatch, match=r"^query \(4, 4, 3\) and key \(4, 5, 3\) must match"):
+            inner_product_scores(rand_map(rng, 4, 4, 3), rand_map(rng, 4, 5, 3), kernel=3, ratio=1)
+
     def test_peak_stays_within_four_query_maps(self):
         # scores are taken slot by slot from shifted views of the key and
         # summed in float64 straight into the float32 result, so no
@@ -784,6 +800,25 @@ class TestConfigValidation:
         )
         with pytest.raises(ShapeMismatch):
             ResfuParams(proj=bad_proj, block_s=params.block_s, block_d=params.block_d)
+
+    def test_blocks_must_share_one_kernel(self):
+        params = small_params(np.random.default_rng(51))
+        block_d = small_params(np.random.default_rng(52), kernel=5).block_d
+        with pytest.raises(ShapeMismatch, match="^both score blocks must share one kernel size"):
+            dataclasses.replace(params, block_d=block_d)
+
+    @pytest.mark.parametrize("owner,field,at,bad", [
+        ("proj", "weight_k", (0, 0), np.nan),
+        ("proj", "bias_q", (0,), np.nan),
+        ("block_d.pcdc", "weight", (4, 0, 0), np.inf),
+    ])
+    def test_non_finite_model_array_is_rejected_by_name(self, owner, field, at, bad):
+        # each ran every stage, warned, and blamed the softmax: "kernel rows sum off by nan"
+        owner = functools.reduce(getattr, owner.split("."), generate_params(c_in=4, c_guide=3))
+        value = getattr(owner, field).copy()
+        value[at] = bad
+        with pytest.raises(NonFiniteInput, match=f"^{field} holds NaN or infinite values"):
+            dataclasses.replace(owner, **{field: value})
 
 
 @settings(max_examples=25, deadline=None)
