@@ -58,8 +58,11 @@ def _cmd_gen_weights(args) -> int:
 
 def _cmd_upsample(args) -> int:
     # fail before any work where writing --out at the end would fail
-    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise OSError(f"{args.out}: --out is a directory or its directory does not exist")
+    if not args.out or os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise OSError(f"--out {args.out!r} is empty or a directory, or its directory does not exist")
+    if args.dump_dir is not None and os.path.realpath(args.out) in {
+            os.path.realpath(os.path.join(args.dump_dir, f"{name}.rsft")) for name in DUMPED}:
+        raise OSError(f"--out {args.out} is a file that --dump-dir {args.dump_dir} writes")
     x = _load_checked(load_tensor, args.input)
     y = _load_checked(load_tensor, args.guide)
     params = _load_checked(load_params, args.weights)

@@ -47,13 +47,9 @@ MAX_TILE_ROWS = 16
 
 
 def _tile_rows(h: int) -> int:
-    """Rows per tile of an h-row map: h / 8, at least 2 and at most
-    MAX_TILE_ROWS, never more than h, and never leaving a last tile of one
-    row (see guided_filter)."""
-    t = min(h, max(2, min(MAX_TILE_ROWS, h // 8)))
-    while h % t == 1 and t < h:
-        t += 1
-    return t
+    """Rows per tile of an h-row map: h / 8, at least 1 and at most
+    MAX_TILE_ROWS."""
+    return max(1, min(MAX_TILE_ROWS, h // 8))
 
 
 def _row_products(q: np.ndarray, k: np.ndarray, i: int, row: np.ndarray) -> np.ndarray:
@@ -85,9 +81,9 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     Working memory is about (10T + 4r) float64 rows of W x C, and no
     buffer has more rows than the map, beside the float32 output.  Every element goes
     through the float64 operations of the whole-map recipe (box means of q,
-    q*q, q*k and k, then of n and m), in the same order, so the bits are
-    those of that recipe.  Tiles of one row are avoided: np.sum reduces a
-    lone row of one channel pairwise, the whole map sequentially.
+    q*q, q*k and k, then of n and m), in the same order, and every window
+    sum adds its rows or columns in index order, so the bits are those of
+    that recipe at any tile height.
     """
     if query.shape != key_up.shape:
         raise ShapeMismatch(f"query {query.shape} and key {key_up.shape} must match")
@@ -98,23 +94,18 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     rows, cols = _window_counts(h, r), _window_counts(w, r)
     out = np.empty(q.shape, np.float32)
 
-    # The first vertical windows, summed as the whole-map recipe sums them.
-    vsum = np.empty((4, w, c))
-    np.sum(q[: r + 1], axis=0, dtype=np.float64, out=vsum[0])
-    np.sum(np.square(q[: r + 1], dtype=np.float64), axis=0, out=vsum[1])
-    np.sum(np.multiply(q[: r + 1], k[: r + 1], dtype=np.float64), axis=0, out=vsum[2])
-    np.sum(k[: r + 1], axis=0, dtype=np.float64, out=vsum[3])
+    # The first vertical windows: rows 0 ... r added in order.
+    row = np.empty((4, w, c))
+    vsum = _row_products(q, k, 0, np.empty((4, w, c)))
+    for i in range(1, min(r, h - 1) + 1):
+        vsum += _row_products(q, k, i, row)
 
     # The tiles are stored W-leading, (W, 4, T, C), so each step of the
-    # horizontal running sums reads one contiguous (4, T, C) slab.  Each
-    # quantity's rows and columns still lie as in its own whole map, so
-    # np.sum reduces them the same way (sequentially, or pairwise for a
-    # lone row or column).
+    # horizontal running sums reads one contiguous (4, T, C) slab.
     a = np.empty((w, 4, t, c))
     b = np.empty((w, 4, t, c))
     ring_rows = min(h, t + 2 * r + 1)
     ring = np.empty((2, ring_rows, w, c))
-    row = np.empty((4, w, c))
     vsum2 = np.empty((2, w, c))
     mean = np.empty((2, w, c))
     cnt = np.empty((w, 1))
@@ -154,7 +145,9 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
         stop = h if t1 == h else t1 - r
         for i in range(done, stop):
             if i == 0:
-                np.sum(ring[:, : r + 1], axis=1, out=vsum2)
+                vsum2[...] = ring[:, 0]
+                for j in range(1, min(r, h - 1) + 1):
+                    vsum2 += ring[:, j]
             else:
                 if i + r < h:
                     vsum2 += ring[:, (i + r) % ring_rows]

@@ -218,15 +218,17 @@ def _window_sums(arr: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray:
     """Write into `out` the float64 sums over the windows [i - r, i + r]
     along axis 0 of `arr`, truncated at the borders, and return it.
 
-    A running sum: the first window is one np.sum over r + 1 slices, and
-    each later one is the previous one plus the slice that enters and minus
-    the slice that leaves (np.cumsum along a leading axis ran several times
-    slower).  `out` is a float64 array of arr's shape; both may be views.
-    Each step is one call over a whole leading slice, so quantities stacked
-    behind the leading axis cost no extra calls.
+    A running sum in index order, whatever the strides: the first window
+    adds slices 0 ... r one by one, and each later one is the previous one
+    plus the slice that enters and minus the slice that leaves (np.cumsum
+    along a leading axis ran several times slower).  `out` is a float64
+    array of arr's shape; both may be views.  Each step is one call over a
+    whole leading slice, so stacked quantities cost no extra calls.
     """
     n = arr.shape[0]
-    np.sum(arr[: radius + 1], axis=0, dtype=np.float64, out=out[0])
+    out[0] = arr[0]
+    for i in range(1, min(radius, n - 1) + 1):
+        out[0] += arr[i]
     for i in range(1, n):
         if i + radius < n:
             np.add(out[i - 1], arr[i + radius], out=out[i])

@@ -159,13 +159,22 @@ class UpsampleConfig:
 
 
 def project_qk(x: FeatureMap, y: FeatureMap, proj: ProjectionParams) -> tuple[FeatureMap, FeatureMap]:
-    """Project guide and input into the shared D-channel comparison space."""
+    """Project guide and input into the shared D-channel comparison space.
+    A finite map whose projection leaves float32's range raises
+    NonFiniteInput, naming the map."""
     if y.channels != proj.weight_q.shape[1]:
         raise ShapeMismatch(f"guide has {y.channels} channels, weight_q expects {proj.weight_q.shape[1]}")
     if x.channels != proj.weight_k.shape[1]:
         raise ShapeMismatch(f"input has {x.channels} channels, weight_k expects {proj.weight_k.shape[1]}")
-    return (grouped_pointwise_conv(y, proj.weight_q, proj.bias_q),
-            grouped_pointwise_conv(x, proj.weight_k, proj.bias_k))
+    maps = []
+    for name, fmap, weight, bias in (("guide", y, proj.weight_q, proj.bias_q),
+                                     ("input", x, proj.weight_k, proj.bias_k)):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                maps.append(grouped_pointwise_conv(fmap, weight, bias))
+        except FloatingPointError as err:
+            raise NonFiniteInput(f"projecting the {name} overflows float32 ({err})") from None
+    return maps[0], maps[1]
 
 
 # --- kernel application with fine-grained neighbor selection ---------------

@@ -188,6 +188,52 @@ class TestUpsample:
         assert str(out) in capsys.readouterr().err
         assert not dump.exists()
 
+    def test_empty_out_exits_two_before_loading(self, workspace, capsys, monkeypatch):
+        # it ran every stage, wrote every dump, then failed renaming '.part' to ''
+        def no_load(*args):
+            raise AssertionError("an input was loaded although --out is empty")
+
+        monkeypatch.setattr(cli, "load_tensor", no_load)
+        dump = workspace / "dump"
+        assert cli.main(upsample_args(workspace, **{"--out": ""}) + ["--dump-dir", str(dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out '' is empty") and err.count("\n") == 1
+        assert not dump.exists()
+        assert sorted(p.name for p in workspace.iterdir()) == ["w.rsfw", "x.rsft", "y.rsft"]
+
+    @pytest.mark.parametrize("name", ["dump/q.rsft", "dump/../dump/kernels.rsft", "link/s_d.rsft"])
+    def test_out_naming_a_dump_file_exits_two_before_loading(self, workspace, capsys, monkeypatch, name):
+        # with --out dump/q.rsft both writers shared dump/q.rsft.part, and the
+        # run left a q.rsft that no longer loaded
+        out, dump = workspace / "out.rsft", workspace / "dump"
+        assert cli.main(upsample_args(workspace) + ["--dump-dir", str(dump)]) == 0
+        (workspace / "link").symlink_to(dump)
+        before = {p: p.read_bytes() for p in [out, *dump.iterdir()]}
+
+        def no_load(*args):
+            raise AssertionError("an input was loaded although --out is a dump file")
+
+        monkeypatch.setattr(cli, "load_tensor", no_load)
+        argv = upsample_args(workspace, **{"--out": str(workspace / name)}) + ["--dump-dir", str(dump)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out ") and err.count("\n") == 1 and "--dump-dir" in err
+        assert {p: p.read_bytes() for p in [out, *dump.iterdir()]} == before
+        assert not [p for p in workspace.rglob("*.part")]
+
+    def test_overflowing_input_projection_exits_one(self, tmp_path, capsys):
+        # the overflow warned in the projection and the k_up resize, then
+        # failed as "kernel rows sum off by nan; run softmax_rows first"
+        save_tensor(tmp_path / "x.rsft", FeatureMap(np.full((4, 4, 3), 3e38, np.float32)))
+        save_tensor(tmp_path / "y.rsft", FeatureMap(np.ones((8, 8, 2), np.float32)))
+        save_params(tmp_path / "w.rsfw", generate_params(3, 2))
+        dump = tmp_path / "dump"
+        assert cli.main(upsample_args(tmp_path) + ["--dump-dir", str(dump)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: projecting the input overflows float32 (overflow encountered in matmul)\n"
+        assert list(dump.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dump", "w.rsfw", "x.rsft", "y.rsft"]
+
     def test_non_finite_bundle_weight_exits_two_before_any_stage(self, workspace, capsys):
         # an all-NaN projection ran every stage and exited 1 with a kernel row-sum message
         params = generate_params(6, 3, seed=1)

@@ -1,12 +1,13 @@
 """Guided-filter tests against the per-window regression oracle and the
 whole-map float64 recipe, its limiting behaviors and its working memory."""
 
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from resfu.guided_filter import GuidedFilterConfig, _tile_rows, guided_filter
+from resfu.guided_filter import MAX_TILE_ROWS, GuidedFilterConfig, _tile_rows, guided_filter
 from resfu.ops import ShapeMismatch
 from resfu.oracle import max_rel_error, oracle_guided_filter_window
 from resfu.tensor import FeatureMap
@@ -177,8 +178,7 @@ def test_buffers_never_exceed_the_map_rows():
     tall, _ = _filter_peak(q, k, GuidedFilterConfig(radius=12))
     huge, _ = _filter_peak(q, k, GuidedFilterConfig(radius=10**6))
     assert huge <= tall + 1024
-    assert all(2 <= _tile_rows(h) <= h and h % _tile_rows(h) != 1 for h in range(2, 300))
-    assert _tile_rows(1) == 1
+    assert all(1 <= _tile_rows(h) <= min(h, MAX_TILE_ROWS) for h in range(1, 300))
 
 
 @pytest.mark.parametrize(
@@ -186,14 +186,14 @@ def test_buffers_never_exceed_the_map_rows():
     [
         (37, 11, 3, 2),  # H not a multiple of the tile rows
         (150, 7, 3, 4),  # several tiles; the ring wraps
-        (41, 100, 1, 10),  # 5-row tiles would leave a last tile of one row
+        (41, 100, 1, 10),  # 5-row tiles leave a last tile of one row
         (7, 6, 4, 1),  # H below the largest tile height
         (3, 9, 2, 5),  # H <= r
         (4, 5, 3, 6),  # radius >= H and radius >= W
         (1, 1, 1, 8),  # a single value
-        (1, 20, 1, 10),  # a lone row of one channel, summed pairwise
+        (1, 20, 1, 10),  # a lone row of one channel
         (20, 1, 3, 4),  # W = 1
-        (19, 1, 1, 9),  # a lone column of one channel, summed pairwise
+        (19, 1, 1, 9),  # a lone column of one channel
         (19, 6, 5, 3),  # odd C
     ],
 )
@@ -206,3 +206,20 @@ def test_stream_matches_whole_map_recipe_bit_for_bit(h, w, c, radius):
     cfg = GuidedFilterConfig(radius=radius, eps=1e-6)
     want = filter64(q.data, k.data, cfg).astype(np.float32)
     assert np.array_equal(guided_filter(q, k, cfg).data, want)
+
+
+@pytest.mark.parametrize(
+    "h, w, c, radius", [(41, 100, 1, 10), (19, 1, 1, 9), (1, 20, 1, 10), (20, 1, 3, 4), (33, 7, 2, 8)]
+)
+def test_every_tile_height_gives_the_recipe_bits(h, w, c, radius, monkeypatch):
+    # Every window sum adds its rows in index order, so the tile height
+    # cannot change a bit, down to tiles of one row.
+    rng = np.random.default_rng(h * 1000 + w * 10 + c)
+    q = FeatureMap(1000.0 + 0.01 * rng.standard_normal((h, w, c)))
+    k = rand_map(rng, h, w, c)
+    cfg = GuidedFilterConfig(radius=radius, eps=1e-6)
+    want = filter64(q.data, k.data, cfg).astype(np.float32)
+    module = importlib.import_module("resfu.guided_filter")
+    for t in range(1, h + 1):
+        monkeypatch.setattr(module, "_tile_rows", lambda rows: t)
+        assert np.array_equal(guided_filter(q, k, cfg).data, want), t

@@ -171,8 +171,7 @@ class TestBoxMean:
     def test_window_sums_of_stacked_views_match_each_array(self, shape):
         # The guided filter stacks four quantities ahead of the summed axis
         # and sums through strided views; each quantity must get the bits of
-        # its own contiguous array, also where np.sum reduces a lone column
-        # pairwise (12 x 1 x 1).
+        # its own contiguous array, also for a lone column (12 x 1 x 1).
         rng = np.random.default_rng(7)
         stack = rng.standard_normal((4, *shape))
         out = np.empty_like(stack)
@@ -180,6 +179,16 @@ class TestBoxMean:
         for j in range(4):
             alone = np.ascontiguousarray(stack[j])
             assert np.array_equal(out[j], _window_sums(alone, 2, np.empty_like(alone)))
+
+    def test_window_sums_of_a_lone_column_match_it_inside_a_wider_array(self):
+        # Far from zero with little spread, so a sum in another order shows;
+        # nine values per first window are enough for np.sum to reduce a
+        # lone column pairwise.
+        col = 1000.0 + 0.01 * np.random.default_rng(0).standard_normal(20)
+        wide = np.stack([col, col[::-1]], axis=1)[:, :, None]
+        alone = np.ascontiguousarray(wide[:, :1])
+        got = _window_sums(alone, 8, np.empty(alone.shape))
+        assert np.array_equal(got, _window_sums(wide, 8, np.empty(wide.shape))[:, :1])
 
 
 class TestGaussianSmooth3:

@@ -133,6 +133,21 @@ class TestProjectQk:
         with pytest.raises(ShapeMismatch, match="^input has 4 channels, weight_k expects 6"):
             project_qk(rand_map(rng, 2, 2, 4), rand_map(rng, 4, 4, 5), params.proj)
 
+    @pytest.mark.parametrize("which", ["input", "guide"])
+    def test_overflowing_projection_names_the_map(self, which):
+        # it warned, then failed the kernel row check with "off by nan"
+        rng = np.random.default_rng(4)
+        maps = {"input": rand_map(rng, 4, 4, 3), "guide": rand_map(rng, 8, 8, 2)}
+        maps[which] = FeatureMap(np.full(maps[which].shape, 3e38, np.float32))
+        with pytest.raises(NonFiniteInput, match=f"^projecting the {which} overflows float32"):
+            resfu_upsample(maps["input"], maps["guide"], generate_params(3, 2), UpsampleConfig(ratio=2))
+
+    def test_large_finite_maps_still_upsample(self):
+        rng = np.random.default_rng(5)
+        x, y = (FeatureMap(1e30 * rand_map(rng, *shape).data) for shape in ((4, 4, 3), (8, 8, 2)))
+        out = resfu_upsample(x, y, generate_params(3, 2), UpsampleConfig(ratio=2))
+        assert np.isfinite(out.data).all()
+
     def test_misshapen_projections_rejected(self):
         good = dict(weight_q=np.zeros((4, 5)), bias_q=np.zeros(4), weight_k=np.zeros((4, 6)), bias_k=np.zeros(4))
         with pytest.raises(ShapeMismatch, match=r"^weight_k must have rank 2, got shape \(24,\)"):
