@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ShapeMismatch, softmax_rows
+from .ops import ShapeMismatch, _positive_int, softmax_rows
 from .oracle import max_rel_error, oracle_pcdc_direct
 from .pcdc import PcdcParams, pcdc_layer
 from .tensor import FeatureMap
@@ -64,14 +64,14 @@ def _timed(fn, iters: int) -> float:
 
 
 def run_bench(h: int, w: int, c: int, ratio: int, iters: int, seed: int = 0) -> BenchReport:
-    if not (1 <= h <= MAX_SIDE and 1 <= w <= MAX_SIDE and 1 <= c <= MAX_CHANNELS):
+    h, w, c, ratio, iters = (_positive_int(name, n) for name, n in
+                             (("h", h), ("w", w), ("c", c), ("ratio", ratio), ("iters", iters)))
+    if h > MAX_SIDE or w > MAX_SIDE or c > MAX_CHANNELS:
         raise ShapeMismatch(
             f"bench sizes up to {MAX_SIDE}x{MAX_SIDE}x{MAX_CHANNELS}, got {h}x{w}x{c}"
         )
     if ratio not in (1, 2, 4, 8):
         raise ShapeMismatch(f"bench ratios are 1/2/4/8, got {ratio}")
-    if iters < 1:
-        raise ShapeMismatch(f"iters must be >= 1, got {iters}")
 
     rng = np.random.default_rng(seed)
     x = FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32))

@@ -14,7 +14,8 @@ Conventions used throughout:
   product per pixel block against the block-diagonal weight), the
   group-norm scale and shift, and the paired difference contraction of a
   score block (resfu.pcdc).  Resizes compute in the dtype of their input,
-  in row tiles too;
+  in row tiles too.  resfu.pcdc's compressor runs the same per-block
+  products and norm statistics (_norm_scale_shift) without whole maps;
 * all kernels are pure functions, run on the calling thread and are
   bit-reproducible: work is split only into pieces fixed by the operand
   shapes (CHUNK_ROWS row chunks, pixel blocks, BLAS row pieces).
@@ -314,67 +315,56 @@ class GroupNormAffine:
         return self.gamma.size
 
 
-def _result_buffer(out, shape: tuple[int, ...]) -> np.ndarray:
-    """`out` once it is checked to be a writable C-contiguous float32 array
-    of `shape`, or a fresh float32 array of that shape if it is None."""
-    if out is None:
-        return np.empty(shape, np.float32)
-    if (not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != np.float32
-            or not out.flags.c_contiguous or not out.flags.writeable):
-        got = f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray) else type(out).__name__
-        raise ShapeMismatch(f"out must be a writable C-contiguous float32 array of shape {shape}, got {got}")
-    return out
-
-
-def group_normalize(src: FeatureMap, affine: GroupNormAffine, *, out: np.ndarray | None = None) -> FeatureMap:
-    """Normalize each channel group to zero mean / unit variance, then apply
-    the per-channel affine.
+def _norm_scale_shift(blocks, n_pixels: int, affine: GroupNormAffine) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 per-channel scale and shift of the group norm of a map of
+    `n_pixels` pixels whose (pixels, channels) float32 rows `blocks` yields
+    in pixel-block order.
 
     Statistics pool every pixel and all channels of each of NORM_GROUPS
     groups; the variance is the population variance, stabilized by NORM_EPS.
-    One pass accumulates the sums of x and x^2 in float64, a pixel block at
-    a time through one reused float64 block buffer, each sum one
-    `ones @ block` product, so no float64 copy of the map exists;
-    E[x^2] - E[x]^2 in float64 loses about 1e-16 * (mean / std)^2 relative,
-    far below float32 resolution.  The scale and shift that normalization
-    and affine fold into are rounded to float32 and applied in float32, one
-    pixel block at a time.
-
-    `out`, if given, is a writable C-contiguous float32 array of src's
-    shape (else ShapeMismatch) that receives the result.  It may be the
-    buffer src itself wraps: each element is read before it is written,
-    so normalizing in place gives the same bits.  The returned map wraps a
-    read-only view of `out` and changes if `out` is written later.
+    The sums of x and x^2 accumulate in float64, each block copied into one
+    reused float64 buffer and each sum one `ones @ block` product, so no
+    float64 copy of the map exists; E[x^2] - E[x]^2 in float64 loses about
+    1e-16 * (mean / std)^2 relative, far below float32 resolution.  The
+    scale and shift that normalization and affine fold into are rounded to
+    float32.
     """
-    c = src.channels
-    if c != affine.channels:
-        raise ShapeMismatch(f"map has {c} channels, affine expects {affine.channels}")
-    result = _result_buffer(out, src.shape)
-    flat = src.data.reshape(-1, c)
-    blocks = _pixel_blocks(flat.shape[0])
-    block64 = np.empty((min(PIXEL_BLOCK, flat.shape[0]), c))
+    c = affine.channels
+    block64 = np.empty((min(PIXEL_BLOCK, n_pixels), c))
     ones = np.ones(block64.shape[0])
     sums = np.zeros(c)
     squares = np.zeros(c)
-    for p0, p1 in blocks:
-        block = block64[: p1 - p0]
-        block[...] = flat[p0:p1]
-        sums += ones[: p1 - p0] @ block
+    for rows in blocks:
+        block = block64[: len(rows)]
+        block[...] = rows
+        sums += ones[: len(rows)] @ block
         block *= block
-        squares += ones[: p1 - p0] @ block
+        squares += ones[: len(rows)] @ block
     per = c // NORM_GROUPS
-    count = flat.shape[0] * per
+    count = n_pixels * per
     mean = sums.reshape(NORM_GROUPS, per).sum(axis=1) / count
     var = np.maximum(squares.reshape(NORM_GROUPS, per).sum(axis=1) / count - mean * mean, 0.0)
     scale = affine.gamma.astype(np.float64) / np.sqrt(np.repeat(var, per) + NORM_EPS)
     shift = (affine.beta.astype(np.float64) - np.repeat(mean, per) * scale).astype(np.float32)
-    scale = scale.astype(np.float32)
-    out_flat = result.reshape(flat.shape)
+    return scale.astype(np.float32), shift
+
+
+def group_normalize(src: FeatureMap, affine: GroupNormAffine) -> FeatureMap:
+    """Normalize each channel group to zero mean / unit variance, then apply
+    the per-channel affine: one statistics pass over the pixel blocks
+    (_norm_scale_shift), then the float32 scale and shift, one pixel block
+    at a time."""
+    c = src.channels
+    if c != affine.channels:
+        raise ShapeMismatch(f"map has {c} channels, affine expects {affine.channels}")
+    flat = src.data.reshape(-1, c)
+    blocks = _pixel_blocks(flat.shape[0])
+    scale, shift = _norm_scale_shift((flat[p0:p1] for p0, p1 in blocks), flat.shape[0], affine)
+    out = np.empty(flat.shape, np.float32)
     for p0, p1 in blocks:
-        rows = out_flat[p0:p1]
-        np.multiply(flat[p0:p1], scale, out=rows)
+        rows = np.multiply(flat[p0:p1], scale, out=out[p0:p1])
         rows += shift
-    return FeatureMap.adopt(result if out is None else result.view())
+    return FeatureMap.adopt(out.reshape(src.shape))
 
 
 def _block_diagonal(weight: np.ndarray, groups: int) -> np.ndarray:
@@ -390,9 +380,8 @@ def _block_diagonal(weight: np.ndarray, groups: int) -> np.ndarray:
     return dense
 
 
-def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray,
-                           *, relu: bool = False, out: np.ndarray | None = None) -> FeatureMap:
-    """1x1 convolution with channel groups, optionally followed by a ReLU.
+def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray) -> FeatureMap:
+    """1x1 convolution with channel groups.
 
     weight has shape (c_out, width); the group count G is src's channels
     over the group width (_group_count: ShapeMismatch if the width does not
@@ -400,12 +389,8 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
     channel l belongs to group floor(l * G / c_out) and only sees the
     matching input slice.  Computes in float32: per pixel block, one
     product against the dense block-diagonal weight (_block_diagonal,
-    through matmul_rows) writes the block's output rows, and the bias and,
-    with relu=True, the clamp at zero are applied to them in place.
-
-    `out`, if given, is a writable C-contiguous float32 array of shape
-    (H, W, c_out) (else ShapeMismatch) that receives the result; the
-    returned map wraps a read-only view of it, as in group_normalize.
+    through matmul_rows) writes the block's output rows, and the bias is
+    added to them in place.
     """
     weight = np.asarray(weight, np.float32)
     bias = np.asarray(bias, np.float32)
@@ -414,14 +399,11 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
     c_out, width = weight.shape
     dense = _block_diagonal(weight.T, _group_count("1x1 conv", src.channels, width, c_out))
     flat = src.data.reshape(-1, src.channels)
-    result = _result_buffer(out, (src.height, src.width, c_out))
-    out_flat = result.reshape(-1, c_out)
+    out = np.empty((flat.shape[0], c_out), np.float32)
     for p0, p1 in _pixel_blocks(flat.shape[0]):
-        rows = matmul_rows(flat[p0:p1], dense, out_flat[p0:p1])
+        rows = matmul_rows(flat[p0:p1], dense, out[p0:p1])
         rows += bias
-        if relu:
-            np.maximum(rows, 0.0, out=rows)
-    return FeatureMap.adopt(result if out is None else result.view())
+    return FeatureMap.adopt(out.reshape(src.height, src.width, c_out))
 
 
 def neighbor_offsets(kernel: int, dilation: int) -> list[tuple[int, int]]:

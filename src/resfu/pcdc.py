@@ -16,7 +16,8 @@ resfu.oracle and the two are held to agree in tests.
 
 A full block normalizes both inputs with a shared affine (statistics stay
 per input), applies pcdc_layer, then channel_compressor compresses the L
-channels down to one score per neighbor slot.
+channels down to one score per neighbor slot, in two passes over pixel
+blocks, so its 128-channel hidden map never exists.
 """
 
 from __future__ import annotations
@@ -28,15 +29,17 @@ import numpy as np
 
 from .ops import (
     CHUNK_ROWS,
+    PIXEL_BLOCK,
     GroupNormAffine,
     ShapeMismatch,
     SimilarityScores,
     _as_float32,
     _block_diagonal,
     _group_count,
+    _norm_scale_shift,
     _odd_kernel,
+    _pixel_blocks,
     group_normalize,
-    grouped_pointwise_conv,
     matmul_rows,
     neighbor_offsets,
 )
@@ -150,18 +153,37 @@ class CompressorParams:
 
 
 def channel_compressor(v: FeatureMap, params: CompressorParams) -> SimilarityScores:
-    """Compress L difference channels to K*K per-slot scores.
+    """Compress L difference channels to K*K per-slot scores: conv1, ReLU,
+    group norm, conv2, with the bits of running them as separate maps.
 
-    The hidden map lives in one buffer: conv1 with its ReLU writes it and
-    the group norm overwrites it in place, with the same bits as separate
-    maps.  `v` is dropped after conv1, so when the caller passes it as a
-    temporary, as pcdc_block does, it is freed before the norm.
+    The hidden map never exists.  Two passes run over v's pixel blocks,
+    each making a block's conv1 and ReLU in one reused buffer: the first
+    adds the block to the norm's statistics (_norm_scale_shift, as
+    group_normalize does) and drops it; the second applies the float32
+    scale and shift and runs conv2 into the block's scores.  So the peak
+    above entry is the scores and a few block buffers.
     """
-    buf = np.empty((v.height, v.width, params.conv1_weight.shape[0]), np.float32)
-    hidden = grouped_pointwise_conv(v, params.conv1_weight, params.conv1_bias, relu=True, out=buf)
-    del v
-    hidden = group_normalize(hidden, params.norm, out=buf)
-    return grouped_pointwise_conv(hidden, params.conv2_weight, params.conv2_bias)
+    n_hidden, width = params.conv1_weight.shape
+    dense1 = _block_diagonal(params.conv1_weight.T, _group_count("1x1 conv", v.channels, width, n_hidden))
+    dense2 = _block_diagonal(params.conv2_weight.T, 1)
+    flat = v.data.reshape(-1, v.channels)
+    blocks = _pixel_blocks(flat.shape[0])
+    buf = np.empty((min(PIXEL_BLOCK, flat.shape[0]), n_hidden), np.float32)
+
+    def hidden(p0: int, p1: int) -> np.ndarray:
+        rows = matmul_rows(flat[p0:p1], dense1, buf[: p1 - p0])
+        rows += params.conv1_bias
+        return np.maximum(rows, 0.0, out=rows)
+
+    scale, shift = _norm_scale_shift((hidden(p0, p1) for p0, p1 in blocks), flat.shape[0], params.norm)
+    out = np.empty((flat.shape[0], dense2.shape[1]), np.float32)
+    for p0, p1 in blocks:
+        rows = hidden(p0, p1)
+        rows *= scale
+        rows += shift
+        matmul_rows(rows, dense2, out[p0:p1])
+        out[p0:p1] += params.conv2_bias
+    return FeatureMap.adopt(out.reshape(v.height, v.width, -1))
 
 
 @dataclass(frozen=True)
@@ -189,19 +211,17 @@ def pcdc_block(q_in: FeatureMap, k_in: FeatureMap, params: PcdcBlockParams, dila
     parameters (statistics are computed per input), then pcdc_layer and
     channel_compressor produce one score per neighbor slot.
 
-    Each map is dropped once its last reader has it: each input after its
-    group norm, the normalized pair after the contraction, and the
-    difference map after the compressor's conv1.  An input the caller
-    passes as a temporary, as run_pipeline does, is then freed before the
-    contraction allocates, because CPython >= 3.11 moves call arguments
-    into the callee's frame; older versions keep it until the block
-    returns.
+    Each input is dropped after its group norm, and the normalized pair
+    after the contraction, which sets the block's peak.  An input the
+    caller passes as a temporary, as run_pipeline does, is then freed
+    before the contraction allocates, because CPython >= 3.11 moves call
+    arguments into the callee's frame; older versions keep it until the
+    block returns.
     """
     q_bar = group_normalize(q_in, params.norm)
     del q_in
     k_bar = group_normalize(k_in, params.norm)
     del k_in
-    v = [pcdc_layer(q_bar, k_bar, params.pcdc, dilation)]
+    v = pcdc_layer(q_bar, k_bar, params.pcdc, dilation)
     del q_bar, k_bar
-    # Popped, the difference map's last reference is the compressor's argument.
-    return channel_compressor(v.pop(), params.comp)
+    return channel_compressor(v, params.comp)

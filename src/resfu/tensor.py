@@ -24,12 +24,16 @@ buffer; given a shape and a `fill` callback instead, it takes the payload
 in pieces, such as the bands of a streamed output.
 
 Every file resfu writes (maps, weight bundles, PPM images) goes through one
-writer, _write_file: it writes a ".part" sibling and moves it onto the path
-only once complete, so a failed or killed write leaves an earlier file as
-it was.  Before any byte is written it reserves the file's final size with
-posix_fallocate.  A full disk then fails before the work that would fill
-the file, and the reserved blocks are allocated already: ext4 flushes a
-file's delayed-allocation blocks when it is renamed over an existing file
+writer, _write_file: it writes a ".part" sibling of its own, named
+"<path>.<8 hex digits>.part", and moves it onto the path only once complete,
+so a failed or killed write leaves an earlier file as it was, and writers of
+one path, in one process or several, never share a ".part"; the last to
+finish wins.  A write that fails removes its ".part"; a killed process
+leaves it behind, and nothing removes it later (remove it by hand).  Before
+any byte is written it reserves the file's final size with posix_fallocate.
+A full disk then fails before the work that would fill the file, and the
+reserved blocks are allocated already: ext4 flushes a file's
+delayed-allocation blocks when it is renamed over an existing file
 (auto_da_alloc), which made a save over an earlier file wait for the new
 one's writeback.  Where the platform has no posix_fallocate, or it fails as
 unsupported, the write goes on without it; glibc emulates it on a file
@@ -50,6 +54,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import secrets
 import struct
 from collections.abc import Callable
 
@@ -214,16 +219,21 @@ _NO_PREALLOCATION = (errno.EOPNOTSUPP, errno.EINVAL, errno.ENOSYS)
 def _write_file(path, size: int, fill: Callable[[Callable[[bytes], None]], None]) -> None:
     """Write the `size` bytes that fill(write) passes to `write` to `path`.
 
-    The bytes go to `path` + ".part", whose full size is reserved first;
-    fill must write exactly `size` bytes.  The ".part" replaces `path` once
-    fill returns; on any exception it is removed and `path` is left as it
-    was.  A failed reservation (ENOSPC, EFBIG, EDQUOT) raises OSError naming
-    `path` before fill is called.  Nothing is fsynced (see the module
-    docstring).
+    The bytes go to a new sibling `path` + ".<8 hex digits>.part", created
+    exclusively (mode 0666 less the umask), whose full size is reserved
+    first; fill must write exactly `size` bytes.  The ".part" replaces
+    `path` once fill returns; on any exception it is removed and `path` is
+    left as it was.  A failed reservation (ENOSPC, EFBIG, EDQUOT) raises
+    OSError naming `path` before fill is called.  Nothing is fsynced (see
+    the module docstring).
     """
-    part = os.fspath(path) + ".part"
+    while True:  # a name another writer, or a killed one, holds is skipped
+        part = f"{os.fspath(path)}.{secrets.token_hex(4)}.part"
+        with contextlib.suppress(FileExistsError):
+            fh = open(part, "xb")
+            break
     try:
-        with open(part, "wb") as fh:
+        with fh:
             fallocate = getattr(os, "posix_fallocate", None)  # not on every platform
             if fallocate is not None:
                 try:
@@ -246,9 +256,9 @@ def save_tensor(path, fmap: FeatureMap | tuple[int, int, int],
     each write(values) appends a float32 array's values in payload order;
     exactly 4*H*W*C bytes must arrive, else TensorFormatError.  The file's
     full size is reserved before fill runs, so a full disk fails before the
-    payload is computed.  The bytes go to `path` + ".part", which replaces
-    `path` once complete; on any exception the ".part" file is removed and
-    `path` is left as it was.  The file is not fsynced: after a machine
+    payload is computed.  The bytes go to a ".part" sibling of this call's
+    own (see _write_file), which replaces `path` once complete; on any
+    exception it is removed and `path` is left as it was.  The file is not fsynced: after a machine
     crash `path` may hold zeros (see the module docstring)."""
     shape = fmap.shape if fill is None else tuple(fmap)
     if fill is None:

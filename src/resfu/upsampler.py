@@ -22,8 +22,8 @@ output.  Given `rows`, it streams the output too, band by band, and the
 fused path allocates no output-sized array.  The last reader takes a map
 as a temporary, and each score block drops its inputs once it has
 normalized them, so under CPython >= 3.11 q_gf, k_up and q_gs are freed
-before their block's contraction and the peak is set in the detail
-block's compressor.  Every upsampling entry
+before their block's contraction; the compressor keeps no hidden map, so
+the peak is set in the detail block's contraction.  Every upsampling entry
 point starts with check_guide, which rejects a guide that is not ratio
 times the input's size and NaN or Inf in either map.  ResfuParams holds
 exactly what a weight bundle stores; the guided filter always runs with
@@ -345,7 +345,7 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     normalized, so under CPython >= 3.11, which moves call arguments into
     the callee's frame, q_gf, k_up and q_gs are freed before each block's
     contraction (see pcdc_block).  q is held until the detail block
-    returns.  q_gs is computed after the semantic block so that fewer
+    returns, and the peak is set in that block's contraction.  q_gs is computed after the semantic block so that fewer
     D-channel maps are live at once.
 
     With `rows`, the output goes to rows(band) band by band (see

@@ -29,6 +29,9 @@ from resfu.pcdc import (
     pcdc_layer,
 )
 from resfu.tensor import FeatureMap
+from resfu.upsampler import generate_params
+
+from test_ops import dense_conv_oracle
 
 
 def rand_map(rng, h, w, c):
@@ -191,34 +194,68 @@ class TestPcdcLayer:
             assert max_rel_error(pcdc_layer(q, k, params, 2).astype64(), want) <= 1e-5
 
 
+def hand_composed_chain(v, p):
+    """conv1, ReLU, group norm and conv2 as separate public calls."""
+    hidden = grouped_pointwise_conv(v, p.conv1_weight, p.conv1_bias)
+    return grouped_pointwise_conv(
+        group_normalize(FeatureMap(np.maximum(hidden.data, np.float32(0))), p.norm),
+        p.conv2_weight,
+        p.conv2_bias,
+    )
+
+
 class TestCompressor:
     def test_equals_hand_composed_chain(self):
         rng = np.random.default_rng(20)
         v = rand_map(rng, 6, 5, 8)
         p = rand_block(rng).comp
-        got = channel_compressor(v, p)
-        hidden = grouped_pointwise_conv(v, p.conv1_weight, p.conv1_bias)
-        want = grouped_pointwise_conv(
-            group_normalize(FeatureMap(np.maximum(hidden.data, np.float32(0))), p.norm),
-            p.conv2_weight,
-            p.conv2_bias,
-        )
-        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(channel_compressor(v, p).data, hand_composed_chain(v, p).data)
 
-    def test_holds_one_hidden_map(self):
-        # Traced peak above entry, in hidden maps: conv1 writes one buffer
-        # and the group norm overwrites it (two hidden maps were live).
-        rng = np.random.default_rng(24)
-        v = rand_map(rng, 128, 128, 32)
+    @pytest.mark.parametrize("h,w", [(39, 41), (7, 9)], ids=["1599px", "63px"])
+    def test_equals_hand_composed_chain_across_pixel_blocks(self, h, w):
+        # a pixel count that is not a multiple of the 512-pixel block, and
+        # one below it, at the production widths
+        rng = np.random.default_rng(25)
+        v = rand_map(rng, h, w, 32)
         p = rand_block(rng, d=32, l_out=32, hidden=128, groups=4).comp
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            channel_compressor(v, p)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 128 * 128 * 128 * 4
+        assert np.array_equal(channel_compressor(v, p).data, hand_composed_chain(v, p).data)
+
+    def test_peaks_within_two_mib_of_its_output(self):
+        # Traced peak above entry at 256x256x32: the 2.25 MiB scores and a
+        # few pixel-block buffers (the 32 MiB hidden map took 34.29 MiB).
+        rng = np.random.default_rng(24)
+        v = rand_map(rng, 256, 256, 32)
+        p = rand_block(rng, d=32, l_out=32, hidden=128, groups=4).comp
+        peak = traced_peak(lambda: channel_compressor(v, p))
+        assert peak <= 256 * 256 * 9 * 4 + (2 << 20)
+
+    def test_relu_clamps_at_zero(self):
+        # conv1 copies v into four one-channel groups and conv2 reads group
+        # 0: -1, 0 and -0.0 all leave the ReLU as 0, so they score alike
+        v = FeatureMap(np.array([[-1.0, 0.0], [2.5, -0.0]], np.float32)[:, :, None])
+        p = CompressorParams(np.ones((4, 1), np.float32), np.zeros(4, np.float32),
+                             GroupNormAffine(np.ones(4), np.zeros(4)),
+                             np.eye(1, 4, dtype=np.float32), np.zeros(1, np.float32))
+        got = channel_compressor(v, p).data[:, :, 0]
+        relu = np.array([[0.0, 0.0], [2.5, 0.0]])
+        want = (relu - relu.mean()) / np.sqrt(relu.var() + 1e-5)
+        assert max_rel_error(got, want) <= 1e-6
+        assert got[0, 0] == got[0, 1] == got[1, 1] < got[1, 0]
+
+    def test_production_shapes_match_float64_chain(self):
+        # the pipeline's widths and generated weights (conv1 32 -> 128 in 4
+        # groups, ReLU, norm, conv2 128 -> 9) over several pixel blocks, with
+        # conv1 biases moved off zero so the ReLU cuts inside the data
+        comp = generate_params(c_in=384, c_guide=3, seed=0).block_s.comp
+        rng = np.random.default_rng(44)
+        comp = dataclasses.replace(comp, conv1_bias=rng.uniform(-0.1, 0.1, 128).astype(np.float32))
+        v = rand_map(rng, 40, 36, 32)
+        hidden = np.maximum(dense_conv_oracle(v, comp.conv1_weight, comp.conv1_bias, 4), 0.0).reshape(-1, 4, 32)
+        normed = (hidden - hidden.mean(axis=(0, 2), keepdims=True)) / np.sqrt(
+            hidden.var(axis=(0, 2), keepdims=True) + 1e-5)
+        normed = normed.reshape(-1, 128) * comp.norm.gamma + comp.norm.beta
+        want = normed @ comp.conv2_weight.T.astype(np.float64) + comp.conv2_bias
+        assert max_rel_error(channel_compressor(v, comp).data.reshape(-1, 9), want) <= 1e-6
 
     def test_output_has_slot_channels(self):
         rng = np.random.default_rng(21)
@@ -306,33 +343,36 @@ class TestPcdcBlock:
         v = pcdc_layer(group_normalize(q, p.norm), group_normalize(k, p.norm), p.pcdc, dilation)
         assert np.array_equal(got.data, channel_compressor(v, p.comp).data)
 
-    def test_normalized_inputs_are_freed_before_the_compressor(self):
-        # The block's traced peak is the compressor's on the difference map
-        # plus that map itself: the two normalized inputs are gone by then.
+    def contraction_peak(self, q, k, p, dilation):
+        """Traced peak of pcdc_layer on q and k as the block normalizes them."""
+        q_bar, k_bar = group_normalize(q, p.norm), group_normalize(k, p.norm)
+        return traced_peak(lambda: pcdc_layer(q_bar, k_bar, p.pcdc, dilation))
+
+    def test_peak_is_the_contractions_beside_the_normalized_pair(self):
+        # With the caller holding the inputs, the block's traced peak is the
+        # contraction's plus the two normalized inputs it reads: nothing else
+        # of the block, and nothing of the compressor, tops it (the
+        # compressor's whole hidden map topped it by 0.78 maps).
         rng = np.random.default_rng(35)
         q = rand_map(rng, 48, 40, 32)
         k = rand_map(rng, 48, 40, 32)
         p = rand_block(rng, d=32, l_out=32, hidden=128, groups=4)
-        v = FeatureMap(rng.standard_normal((48, 40, 32)).astype(np.float32))
         block_peak = traced_peak(lambda: pcdc_block(q, k, p, 2))
-        compressor_peak = traced_peak(lambda: channel_compressor(v, p.comp))
-        assert block_peak <= compressor_peak + 1.5 * v.data.nbytes
+        assert block_peak <= self.contraction_peak(q, k, p, 2) + 2.5 * q.data.nbytes
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython holds call arguments until the call returns")
     def test_temporary_inputs_are_freed_once_normalized(self):
         # Inputs built inside the traced call reach the block as its only
         # references, and it drops each once normalized, so the peak is
-        # still the compressor's on the difference map plus that map (the
-        # two inputs stayed live beside them while the block held them).
+        # still the contraction's plus the normalized pair (an input kept
+        # to the end of the block would add a third map).
         rng = np.random.default_rng(36)
         q = rng.standard_normal((48, 40, 32)).astype(np.float32)
         k = rng.standard_normal((48, 40, 32)).astype(np.float32)
         p = rand_block(rng, d=32, l_out=32, hidden=128, groups=4)
-        v = FeatureMap(rng.standard_normal((48, 40, 32)).astype(np.float32))
         block_peak = traced_peak(lambda: pcdc_block(FeatureMap(q), FeatureMap(k), p, 2))
-        compressor_peak = traced_peak(lambda: channel_compressor(v, p.comp))
-        assert block_peak <= compressor_peak + 1.5 * v.data.nbytes
+        assert block_peak <= self.contraction_peak(FeatureMap(q), FeatureMap(k), p, 2) + 2.5 * q.nbytes
 
     def test_block_shape_validation(self):
         # the weight's group width 8 does not split a 12-channel norm, and

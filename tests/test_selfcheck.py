@@ -210,6 +210,25 @@ class TestRunBench:
         with pytest.raises(ShapeMismatch):
             run_bench(**kwargs)
 
+    @pytest.mark.parametrize("name", ["h", "w", "c", "ratio"])
+    def test_rejects_a_bool_size_or_ratio_before_any_work(self, name, monkeypatch):
+        # True == 1 passed the range checks, and ratio=True then failed in
+        # pcdc_layer as "dilation must be an integer >= 1"
+        import resfu.bench as bench_mod
+
+        monkeypatch.setattr(bench_mod, "kernel_apply_fns", None)  # any work fails differently
+        kwargs = {**dict(h=8, w=8, c=4, ratio=2, iters=1), name: True}
+        with pytest.raises(ShapeMismatch, match=f"^{name} must be an integer >= 1, got True"):
+            run_bench(**kwargs)
+
+    def test_rejects_a_float_iteration_count_before_any_work(self, monkeypatch):
+        # iters=2.5 ran both applies before range() raised a bare TypeError
+        import resfu.bench as bench_mod
+
+        monkeypatch.setattr(bench_mod, "kernel_apply_fns", None)
+        with pytest.raises(ShapeMismatch, match="^iters must be an integer >= 1, got 2.5"):
+            run_bench(h=8, w=8, c=4, ratio=2, iters=2.5)
+
     def test_equivalence_guard_raises_check_failed(self, monkeypatch):
         # fused and naive agree bitwise at this size, so only an impossible
         # (negative) tolerance can trip the guard

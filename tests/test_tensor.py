@@ -1,5 +1,6 @@
 """Container-format tests: header layout, offset convention, round trips, error paths."""
 
+import os
 import struct
 import tracemalloc
 
@@ -122,13 +123,32 @@ class TestStreamedSave:
 
         def fill(write):
             write(np.zeros((1, 5, 3), np.float32))
-            assert (tmp_path / "m.rsft.part").exists()
+            assert len(list(tmp_path.glob("m.rsft.*.part"))) == 1
             raise error
 
         with pytest.raises(type(error)):
             save_tensor(path, (6, 5, 3), fill)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.rsft"]
+
+    def test_a_writer_inside_another_keeps_its_own_part(self, tmp_path):
+        # the inner save runs while the outer one's .part is open: with one
+        # shared .part name it truncated and renamed the outer writer's file
+        path = tmp_path / "m.rsft"
+        outer, inner = self._map(), FeatureMap(np.ones((2, 2, 1), np.float32))
+
+        def fill(write):
+            save_tensor(path, inner)
+            assert load_tensor(path) == inner
+            assert len(list(tmp_path.glob("m.rsft.*.part"))) == 1
+            write(outer.data)
+
+        save_tensor(path, outer.shape, fill)
+        assert load_tensor(path) == outer
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rsft"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
     @pytest.mark.parametrize("shape", [(6, 5), (6, 0, 3), (1, 1, 1, 1)])
     def test_rejects_a_shape_that_is_no_map(self, tmp_path, shape):
