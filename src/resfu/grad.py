@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ops import ShapeMismatch, _odd_kernel, _resize_linear, _softmax64, axis_linear_coords, neighbor_offsets
-from .oracle import CheckResult, max_rel_error
+from .ops import ShapeMismatch, _odd_kernel, _resize_linear, _softmax64, axis_linear_coords
+from .oracle import CheckResult, _clamped_index_maps, max_rel_error
 from .pcdc import _pcdc_core
 from .upsampler import _apply_naive
 
@@ -25,15 +25,6 @@ FD_STEP = 1e-5
 FD_TOLERANCE = 1e-6
 EXACT_TOLERANCE = 1e-10
 DEFAULT_PROBES = 64
-
-
-# --- 64-bit helpers ---------------------------------------------------------
-
-
-def _clamped_indices(h, w, offsets):
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    return [(np.clip(rows + di, 0, h - 1), np.clip(cols + dj, 0, w - 1)) for di, dj in offsets]
 
 
 # --- finite differences ------------------------------------------------------
@@ -90,10 +81,9 @@ def pcdc_backward(upstream, q_bar, k_bar, weight, bias, groups: int, dilation: i
         raise ShapeMismatch(f"upstream {upstream.shape} does not match output {(h, w, l_out)}")
     if k.shape != q.shape or groups * in_per != d_total or l_out % groups:
         raise ShapeMismatch("saved inputs disagree with the weight layout")
-    kernel = int(round(ksq**0.5))
     out_per = l_out // groups
     wsum = weight.sum(axis=0)
-    index_maps = _clamped_indices(h, w, neighbor_offsets(kernel, dilation))
+    index_maps = _clamped_index_maps(h, w, int(round(ksq**0.5)), dilation)
 
     d_q = np.zeros_like(q)
     d_k = np.zeros_like(k)
@@ -134,12 +124,11 @@ def kernel_apply_backward(upstream, weights, x, ratio: int):
     x = np.asarray(x, np.float64)
     out_h, out_w, slots = weights.shape
     h, w, c = x.shape
-    kernel = _odd_kernel(slots)
     if upstream.shape != (out_h, out_w, c) or (out_h, out_w) != (ratio * h, ratio * w):
         raise ShapeMismatch(
             f"upstream {upstream.shape}, weights {weights.shape}, and value {x.shape} disagree"
         )
-    index_maps = _clamped_indices(out_h, out_w, neighbor_offsets(kernel, ratio))
+    index_maps = _clamped_index_maps(out_h, out_w, _odd_kernel(slots), ratio)
     x_up = _resize_linear(x, out_h, out_w)
 
     d_post = np.empty_like(weights)

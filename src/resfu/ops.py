@@ -5,7 +5,8 @@ Conventions used throughout:
 
 * resizes map output pixel i to source coordinate (i + 0.5) * in / out - 0.5
   (half-pixel centers), clamped to the valid range;
-* every gather that walks off the border clamps indices to the edge;
+* every gather that walks off the border clamps indices to the edge; a
+  dilated KxK neighborhood is read as views of one edge-padded copy;
 * box means normalize by the number of in-bounds pixels in the window;
 * results are stored as float32.  What computes in float64: window (box)
   sums, group-norm statistics (one pixel block at a time, so no float64
@@ -415,23 +416,21 @@ def neighbor_offsets(kernel: int, dilation: int) -> list[tuple[int, int]]:
     return [(di * dilation, dj * dilation) for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)]
 
 
-def gather_neighbors(src: FeatureMap, kernel: int, dilation: int = 1) -> np.ndarray:
-    """Gather the dilated KxK neighborhood of every pixel (clamped at edges)
-    into a (pixels, neighbors, channels) float32 array.
-
-    Slot n of pixel (i, j) holds src at (i + dilation*di, j + dilation*dj)
-    for the n-th row-major offset, indices clamped to the map.
-    """
+def _edge_pad(arr: np.ndarray, kernel: int, dilation: int):
+    """arr edge-padded on both spatial axes by (K-1)/2 * dilation, and the
+    (r_n, c_n) of each slot in neighbor_offsets order: slot n of pixel (i, j)
+    is padded[i + r_n, j + c_n], arr at (i + di, j + dj) clamped to the map."""
     offsets = neighbor_offsets(kernel, dilation)
-    h, w, c = src.shape
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    out = np.empty((h * w, len(offsets), c), np.float32)
-    for n, (di, dj) in enumerate(offsets):
-        ri = np.clip(rows + di, 0, h - 1)
-        ci = np.clip(cols + dj, 0, w - 1)
-        out[:, n, :] = src.data[ri, ci].reshape(h * w, c)
-    return out
+    reach = (kernel - 1) // 2 * dilation
+    padded = np.pad(arr, ((reach, reach), (reach, reach), (0, 0)), mode="edge")
+    return padded, [(reach + di, reach + dj) for di, dj in offsets]
+
+
+def _neighbor_views(arr: np.ndarray, kernel: int, dilation: int) -> list[np.ndarray]:
+    """The K*K (H, W, C) views of arr's dilated neighborhoods, one per
+    row-major slot (_edge_pad); all of them share one padded copy."""
+    padded, starts = _edge_pad(arr, kernel, dilation)
+    return [padded[r : r + arr.shape[0], c : c + arr.shape[1]] for r, c in starts]
 
 
 def _softmax64(scores: np.ndarray) -> np.ndarray:

@@ -3,7 +3,9 @@
 Everything in this module is written directly from the defining formulas:
 explicit window/channel/neighbor loops, float64 arithmetic, no reuse of the
 production kernels.  These are deliberately slow and exist only as ground
-truth for the fast paths; they return plain float64 arrays.
+truth for the fast paths; they return plain float64 arrays.  Every dilated
+neighborhood here and in resfu.grad comes from _clamped_index_maps; from
+resfu.ops this module takes only exception classes and size checks.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .guided_filter import GuidedFilterConfig
-from .ops import ShapeMismatch, _odd_kernel
+from .ops import ShapeMismatch, _odd_kernel, _positive_int
 from .tensor import FeatureMap
 
 
@@ -48,6 +50,25 @@ def max_rel_error(actual, expected) -> float:
     return finite_or_inf(float(np.max(np.abs(actual - expected))) / scale)
 
 
+def _clamped_index_maps(h: int, w: int, kernel: int, dilation: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Row-major per slot, the (h, 1) row and (1, w) column index maps of the
+    dilated KxK window: slot n of (i, j) is (i + di * dilation, j + dj *
+    dilation) clamped to the h x w grid, so arr[rows, cols] is its neighbor
+    map.  K and the dilation are integers >= 1, K odd, else ShapeMismatch."""
+    kernel, dilation = _positive_int("kernel", kernel), _positive_int("dilation", dilation)
+    reach = (_odd_kernel(kernel * kernel) - 1) // 2
+    rows, cols = np.arange(h)[:, None], np.arange(w)[None, :]
+    return [(np.clip(rows + di * dilation, 0, h - 1), np.clip(cols + dj * dilation, 0, w - 1))
+            for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)]
+
+
+def oracle_gather_neighbors(src: FeatureMap, kernel: int, dilation: int = 1) -> np.ndarray:
+    """The (pixels, slots, channels) float64 neighborhoods of src (_clamped_index_maps)."""
+    h, w, c = src.shape
+    slots = _clamped_index_maps(h, w, kernel, dilation)
+    return np.stack([src.data[ri, ci].reshape(h * w, c) for ri, ci in slots], axis=1).astype(np.float64)
+
+
 def oracle_pcdc_direct(q_bar: FeatureMap, k_bar: FeatureMap, weight, bias,
                        groups: int, dilation: int) -> np.ndarray:
     """Difference convolution straight from its definition.
@@ -56,19 +77,11 @@ def oracle_pcdc_direct(q_bar: FeatureMap, k_bar: FeatureMap, weight, bias,
     neighbor slot; only the pixel axis is vectorized.  Neighbor slot n is
     the n-th row-major offset of the dilated KxK window, clamped at edges.
     """
-    q = q_bar.astype64()
-    k = k_bar.astype64()
-    w64 = np.asarray(weight, np.float64)
-    b64 = np.asarray(bias, np.float64)
+    q, k = q_bar.astype64(), k_bar.astype64()
+    w64, b64 = np.asarray(weight, np.float64), np.asarray(bias, np.float64)
     h, w, d_in = q.shape
     ksq, in_per, l_out = w64.shape
-    kernel = int(round(ksq**0.5))
-    reach = (kernel - 1) // 2
-    rows = np.arange(h)[:, None]
-    cols = np.arange(w)[None, :]
-    # clamped (row, col) index maps of slot n, the same for every channel
-    slots = [(np.clip(rows + di * dilation, 0, h - 1), np.clip(cols + dj * dilation, 0, w - 1))
-             for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)]
+    slots = _clamped_index_maps(h, w, int(round(ksq**0.5)), dilation)
 
     out = np.zeros((h, w, l_out))
     for l in range(l_out):
@@ -124,7 +137,8 @@ def oracle_kernel_apply_gridwise(weights: FeatureMap, x: FeatureMap, ratio: int)
     neighbors of its parent low-resolution pixel, so the mixed values jump
     only at block boundaries (the mosaic artifact the fine-grained variant
     removes).  K comes from the slot count, which must be an odd square
-    (else ShapeMismatch).  Not a production path; literal per-pixel loops.
+    (else ShapeMismatch).  Not a production path; one float64 loop over the
+    slots, in order, each adding its term at every output pixel at once.
     """
     h, w, c = x.shape
     out_h, out_w, slots = weights.shape
@@ -134,21 +148,9 @@ def oracle_kernel_apply_gridwise(weights: FeatureMap, x: FeatureMap, ratio: int)
             f"weights are {out_h}x{out_w} but ratio {ratio} on {h}x{w} input "
             f"implies {ratio * h}x{ratio * w}"
         )
-    wdata = weights.astype64()
-    xdata = x.astype64()
-    reach = (kernel - 1) // 2
-
+    wdata, xdata = weights.astype64(), x.astype64()
+    parent_rows, parent_cols = np.arange(out_h) // ratio, np.arange(out_w) // ratio
     out = np.zeros((out_h, out_w, c))
-    for i in range(out_h):
-        for j in range(out_w):
-            pi, pj = i // ratio, j // ratio
-            acc = np.zeros(c)
-            n = 0
-            for di in range(-reach, reach + 1):
-                for dj in range(-reach, reach + 1):
-                    ni = min(max(pi + di, 0), h - 1)
-                    nj = min(max(pj + dj, 0), w - 1)
-                    acc += wdata[i, j, n] * xdata[ni, nj]
-                    n += 1
-            out[i, j] = acc
+    for n, (ri, ci) in enumerate(_clamped_index_maps(h, w, kernel, 1)):
+        out += wdata[:, :, n : n + 1] * xdata[ri[parent_rows], ci[:, parent_cols]]
     return out

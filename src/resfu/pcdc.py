@@ -35,13 +35,13 @@ from .ops import (
     SimilarityScores,
     _as_float32,
     _block_diagonal,
+    _edge_pad,
     _group_count,
     _norm_scale_shift,
     _odd_kernel,
     _pixel_blocks,
     group_normalize,
     matmul_rows,
-    neighbor_offsets,
 )
 from .tensor import FeatureMap
 
@@ -81,20 +81,17 @@ def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarra
         v[i, l] = sum_n sum_d' weight[n, d', l] * k[N(i)_n, d]
                 - sum_d' (sum_n weight[n, d', l]) * q[i, d] + bias[l]
 
-    The key map is edge-padded once.  For each CHUNK_ROWS row chunk and
-    each tap, one block-diagonal matmul takes the chunk's whole padded key
-    rows at the tap's row offset to that tap's contributions, which are
-    added at the tap's column offset; the query term is one more matmul.
+    The key map is edge-padded once (ops._edge_pad).  Per CHUNK_ROWS row
+    chunk and tap, one block-diagonal matmul takes the chunk's whole padded
+    key rows at the tap's row offset to its contributions, which are added
+    at the tap's column offset; the query term is one more matmul.
     """
     h, w, d_in = q.shape
     ksq, width, l_out = weight.shape
     groups = _group_count("pcdc", d_in, width, l_out)
-    kernel = math.isqrt(ksq)
-    offsets = neighbor_offsets(kernel, dilation)
-    reach = (kernel - 1) // 2 * dilation
     taps = np.stack([_block_diagonal(weight[n], groups) for n in range(ksq)]).astype(q.dtype)
     q_taps = -_block_diagonal(weight.sum(axis=0), groups).astype(q.dtype)
-    k_pad = np.pad(k, ((reach, reach), (reach, reach), (0, 0)), mode="edge")
+    k_pad, starts = _edge_pad(k, math.isqrt(ksq), dilation)
     w_pad = k_pad.shape[1]
     out = np.empty((h, w, l_out), q.dtype)
     for r0 in range(0, h, CHUNK_ROWS):
@@ -104,10 +101,10 @@ def _pcdc_core(q: np.ndarray, k: np.ndarray, weight: np.ndarray, bias: np.ndarra
         matmul_rows(q[r0:r1].reshape(m * w, d_in), q_taps, chunk.reshape(m * w, l_out))
         chunk += bias
         tap_out = np.empty((m, w_pad, l_out), q.dtype)
-        for n, (di, dj) in enumerate(offsets):
-            rows = k_pad[reach + r0 + di : reach + r1 + di].reshape(m * w_pad, d_in)
+        for n, (r, c) in enumerate(starts):
+            rows = k_pad[r0 + r : r1 + r].reshape(m * w_pad, d_in)
             matmul_rows(rows, taps[n], tap_out.reshape(m * w_pad, l_out))
-            chunk += tap_out[:, reach + dj : reach + dj + w]
+            chunk += tap_out[:, c : c + w]
     return out
 
 

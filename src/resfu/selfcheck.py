@@ -18,11 +18,12 @@ import numpy as np
 
 from .grad import check_gradients
 from .guided_filter import GuidedFilterConfig, guided_filter
-from .ops import bilinear_resize, gather_neighbors, softmax_rows
+from .ops import bilinear_resize, softmax_rows
 from .oracle import (
     CheckResult,
     finite_or_inf,
     max_rel_error,
+    oracle_gather_neighbors,
     oracle_guided_filter_window,
     oracle_kernel_apply_gridwise,
     oracle_pcdc_direct,
@@ -139,7 +140,7 @@ def check_degenerate_scores(seed: int = 0) -> CheckResult:
         y = _rand_map(rng, 6 * ratio, 6 * ratio, 3)
         out = resfu_upsample(x, y, params, UpsampleConfig(ratio=ratio))
         x_up = bilinear_resize(x, 6 * ratio, 6 * ratio)
-        want = gather_neighbors(x_up, 3, ratio).astype(np.float64).mean(axis=1)
+        want = oracle_gather_neighbors(x_up, 3, ratio).mean(axis=1)
         worst = max(worst, max_rel_error(out.astype64().reshape(-1, 5), want))
     return CheckResult("degenerate-score-box-mean", worst, 1e-5, "ratios 2/4/8")
 

@@ -57,6 +57,7 @@ from .ops import (
     ShapeMismatch,
     SimilarityScores,
     _as_float32,
+    _neighbor_views,
     _odd_kernel,
     _positive_int,
     _resize_linear,
@@ -186,13 +187,8 @@ def _apply_naive(weights: np.ndarray, x: np.ndarray, ratio: int) -> np.ndarray:
     K comes from the weights' slot count.  Computes in the dtype of the
     (H, W, C) value array x; resfu.grad runs it on float64."""
     out_h, out_w, slots = weights.shape
-    kernel = _odd_kernel(slots)
-    x_up = _resize_linear(x, out_h, out_w)
-    pad = (kernel - 1) // 2 * ratio
-    padded = np.pad(x_up, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
     out = np.zeros((out_h, out_w, x.shape[2]), x.dtype)
-    for n, (di, dj) in enumerate(neighbor_offsets(kernel, ratio)):
-        view = padded[pad + di : pad + di + out_h, pad + dj : pad + dj + out_w]
+    for n, view in enumerate(_neighbor_views(_resize_linear(x, out_h, out_w), _odd_kernel(slots), ratio)):
         out += weights[:, :, n : n + 1] * view
     return out
 
@@ -345,8 +341,9 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     normalized, so under CPython >= 3.11, which moves call arguments into
     the callee's frame, q_gf, k_up and q_gs are freed before each block's
     contraction (see pcdc_block).  q is held until the detail block
-    returns, and the peak is set in that block's contraction.  q_gs is computed after the semantic block so that fewer
-    D-channel maps are live at once.
+    returns, and the peak is set in that block's contraction.  q_gs is
+    computed after the semantic block so that fewer D-channel maps are
+    live at once.
 
     With `rows`, the output goes to rows(band) band by band (see
     kernel_apply_fns) and the result's output is None.
@@ -396,14 +393,9 @@ def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: in
     kept as the baseline the difference blocks are compared against."""
     if q.shape != k_up.shape:
         raise ShapeMismatch(f"query {q.shape} and key {k_up.shape} must match")
-    ratio = _positive_int("ratio", ratio, RatioMismatch)
-    offsets = neighbor_offsets(kernel, ratio)
-    h, w = q.height, q.width
-    pad = (kernel - 1) // 2 * ratio
-    padded = np.pad(k_up.data, ((pad, pad), (pad, pad), (0, 0)), mode="edge")
-    scores = np.empty((h, w, len(offsets)), np.float32)
-    for n, (di, dj) in enumerate(offsets):
-        shifted = padded[pad + di : pad + di + h, pad + dj : pad + dj + w]
+    views = _neighbor_views(k_up.data, kernel, _positive_int("ratio", ratio, RatioMismatch))
+    scores = np.empty((q.height, q.width, len(views)), np.float32)
+    for n, shifted in enumerate(views):
         # summed in float64, rounded once into the float32 slot
         np.einsum("hwd,hwd->hw", q.data, shifted, dtype=np.float64, out=scores[:, :, n], casting="unsafe")
     return FeatureMap.adopt(scores)

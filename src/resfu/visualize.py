@@ -48,9 +48,9 @@ def pca_rgb(fmap: FeatureMap) -> np.ndarray:
 
 
 def channel_rgb(fmap: FeatureMap, channel: int) -> np.ndarray:
-    """One channel as a min-max scaled grayscale image."""
-    if not 0 <= channel < fmap.channels:
-        raise ShapeMismatch(f"channel {channel} out of range for {fmap.channels} channels")
+    """One channel, an int index (else ShapeMismatch), as a min-max scaled grayscale image."""
+    if isinstance(channel, bool) or not isinstance(channel, (int, np.integer)) or not 0 <= channel < fmap.channels:
+        raise ShapeMismatch(f"channel {channel!r} out of range for {fmap.channels} channels")
     plane = _scale_to_bytes(fmap.data[:, :, channel].astype(np.float64))
     return np.repeat(plane[:, :, None], 3, axis=2)
 

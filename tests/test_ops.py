@@ -15,7 +15,6 @@ from resfu.ops import (
     ShapeMismatch,
     _window_sums,
     bilinear_resize,
-    gather_neighbors,
     gaussian_smooth3,
     group_normalize,
     grouped_pointwise_conv,
@@ -401,52 +400,6 @@ class TestGroupedPointwiseConv:
             grouped_pointwise_conv(src, np.zeros((4, 4), np.float32), b)
         with pytest.raises(ShapeMismatch, match="not a conv parameter pair"):
             grouped_pointwise_conv(src, w, np.zeros(3, np.float32))
-
-
-class TestGatherNeighbors:
-    def test_3x3_top_left_corner(self):
-        src = fm(np.arange(9, dtype=np.float32).reshape(3, 3))
-        got = gather_neighbors(src, 3, 1)
-        np.testing.assert_array_equal(got[0, :, 0], [0, 0, 1, 0, 0, 1, 3, 3, 4])
-
-    def test_5x5_center_dilation2(self):
-        src = fm(np.arange(25, dtype=np.float32).reshape(5, 5))
-        got = gather_neighbors(src, 3, 2)
-        center = 2 * 5 + 2
-        np.testing.assert_array_equal(got[center, :, 0], [0, 2, 4, 10, 12, 14, 20, 22, 24])
-
-    @settings(max_examples=25, deadline=None)
-    @given(h=st.integers(1, 5), w=st.integers(1, 5), c=st.integers(1, 3), seed=st.integers(0, 999))
-    def test_k1_is_identity(self, h, w, c, seed):
-        src = rand_map(np.random.default_rng(seed), h, w, c)
-        got = gather_neighbors(src, 1, 1)
-        assert got.shape == (h * w, 1, c)
-        assert np.array_equal(got[:, 0, :], src.data.reshape(h * w, c))
-
-    def test_interior_matches_plain_slices(self):
-        rng = np.random.default_rng(55)
-        src = rand_map(rng, 6, 6, 2)
-        got = gather_neighbors(src, 3, 1)
-        i, j = 3, 2
-        flat = i * 6 + j
-        n = 0
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                assert np.array_equal(got[flat, n], src.data[i + di, j + dj])
-                n += 1
-
-    def test_rejects_even_kernel_and_bad_dilation(self):
-        src = fm([[1.0]])
-        with pytest.raises(ShapeMismatch):
-            gather_neighbors(src, 2, 1)
-        with pytest.raises(ShapeMismatch):
-            gather_neighbors(src, 3, 0)
-        # K and the dilation must be integers, not bools or floats
-        for bad in (True, 3.0, 1.5):
-            with pytest.raises(ShapeMismatch, match="^kernel must be an integer >= 1"):
-                gather_neighbors(src, bad, 1)
-            with pytest.raises(ShapeMismatch, match="^dilation must be an integer >= 1"):
-                gather_neighbors(src, 3, bad)
 
 
 class TestSoftmaxRows:

@@ -1,19 +1,32 @@
-"""Grid-wise neighbor-selection oracle, and the mosaic-vs-smooth contrast
-between it and fine-grained selection on the same kernels."""
+"""The reference side: its neighborhood gather against the production
+views, the grid-wise neighbor-selection oracle, the mosaic-vs-smooth
+contrast between it and fine-grained selection on the same kernels, and the
+imports that keep the oracle independent of the production kernels."""
 
+import ast
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from resfu.ops import ShapeMismatch, softmax_rows
-from resfu.oracle import max_rel_error, oracle_kernel_apply_gridwise
+from resfu import ops, oracle
+from resfu.ops import ShapeMismatch, _neighbor_views, softmax_rows
+from resfu.oracle import max_rel_error, oracle_gather_neighbors, oracle_kernel_apply_gridwise
 from resfu.tensor import FeatureMap
 from resfu.upsampler import kernel_apply_fns
 
 
 def fm(values):
-    return FeatureMap(np.asarray(values, np.float32))
+    arr = np.asarray(values, np.float32)
+    return FeatureMap(arr[:, :, None] if arr.ndim == 2 else arr)
+
+
+def rand_map(rng, h, w, c):
+    return FeatureMap(rng.standard_normal((h, w, c)).astype(np.float32))
 
 
 def ramp_columns(h, w):
@@ -55,6 +68,83 @@ class TestMaxRelError:
             a, e = np.asarray(actual, np.float64), np.asarray(expected, np.float64)
             want = float(np.max(np.abs(a - e))) / max(float(np.max(np.abs(e))), 1e-30)
             assert max_rel_error(actual, expected) == want
+
+
+class TestGatherNeighbors:
+    def test_3x3_top_left_corner(self):
+        src = fm(np.arange(9, dtype=np.float32).reshape(3, 3))
+        got = oracle_gather_neighbors(src, 3, 1)
+        np.testing.assert_array_equal(got[0, :, 0], [0, 0, 1, 0, 0, 1, 3, 3, 4])
+
+    def test_5x5_center_dilation2(self):
+        src = fm(np.arange(25, dtype=np.float32).reshape(5, 5))
+        got = oracle_gather_neighbors(src, 3, 2)
+        center = 2 * 5 + 2
+        np.testing.assert_array_equal(got[center, :, 0], [0, 2, 4, 10, 12, 14, 20, 22, 24])
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.integers(1, 5), w=st.integers(1, 5), c=st.integers(1, 3), seed=st.integers(0, 999))
+    def test_k1_is_identity(self, h, w, c, seed):
+        src = rand_map(np.random.default_rng(seed), h, w, c)
+        got = oracle_gather_neighbors(src, 1, 1)
+        assert got.shape == (h * w, 1, c)
+        assert np.array_equal(got[:, 0, :], src.data.reshape(h * w, c))
+
+    def test_interior_matches_plain_slices(self):
+        rng = np.random.default_rng(55)
+        src = rand_map(rng, 6, 6, 2)
+        got = oracle_gather_neighbors(src, 3, 1)
+        i, j = 3, 2
+        flat = i * 6 + j
+        n = 0
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                assert np.array_equal(got[flat, n], src.data[i + di, j + dj])
+                n += 1
+
+    def test_rejects_even_kernel_and_bad_dilation(self):
+        src = fm([[1.0]])
+        with pytest.raises(ShapeMismatch):
+            oracle_gather_neighbors(src, 2, 1)
+        with pytest.raises(ShapeMismatch):
+            oracle_gather_neighbors(src, 3, 0)
+        # K and the dilation must be integers, not bools or floats
+        for bad in (True, 3.0, 1.5):
+            with pytest.raises(ShapeMismatch, match="^kernel must be an integer >= 1"):
+                oracle_gather_neighbors(src, bad, 1)
+            with pytest.raises(ShapeMismatch, match="^dilation must be an integer >= 1"):
+                oracle_gather_neighbors(src, 3, bad)
+
+
+class TestNeighborViews:
+    # maps smaller than the reach (K-1)/2 * dilation, so most slots clamp
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 5), (6, 4)])
+    @pytest.mark.parametrize("dilation", [1, 2, 3, 7])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    def test_views_equal_the_oracle_gather(self, kernel, dilation, h, w):
+        src = rand_map(np.random.default_rng(h * 100 + w), h, w, 3)
+        views = _neighbor_views(src.data, kernel, dilation)
+        want = oracle_gather_neighbors(src, kernel, dilation)
+        assert len(views) == want.shape[1] == kernel * kernel
+        for n, view in enumerate(views):
+            assert view.dtype == np.float32 and view.shape == src.shape
+            assert view.tobytes() == want[:, n].astype(np.float32).tobytes()
+
+    def test_views_share_one_padded_copy(self):
+        kernel, dilation = 5, 3
+        src = rand_map(np.random.default_rng(9), 64, 64, 8)
+        padded_bytes = (64 + 12) ** 2 * 8 * 4
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            views = _neighbor_views(src.data, kernel, dilation)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(views) == kernel * kernel
+        # the padded copy plus small objects (reads 1.09x it); a second
+        # copy would be 2x, and a copy per view 17.7x
+        assert peak <= 1.25 * padded_bytes
 
 
 class TestGridwiseOracle:
@@ -121,3 +211,23 @@ class TestAntiMosaicContrast:
         assert np.max(second) >= 0.25
         plateau_jumps = np.abs(np.diff(cols.reshape(self.W, self.RATIO)[:, 0]))
         assert np.count_nonzero(plateau_jumps >= 0.5) >= self.W - 2
+
+
+def test_reference_side_imports_no_production_kernel():
+    """oracle.py takes from resfu.ops only exception classes and the size
+    checks, and nothing from resfu.pcdc or resfu.upsampler, so an oracle
+    test never compares a production kernel against itself."""
+    allowed = {"_odd_kernel", "_positive_int"}
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.Import):
+            names = [alias.name.removeprefix("resfu.") for alias in node.names]
+            assert not {"ops", "pcdc", "upsampler"} & set(names), names
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("resfu").lstrip(".")
+            if not module:  # from . import x
+                assert not {"ops", "pcdc", "upsampler"} & {alias.name for alias in node.names}
+            assert module not in ("pcdc", "upsampler"), module
+            if module == "ops":
+                for alias in node.names:
+                    obj = getattr(ops, alias.name)
+                    assert alias.name in allowed or (isinstance(obj, type) and issubclass(obj, Exception)), alias.name

@@ -19,11 +19,10 @@ from resfu.ops import (
     ShapeMismatch,
     _resize_linear,
     bilinear_resize,
-    gather_neighbors,
     neighbor_offsets,
     softmax_rows,
 )
-from resfu.oracle import max_rel_error, oracle_kernel_apply_gridwise
+from resfu.oracle import max_rel_error, oracle_gather_neighbors, oracle_kernel_apply_gridwise
 from resfu.params_io import serialize_params
 from resfu.pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block, pcdc_layer
 from resfu.selfcheck import zeroed_score_params
@@ -284,7 +283,7 @@ class TestKernelApplyFns:
         weights = FeatureMap(np.full((h, w, 9), 1.0 / 9.0, np.float32))
         out = kernel_apply_fns(weights, x)
         x_up = bilinear_resize(x, h, w)
-        want = gather_neighbors(x_up, 3, ratio).astype(np.float64).mean(axis=1)
+        want = oracle_gather_neighbors(x_up, 3, ratio).mean(axis=1)
         assert max_rel_error(out.astype64().reshape(-1, 4), want) <= 1e-6
 
     def test_ratio_one_center_identity(self):
@@ -301,7 +300,7 @@ class TestKernelApplyFns:
         for fused in (True, False):
             out = kernel_apply_fns(weights, x, fused=fused)
             x_up = bilinear_resize(x, 10, 12)
-            gathered = gather_neighbors(x_up, 3, ratio).astype(np.float64)
+            gathered = oracle_gather_neighbors(x_up, 3, ratio)
             want = np.einsum("pn,pnc->pc", weights.astype64().reshape(-1, 9), gathered)
             assert max_rel_error(out.astype64().reshape(-1, 3), want) <= 1e-5
 
@@ -471,7 +470,7 @@ class TestResfuUpsample:
         y = rand_map(rng, 6 * ratio, 6 * ratio, 3)
         out = resfu_upsample(x, y, params, UpsampleConfig(ratio=ratio))
         x_up = bilinear_resize(x, 6 * ratio, 6 * ratio)
-        want = gather_neighbors(x_up, 3, ratio).astype(np.float64).mean(axis=1)
+        want = oracle_gather_neighbors(x_up, 3, ratio).mean(axis=1)
         assert max_rel_error(out.astype64().reshape(-1, 5), want) <= 1e-5
 
     def test_peak_under_ten_outputs(self):
@@ -561,7 +560,7 @@ class TestResfuUpsample:
         params = zeroed_score_params(generate_params(c_in=4, c_guide=2))
         x = rand_map(rng, 7, 6, 4)
         out = resfu_upsample(x, rand_map(rng, 7, 6, 2), params, UpsampleConfig(ratio=1))
-        want = gather_neighbors(x, 3, 1).astype(np.float64).mean(axis=1)
+        want = oracle_gather_neighbors(x, 3, 1).mean(axis=1)
         assert max_rel_error(out.astype64().reshape(-1, 4), want) <= 1e-5
 
     def test_guide_dims_must_match_ratio(self):
@@ -619,7 +618,7 @@ class TestInnerProductScores:
         q = rand_map(rng, 6, 5, 4)
         k_up = rand_map(rng, 6, 5, 4)
         scores = inner_product_scores(q, k_up, kernel=3, ratio=3)
-        gathered = gather_neighbors(k_up, 3, 3).astype(np.float64)
+        gathered = oracle_gather_neighbors(k_up, 3, 3)
         flat_q = q.astype64().reshape(-1, 4)
         want = np.stack([(flat_q * gathered[:, n]).sum(axis=1) for n in range(9)], axis=1)
         assert max_rel_error(scores.astype64().reshape(-1, 9), want) <= 1e-6

@@ -72,7 +72,8 @@ class TestChannelRgb:
         rgb = channel_rgb(FeatureMap(np.ones((4, 4, 2), np.float32)), 0)
         assert np.all(rgb == MID_GRAY)
 
-    @pytest.mark.parametrize("channel", [-1, 2])
+    # a bool or a float is not a channel index, even when it equals one
+    @pytest.mark.parametrize("channel", [-1, 2, True, False, 1.0])
     def test_rejects_out_of_range_channel(self, channel):
         with pytest.raises(ShapeMismatch):
             channel_rgb(FeatureMap(np.zeros((3, 3, 2), np.float32)), channel)
