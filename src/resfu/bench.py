@@ -97,10 +97,7 @@ def run_bench(h: int, w: int, c: int, ratio: int, iters: int, seed: int = 0) -> 
         BenchRow("fns-fused", _timed(lambda: kernel_apply_fns(weights, x, fused=True), iters), iters),
         BenchRow("fns-naive", _timed(lambda: kernel_apply_fns(weights, x, fused=False), iters), iters),
         BenchRow("pcdc-decomposed", _timed(lambda: pcdc_layer(q, k, params, ratio), iters), iters),
-        BenchRow(
-            "pcdc-direct",
-            _timed(lambda: oracle_pcdc_direct(q, k, params.weight, params.bias, 4, ratio), iters),
-            iters,
-        ),
+        BenchRow("pcdc-direct",
+                 _timed(lambda: oracle_pcdc_direct(q, k, params.weight, params.bias, ratio), iters), iters),
     )
     return BenchReport(rows, equivalence, naive_peak, fused_peak)

@@ -5,19 +5,20 @@ Everything here runs on raw float64 arrays: finite differences at 32-bit
 would drown the comparison in rounding noise.  The forward evaluations are
 the production kernels themselves, pcdc._pcdc_core and the naive kernel
 application upsampler._apply_naive (after a float64 softmax), which compute
-in the dtype they are given; the backward passes are derived
-by hand and share no code with them, so a finite-difference check compares
-two independent sides.  Only the difference convolution and the
-softmax-kernel application get backward passes; training the full pipeline
-is out of scope.
+in the dtype they are given; the backward passes are derived by hand and
+share no arithmetic with them, so a finite-difference check compares two
+independent sides.  As in resfu.oracle, K, the group count and the ratio
+come from the tensors (oracle._integer_multiple).  Only the difference
+convolution and the softmax-kernel application get backward passes;
+training the full pipeline is out of scope.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ops import ShapeMismatch, _odd_kernel, _resize_linear, _softmax64, axis_linear_coords
-from .oracle import CheckResult, _clamped_index_maps, max_rel_error
+from .ops import ChannelGroupMismatch, ShapeMismatch, _odd_kernel, _resize_linear, _softmax64, axis_linear_coords
+from .oracle import CheckResult, _clamped_index_maps, _integer_multiple, max_rel_error
 from .pcdc import _pcdc_core
 from .upsampler import _apply_naive
 
@@ -64,30 +65,24 @@ def _fd_vs_analytic(op_name, loss, arr, analytic, rng, probes) -> CheckResult:
 # --- backward passes ---------------------------------------------------------
 
 
-def pcdc_backward(upstream, q_bar, k_bar, weight, bias, groups: int, dilation: int):
+def pcdc_backward(upstream, q_bar, k_bar, weight, bias, dilation: int):
     """Gradients of sum(upstream * pcdc(q_bar, k_bar)) for all four inputs.
 
     The query gradient reuses the spatially-summed weights (negated); the key
     gradient scatter-adds through the clamped neighbor maps; the weight
     gradient accumulates upstream-times-difference outer products.
     """
-    upstream = np.asarray(upstream, np.float64)
-    q = np.asarray(q_bar, np.float64)
-    k = np.asarray(k_bar, np.float64)
-    weight = np.asarray(weight, np.float64)
+    upstream, q, k, weight = (np.asarray(a, np.float64) for a in (upstream, q_bar, k_bar, weight))
     h, w, d_total = q.shape
     ksq, in_per, l_out = weight.shape
-    if upstream.shape != (h, w, l_out):
-        raise ShapeMismatch(f"upstream {upstream.shape} does not match output {(h, w, l_out)}")
-    if k.shape != q.shape or groups * in_per != d_total or l_out % groups:
-        raise ShapeMismatch("saved inputs disagree with the weight layout")
-    out_per = l_out // groups
+    if upstream.shape != (h, w, l_out) or k.shape != q.shape:
+        raise ShapeMismatch(f"upstream {upstream.shape}, key {k.shape} must fit query {q.shape}, {l_out} outputs")
+    groups = _integer_multiple((d_total,), (in_per,), "channels over weight group width")
+    out_per = _integer_multiple((l_out,), (groups,), "outputs over groups", ChannelGroupMismatch)
     wsum = weight.sum(axis=0)
-    index_maps = _clamped_index_maps(h, w, int(round(ksq**0.5)), dilation)
+    index_maps = _clamped_index_maps(h, w, _odd_kernel(ksq), dilation)
 
-    d_q = np.zeros_like(q)
-    d_k = np.zeros_like(k)
-    d_w = np.zeros_like(weight)
+    d_q, d_k, d_w = np.zeros_like(q), np.zeros_like(k), np.zeros_like(weight)
     d_b = upstream.sum(axis=(0, 1))
     for g in range(groups):
         ds = slice(g * in_per, (g + 1) * in_per)
@@ -111,23 +106,21 @@ def _axis_transpose(d, lo, hi, t, n_in):
     return out
 
 
-def kernel_apply_backward(upstream, weights, x, ratio: int):
+def kernel_apply_backward(upstream, weights, x):
     """Gradients of sum(upstream * output) for the pre-softmax scores and x.
 
-    `weights` are the saved post-softmax kernels, K from their slot count.
+    `weights` are the saved post-softmax kernels, K from their slot count
+    and the ratio from their grid over x's.
     The score gradient applies the softmax Jacobian w * (g - <w, g>); the
     value gradient scatters the weighted upstream through the neighbor maps
     and then through the adjoint of the bilinear resize.
     """
-    upstream = np.asarray(upstream, np.float64)
-    weights = np.asarray(weights, np.float64)
-    x = np.asarray(x, np.float64)
+    upstream, weights, x = (np.asarray(a, np.float64) for a in (upstream, weights, x))
     out_h, out_w, slots = weights.shape
     h, w, c = x.shape
-    if upstream.shape != (out_h, out_w, c) or (out_h, out_w) != (ratio * h, ratio * w):
-        raise ShapeMismatch(
-            f"upstream {upstream.shape}, weights {weights.shape}, and value {x.shape} disagree"
-        )
+    if upstream.shape != (out_h, out_w, c):
+        raise ShapeMismatch(f"upstream {upstream.shape} does not match output {(out_h, out_w, c)}")
+    ratio = _integer_multiple((out_h, out_w), (h, w), "weights' grid over value grid")
     index_maps = _clamped_index_maps(out_h, out_w, _odd_kernel(slots), ratio)
     x_up = _resize_linear(x, out_h, out_w)
 
@@ -169,7 +162,7 @@ def check_pcdc_gradients(seed: int = 0, probes: int = DEFAULT_PROBES) -> list[Ch
 
         return loss
 
-    d_q, d_k, d_w, d_b = pcdc_backward(proj, q, k, weight, bias, groups, dilation)
+    d_q, d_k, d_w, d_b = pcdc_backward(proj, q, k, weight, bias, dilation)
     return [
         _fd_vs_analytic("pcdc/d_query", loss_for("q"), q, d_q, rng, probes),
         _fd_vs_analytic("pcdc/d_key", loss_for("k"), k, d_k, rng, probes),
@@ -188,12 +181,12 @@ def check_kernel_apply_gradients(seed: int = 0, probes: int = DEFAULT_PROBES) ->
     proj = rng.standard_normal((h * ratio, w * ratio, c))
 
     def loss_scores(arr):
-        return float((proj * _apply_naive(_softmax64(arr), x, ratio)).sum())
+        return float((proj * _apply_naive(_softmax64(arr), x)).sum())
 
     def loss_x(arr):
-        return float((proj * _apply_naive(_softmax64(scores), arr, ratio)).sum())
+        return float((proj * _apply_naive(_softmax64(scores), arr)).sum())
 
-    d_scores, d_x = kernel_apply_backward(proj, _softmax64(scores), x, ratio)
+    d_scores, d_x = kernel_apply_backward(proj, _softmax64(scores), x)
     row_sum = float(np.max(np.abs(d_scores.sum(axis=2))))
     return [
         _fd_vs_analytic("kernel_apply/d_scores", loss_scores, scores, d_scores, rng, probes),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ShapeMismatch, _positive_int, _positive_real, _window_counts, _window_sums
+from .ops import ShapeMismatch, _carried_window_sums, _positive_int, _positive_real, _window_counts, _window_sums
 from .tensor import FeatureMap
 
 
@@ -68,22 +68,22 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     independently.  One pass down the rows in tiles of T rows (_tile_rows):
 
     1. The vertical window sums of q, q*q, q*k and k are carried from row
-       to row as one (4, W, C) float64 state; the rows that enter and leave
-       the window are recomputed from the inputs.  Each tile's sums are
-       stored W-leading, (W, 4, T, C), so that the horizontal window sums,
-       taken along W, read one contiguous (4, T, C) slab per step; mean,
-       var, m and n follow elementwise.
+       to row as one (4, W, C) float64 state (_carried_window_sums), each
+       row made from the inputs as it enters or leaves the window.  Each
+       tile's sums are stored W-leading, (W, 4, T, C), so that the
+       horizontal window sums, taken along W, read one contiguous (4, T, C)
+       slab per step; mean, var, m and n follow elementwise.
     2. The horizontal window sums of m and n are taken the same way and
-       kept in a ring of the last 2r + 1 + T rows; the vertical sum trails
-       r rows behind the tiles, and each output row is written as soon as
-       its window is complete.
+       kept in a ring of the last 2r + 1 + T rows; the vertical sum, carried
+       the same way over the ring, trails r rows behind the tiles, and each
+       output row is written as soon as its window is complete.
 
-    Working memory is about (10T + 4r) float64 rows of W x C, and no
-    buffer has more rows than the map, beside the float32 output.  Every element goes
-    through the float64 operations of the whole-map recipe (box means of q,
-    q*q, q*k and k, then of n and m), in the same order, and every window
-    sum adds its rows or columns in index order, so the bits are those of
-    that recipe at any tile height.
+    Working memory is about (10T + 4r) float64 rows of W x C, and no buffer
+    has more rows than the map, beside the float32 output.  Every element
+    goes through the float64 operations of the whole-map recipe (box means
+    of q, q*q, q*k and k, then of n and m), in the same order, and every
+    window sum adds its rows or columns in index order, so the bits are
+    those of that recipe at any tile height.
     """
     if query.shape != key_up.shape:
         raise ShapeMismatch(f"query {query.shape} and key {key_up.shape} must match")
@@ -94,31 +94,21 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     rows, cols = _window_counts(h, r), _window_counts(w, r)
     out = np.empty(q.shape, np.float32)
 
-    # The first vertical windows: rows 0 ... r added in order.
-    row = np.empty((4, w, c))
-    vsum = _row_products(q, k, 0, np.empty((4, w, c)))
-    for i in range(1, min(r, h - 1) + 1):
-        vsum += _row_products(q, k, i, row)
-
+    row, vsum = np.empty((2, 4, w, c))
+    vsums = _carried_window_sums(h, r, lambda i: _row_products(q, k, i, row), vsum)
     # The tiles are stored W-leading, (W, 4, T, C), so each step of the
     # horizontal running sums reads one contiguous (4, T, C) slab.
     a = np.empty((w, 4, t, c))
     b = np.empty((w, 4, t, c))
     ring_rows = min(h, t + 2 * r + 1)
     ring = np.empty((2, ring_rows, w, c))
-    vsum2 = np.empty((2, w, c))
-    mean = np.empty((2, w, c))
+    vsum2, mean = np.empty((2, 2, w, c))
     cnt = np.empty((w, 1))
-    done = 0
+    vsums2 = _carried_window_sums(h, r, lambda i: ring[:, i % ring_rows], vsum2)
     for t0 in range(0, h, t):
         t1 = min(t0 + t, h)
         nt = t1 - t0
-        for i in range(t0, t1):
-            if i > 0:
-                if i + r < h:
-                    vsum += _row_products(q, k, i + r, row)
-                if i > r:
-                    vsum -= _row_products(q, k, i - r - 1, row)
+        for i, _ in zip(range(t0, t1), vsums):
             a[:, :, i - t0] = vsum.transpose(1, 0, 2)
         at, bt = a[:, :, :nt], b[:, :, :nt]
         _window_sums(at, r, out=bt)
@@ -135,28 +125,13 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
         n -= tmp
 
         _window_sums(bt[:, 2:], r, out=at[:, :2])
-        j0 = 0
-        while j0 < nt:  # at most two pieces, split at the ring's end
-            s0 = (t0 + j0) % ring_rows
-            j1 = min(nt, j0 + ring_rows - s0)
-            ring[:, s0 : s0 + j1 - j0] = at[:, :2, j0:j1].transpose(1, 2, 0, 3)
-            j0 = j1
+        ring[:, np.arange(t0, t1) % ring_rows] = at[:, :2].transpose(1, 2, 0, 3)
 
         stop = h if t1 == h else t1 - r
-        for i in range(done, stop):
-            if i == 0:
-                vsum2[...] = ring[:, 0]
-                for j in range(1, min(r, h - 1) + 1):
-                    vsum2 += ring[:, j]
-            else:
-                if i + r < h:
-                    vsum2 += ring[:, (i + r) % ring_rows]
-                if i > r:
-                    vsum2 -= ring[:, (i - r - 1) % ring_rows]
+        for i, _ in zip(range(max(0, t0 - r), stop), vsums2):  # rows whose windows are complete
             np.multiply(cols[:, None], rows[i], out=cnt)
             np.divide(vsum2, cnt, out=mean)
             mean[0] *= q[i]
             mean[0] += mean[1]
             out[i] = mean[0]
-        done = max(done, stop)
     return FeatureMap.adopt(out)

@@ -241,6 +241,22 @@ def _window_sums(arr: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _carried_window_sums(n: int, radius: int, row, acc: np.ndarray):
+    """Yield i = 0 ... n - 1 with `acc` set to window i's sum of the rows
+    row(0) ... row(n - 1): _window_sums's adds and subtracts in its order,
+    each row made by row(j) as it enters or leaves a window."""
+    acc[...] = row(0)
+    for i in range(1, min(radius, n - 1) + 1):
+        acc += row(i)
+    yield 0
+    for i in range(1, n):
+        if i + radius < n:
+            acc += row(i + radius)
+        if i > radius:
+            acc -= row(i - radius - 1)
+        yield i
+
+
 def _window_counts(n: int, radius: int) -> np.ndarray:
     """(n,) float64 number of in-bounds positions of each truncated window."""
     i = np.arange(n)
@@ -441,5 +457,9 @@ def _softmax64(scores: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(scores: SimilarityScores) -> SimilarityScores:
-    """Max-stabilized softmax across the slot (channel) axis of a score map."""
+    """Max-stabilized softmax across the slot (channel) axis of a score map;
+    NaN or Inf scores raise NonFiniteInput, counting bad rows, before any exp."""
+    if not np.isfinite(scores.data).all():
+        bad = ~np.isfinite(scores.data).all(axis=-1)
+        raise NonFiniteInput(f"similarity scores: {np.count_nonzero(bad)} of {bad.size} rows hold NaN or Inf")
     return FeatureMap(_softmax64(scores.astype64()))

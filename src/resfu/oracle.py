@@ -4,8 +4,10 @@ Everything in this module is written directly from the defining formulas:
 explicit window/channel/neighbor loops, float64 arithmetic, no reuse of the
 production kernels.  These are deliberately slow and exist only as ground
 truth for the fast paths; they return plain float64 arrays.  Every dilated
-neighborhood here and in resfu.grad comes from _clamped_index_maps; from
-resfu.ops this module takes only exception classes and size checks.
+neighborhood here and in resfu.grad comes from _clamped_index_maps, and
+every size from the tensors (_integer_multiple), so no argument can
+disagree with the shapes.  From resfu.ops this module takes only exception
+classes and size checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .guided_filter import GuidedFilterConfig
-from .ops import ShapeMismatch, _odd_kernel, _positive_int
+from .ops import ChannelGroupMismatch, ShapeMismatch, _odd_kernel, _positive_int
 from .tensor import FeatureMap
 
 
@@ -62,6 +64,17 @@ def _clamped_index_maps(h: int, w: int, kernel: int, dilation: int) -> list[tupl
             for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)]
 
 
+def _integer_multiple(whole: tuple, part: tuple, what: str, error: type[Exception] = ShapeMismatch) -> int:
+    """The integer n >= 1 with whole == n * part on every axis, else `error`
+    naming `what`: the group count is the maps' channels over the weight's
+    group width and splits the outputs; the ratio is the weights' grid over x's."""
+    n = whole[0] // part[0] if part[0] > 0 else 0
+    if n < 1 or tuple(whole) != tuple(n * p for p in part):
+        sizes = ["x".join(map(str, dims)) for dims in (whole, part)]
+        raise error(f"{what}: {sizes[0]} is not one integer multiple of {sizes[1]}")
+    return n
+
+
 def oracle_gather_neighbors(src: FeatureMap, kernel: int, dilation: int = 1) -> np.ndarray:
     """The (pixels, slots, channels) float64 neighborhoods of src (_clamped_index_maps)."""
     h, w, c = src.shape
@@ -69,19 +82,22 @@ def oracle_gather_neighbors(src: FeatureMap, kernel: int, dilation: int = 1) -> 
     return np.stack([src.data[ri, ci].reshape(h * w, c) for ri, ci in slots], axis=1).astype(np.float64)
 
 
-def oracle_pcdc_direct(q_bar: FeatureMap, k_bar: FeatureMap, weight, bias,
-                       groups: int, dilation: int) -> np.ndarray:
+def oracle_pcdc_direct(q_bar: FeatureMap, k_bar: FeatureMap, weight, bias, dilation: int) -> np.ndarray:
     """Difference convolution straight from its definition.
 
     Triple loop over output channel, within-group input channel, and
     neighbor slot; only the pixel axis is vectorized.  Neighbor slot n is
     the n-th row-major offset of the dilated KxK window, clamped at edges.
+    K is read from the (K*K, D/G, L) weight's slot count (an odd square,
+    else ShapeMismatch) and G from its group width (_integer_multiple).
     """
     q, k = q_bar.astype64(), k_bar.astype64()
     w64, b64 = np.asarray(weight, np.float64), np.asarray(bias, np.float64)
     h, w, d_in = q.shape
     ksq, in_per, l_out = w64.shape
-    slots = _clamped_index_maps(h, w, int(round(ksq**0.5)), dilation)
+    groups = _integer_multiple((d_in,), (in_per,), "channels over weight group width")
+    _integer_multiple((l_out,), (groups,), "outputs over groups", ChannelGroupMismatch)
+    slots = _clamped_index_maps(h, w, _odd_kernel(ksq), dilation)
 
     out = np.zeros((h, w, l_out))
     for l in range(l_out):
@@ -130,27 +146,23 @@ def oracle_guided_filter_window(query: FeatureMap, key_up: FeatureMap, cfg: Guid
     return out
 
 
-def oracle_kernel_apply_gridwise(weights: FeatureMap, x: FeatureMap, ratio: int) -> np.ndarray:
+def oracle_kernel_apply_gridwise(weights: FeatureMap, x: FeatureMap) -> np.ndarray:
     """Kernel application with coarse, grid-wise neighbor selection.
 
     Every pixel of a ratio x ratio output block shares the KxK dilation-1
     neighbors of its parent low-resolution pixel, so the mixed values jump
     only at block boundaries (the mosaic artifact the fine-grained variant
     removes).  K comes from the slot count, which must be an odd square
-    (else ShapeMismatch).  Not a production path; one float64 loop over the
+    (else ShapeMismatch), and the ratio from the weights' grid over x's
+    (_integer_multiple).  Not a production path; one float64 loop over the
     slots, in order, each adding its term at every output pixel at once.
     """
     h, w, c = x.shape
     out_h, out_w, slots = weights.shape
-    kernel = _odd_kernel(slots)
-    if out_h != ratio * h or out_w != ratio * w:
-        raise ShapeMismatch(
-            f"weights are {out_h}x{out_w} but ratio {ratio} on {h}x{w} input "
-            f"implies {ratio * h}x{ratio * w}"
-        )
+    ratio = _integer_multiple((out_h, out_w), (h, w), "weights' grid over value grid")
     wdata, xdata = weights.astype64(), x.astype64()
     parent_rows, parent_cols = np.arange(out_h) // ratio, np.arange(out_w) // ratio
     out = np.zeros((out_h, out_w, c))
-    for n, (ri, ci) in enumerate(_clamped_index_maps(h, w, kernel, 1)):
+    for n, (ri, ci) in enumerate(_clamped_index_maps(h, w, _odd_kernel(slots), 1)):
         out += wdata[:, :, n : n + 1] * xdata[ri[parent_rows], ci[:, parent_cols]]
     return out

@@ -74,7 +74,7 @@ def check_pcdc_equivalence(seed: int = 0, cases: int = 200) -> CheckResult:
             bias=(0.1 * rng.standard_normal(depth)).astype(np.float32),
         )
         got = pcdc_layer(q, k, params, dilation).astype64()
-        want = oracle_pcdc_direct(q, k, params.weight, params.bias, groups, dilation)
+        want = oracle_pcdc_direct(q, k, params.weight, params.bias, dilation)
         worst = max(worst, max_rel_error(got, want))
     return CheckResult("pcdc-decomposition-equivalence", worst, 1e-5, f"{cases} cases")
 
@@ -158,7 +158,7 @@ def check_anti_mosaic() -> list[CheckResult]:
     interior = fns[ratio + ratio // 2 : -(ratio + ratio // 2)]
     linearity = float(np.max(np.abs(np.diff(interior, 2))))
 
-    grid = oracle_kernel_apply_gridwise(weights, ramp, ratio)[0, :, 0]
+    grid = oracle_kernel_apply_gridwise(weights, ramp)[0, :, 0]
     plateau_heads = grid.reshape(w, ratio)[:, 0]
     jumps = np.abs(np.diff(plateau_heads))
     found = int(np.count_nonzero(jumps >= 0.5))  # LR ramp step is 1.0

@@ -68,6 +68,7 @@ from .ops import (
     neighbor_offsets,
     softmax_rows,
 )
+from .oracle import _integer_multiple
 from .pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
 from .tensor import FeatureMap
 
@@ -181,12 +182,14 @@ def project_qk(x: FeatureMap, y: FeatureMap, proj: ProjectionParams) -> tuple[Fe
 # --- kernel application with fine-grained neighbor selection ---------------
 
 
-def _apply_naive(weights: np.ndarray, x: np.ndarray, ratio: int) -> np.ndarray:
+def _apply_naive(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Reference path: materialize the upsampled value map, then gather.
 
-    K comes from the weights' slot count.  Computes in the dtype of the
-    (H, W, C) value array x; resfu.grad runs it on float64."""
+    K comes from the weights' slot count and the ratio from their grid over
+    x's (the reference side's rule, oracle._integer_multiple).  Computes in
+    the dtype of the (h, w, C) value array x; resfu.grad runs it on float64."""
     out_h, out_w, slots = weights.shape
+    ratio = _integer_multiple((out_h, out_w), x.shape[:2], "weights' grid over value grid")
     out = np.zeros((out_h, out_w, x.shape[2]), x.dtype)
     for n, view in enumerate(_neighbor_views(_resize_linear(x, out_h, out_w), _odd_kernel(slots), ratio)):
         out += weights[:, :, n : n + 1] * view
@@ -295,7 +298,7 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, *, fused: bool = 
     if fused:
         out = _apply_fused(weights.data, x.data, ratio, emit=rows)
     else:
-        out = _apply_naive(weights.data, x.data, ratio)
+        out = _apply_naive(weights.data, x.data)
         if rows is not None:
             rows(out)
     return None if rows is not None else FeatureMap.adopt(out)

@@ -221,6 +221,26 @@ class TestUpsample:
         assert {p: p.read_bytes() for p in [out, *dump.iterdir()]} == before
         assert not [p for p in workspace.rglob("*.part")]
 
+    def test_overflowing_inner_product_scores_exit_one(self, tmp_path, capsys):
+        # the innerprod baseline warned "invalid value encountered in subtract"
+        # in the softmax and then failed as "kernel rows sum off by nan"
+        rng = np.random.default_rng(0)
+        save_tensor(tmp_path / "x.rsft", FeatureMap((1e19 * rng.standard_normal((8, 8, 6))).astype(np.float32)))
+        save_tensor(tmp_path / "y.rsft", FeatureMap((1e19 * rng.standard_normal((32, 32, 3))).astype(np.float32)))
+        assert cli.main(["gen-weights", "--cin", "6", "--cguide", "3", "--seed", "0",
+                         "--out", str(tmp_path / "w.rsfw")]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = cli.main(upsample_args(tmp_path, **{"--ratio": "4", "--baseline": "innerprod"}))
+        assert not seen
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: similarity scores: 208 of 1024 rows hold NaN or Inf\n"
+        assert not (tmp_path / "out.rsft").exists()
+        # the pcdc path's group norms rescale the same maps before scoring
+        assert cli.main(upsample_args(tmp_path, **{"--ratio": "4"})) == 0
+
     def test_overflowing_input_projection_exits_one(self, tmp_path, capsys):
         # the overflow warned in the projection and the k_up resize, then
         # failed as "kernel rows sum off by nan; run softmax_rows first"

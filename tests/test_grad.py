@@ -14,7 +14,7 @@ from resfu.grad import (
     pcdc_backward,
     _softmax64,
 )
-from resfu.ops import ShapeMismatch
+from resfu.ops import ChannelGroupMismatch, ShapeMismatch
 from resfu.oracle import CheckResult, max_rel_error
 from resfu.pcdc import _pcdc_core
 from resfu.upsampler import _apply_naive
@@ -51,24 +51,24 @@ class TestPcdcBackward:
         weight = rng.standard_normal((9, d // groups, l_out)) * 0.4
         bias = rng.standard_normal(l_out) * 0.1
         upstream = rng.standard_normal((h, w, l_out))
-        return q, k, weight, bias, upstream, groups, dilation
+        return q, k, weight, bias, upstream, dilation
 
     def test_constant_equal_inputs_zero_weight_gradient(self):
         q = np.full((4, 4, 6), 0.7)
         weight = np.random.default_rng(2).standard_normal((9, 3, 6))
         upstream = np.random.default_rng(3).standard_normal((4, 4, 6))
-        _, _, d_w, _ = pcdc_backward(upstream, q, q.copy(), weight, np.zeros(6), 2, 1)
+        _, _, d_w, _ = pcdc_backward(upstream, q, q.copy(), weight, np.zeros(6), 1)
         assert not d_w.any()
 
     def test_bias_gradient_is_upstream_sum(self):
-        q, k, weight, bias, upstream, groups, dilation = self._case(4)
-        *_, d_b = pcdc_backward(upstream, q, k, weight, bias, groups, dilation)
+        q, k, weight, bias, upstream, dilation = self._case(4)
+        *_, d_b = pcdc_backward(upstream, q, k, weight, bias, dilation)
         assert np.array_equal(d_b, upstream.sum(axis=(0, 1)))
 
     @pytest.mark.parametrize("dilation", [1, 2])
     def test_dense_fd_agreement(self, dilation):
-        q, k, weight, bias, upstream, groups, _ = self._case(5, dilation=dilation)
-        d_q, d_k, d_w, d_b = pcdc_backward(upstream, q, k, weight, bias, groups, dilation)
+        q, k, weight, bias, upstream, _ = self._case(5, dilation=dilation)
+        d_q, d_k, d_w, d_b = pcdc_backward(upstream, q, k, weight, bias, dilation)
 
         def loss_with(**named):
             parts = {"q": q, "k": k, "weight": weight, "bias": bias, **named}
@@ -82,20 +82,27 @@ class TestPcdcBackward:
             assert max_rel_error(fd, grad) <= 1e-6, name
 
     def test_linear_in_upstream(self):
-        q, k, weight, bias, upstream, groups, dilation = self._case(6)
+        q, k, weight, bias, upstream, dilation = self._case(6)
         other = np.random.default_rng(7).standard_normal(upstream.shape)
-        combo = pcdc_backward(2.5 * upstream - 0.5 * other, q, k, weight, bias, groups, dilation)
-        lhs = pcdc_backward(upstream, q, k, weight, bias, groups, dilation)
-        rhs = pcdc_backward(other, q, k, weight, bias, groups, dilation)
+        combo = pcdc_backward(2.5 * upstream - 0.5 * other, q, k, weight, bias, dilation)
+        lhs = pcdc_backward(upstream, q, k, weight, bias, dilation)
+        rhs = pcdc_backward(other, q, k, weight, bias, dilation)
         for got, a, b in zip(combo, lhs, rhs):
             assert max_rel_error(got, 2.5 * a - 0.5 * b) <= 1e-10
 
     def test_shape_validation(self):
-        q, k, weight, bias, upstream, groups, dilation = self._case(8)
+        q, k, weight, bias, upstream, dilation = self._case(8)
         with pytest.raises(ShapeMismatch):
-            pcdc_backward(upstream[:, :, :2], q, k, weight, bias, groups, dilation)
+            pcdc_backward(upstream[:, :, :2], q, k, weight, bias, dilation)
         with pytest.raises(ShapeMismatch):
-            pcdc_backward(upstream, q[:, :, :3], k[:, :, :3], weight, bias, groups, dilation)
+            pcdc_backward(upstream, q[:, :, :3], k[:, :, :3], weight, bias, dilation)
+        with pytest.raises(ShapeMismatch, match="8 neighbor slots is not an odd kernel squared"):
+            pcdc_backward(upstream, q, k, weight[:8], bias, dilation)
+        q8 = np.concatenate([q, q], axis=2)
+        with pytest.raises(ShapeMismatch, match="weight group width: 8 is not one integer multiple of 3"):
+            pcdc_backward(upstream, q8, q8, np.zeros((9, 3, 4)), bias, dilation)
+        with pytest.raises(ChannelGroupMismatch, match="outputs over groups: 6 is not one integer multiple of 4"):
+            pcdc_backward(np.zeros(q.shape[:2] + (6,)), q, k, np.zeros((9, 1, 6)), np.zeros(6), dilation)
 
 
 class TestKernelApplyBackward:
@@ -110,7 +117,7 @@ class TestKernelApplyBackward:
         x, scores, _, ratio = self._case(10)
         const_x = np.full_like(x, 1.25)
         upstream = np.ones((x.shape[0] * ratio, x.shape[1] * ratio, x.shape[2]))
-        d_scores, _ = kernel_apply_backward(upstream, _softmax64(scores), const_x, ratio)
+        d_scores, _ = kernel_apply_backward(upstream, _softmax64(scores), const_x)
         assert np.max(np.abs(d_scores)) <= 1e-12
 
     def test_ratio_one_center_one_hot_passes_upstream(self):
@@ -119,42 +126,45 @@ class TestKernelApplyBackward:
         upstream = rng.standard_normal((5, 4, 3))
         weights = np.zeros((5, 4, 9))
         weights[:, :, 4] = 1.0
-        _, d_x = kernel_apply_backward(upstream, weights, x, ratio=1)
+        _, d_x = kernel_apply_backward(upstream, weights, x)
         assert np.array_equal(d_x, upstream)
 
     def test_dense_fd_agreement(self):
-        x, scores, upstream, ratio = self._case(12)
-        d_scores, d_x = kernel_apply_backward(upstream, _softmax64(scores), x, ratio)
+        x, scores, upstream, _ = self._case(12)
+        d_scores, d_x = kernel_apply_backward(upstream, _softmax64(scores), x)
         fd_scores = finite_diff_grad(
-            lambda a: float((upstream * _apply_naive(_softmax64(a), x, ratio)).sum()), scores
+            lambda a: float((upstream * _apply_naive(_softmax64(a), x)).sum()), scores
         )
         fd_x = finite_diff_grad(
-            lambda a: float((upstream * _apply_naive(_softmax64(scores), a, ratio)).sum()), x
+            lambda a: float((upstream * _apply_naive(_softmax64(scores), a)).sum()), x
         )
         assert max_rel_error(fd_scores, d_scores) <= 1e-6
         assert max_rel_error(fd_x, d_x) <= 1e-6
 
     def test_score_gradient_rows_sum_to_zero(self):
-        x, scores, upstream, ratio = self._case(13)
-        d_scores, _ = kernel_apply_backward(upstream, _softmax64(scores), x, ratio)
+        x, scores, upstream, _ = self._case(13)
+        d_scores, _ = kernel_apply_backward(upstream, _softmax64(scores), x)
         assert np.max(np.abs(d_scores.sum(axis=2))) <= 1e-10
 
     def test_linear_in_upstream(self):
-        x, scores, upstream, ratio = self._case(14)
+        x, scores, upstream, _ = self._case(14)
         other = np.random.default_rng(15).standard_normal(upstream.shape)
         weights = _softmax64(scores)
-        combo = kernel_apply_backward(3.0 * upstream + 2.0 * other, weights, x, ratio)
-        lhs = kernel_apply_backward(upstream, weights, x, ratio)
-        rhs = kernel_apply_backward(other, weights, x, ratio)
+        combo = kernel_apply_backward(3.0 * upstream + 2.0 * other, weights, x)
+        lhs = kernel_apply_backward(upstream, weights, x)
+        rhs = kernel_apply_backward(other, weights, x)
         for got, a, b in zip(combo, lhs, rhs):
             assert max_rel_error(got, 3.0 * a + 2.0 * b) <= 1e-10
 
     def test_shape_validation(self):
-        x, scores, upstream, ratio = self._case(16)
+        x, scores, upstream, _ = self._case(16)
         with pytest.raises(ShapeMismatch):
-            kernel_apply_backward(upstream[:-1], _softmax64(scores), x, ratio)
+            kernel_apply_backward(upstream[:-1], _softmax64(scores), x)
         with pytest.raises(ShapeMismatch):
-            kernel_apply_backward(upstream, _softmax64(scores[:, :, :8]), x, ratio)
+            kernel_apply_backward(upstream, _softmax64(scores[:, :, :8]), x)
+        for grid in ((7, 8), (6, 12), (2, 2)):  # no multiple, two multiples, smaller than x
+            with pytest.raises(ShapeMismatch, match=f"{grid[0]}x{grid[1]} is not one integer multiple of 3x4"):
+                kernel_apply_backward(np.zeros(grid + (2,)), np.full(grid + (9,), 1 / 9), x)
 
 
 class TestCheckDrivers:

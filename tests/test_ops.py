@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -428,6 +429,16 @@ class TestSoftmaxRows:
         a = softmax_rows(FeatureMap(raw))
         b = softmax_rows(FeatureMap(raw + np.float32(2.0)))
         np.testing.assert_allclose(a.astype64(), b.astype64(), atol=1e-6)
+
+    def test_non_finite_scores_raise_before_any_exp(self):
+        # a NaN or Inf score warned in the max subtraction and came out as NaN rows
+        raw = np.zeros((2, 3, 9), np.float32)
+        raw[0, 1, 4], raw[1, 2, 0], raw[1, 2, 8] = np.nan, np.inf, -np.inf
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteInput, match=r"^similarity scores: 2 of 6 rows hold NaN or Inf$"):
+                softmax_rows(FeatureMap(raw))
+        assert not seen
 
     def test_extreme_scores_stay_finite(self):
         scores = FeatureMap(np.array([[[500.0, -500.0, 499.0]]], np.float32))

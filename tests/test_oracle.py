@@ -1,7 +1,8 @@
 """The reference side: its neighborhood gather against the production
 views, the grid-wise neighbor-selection oracle, the mosaic-vs-smooth
-contrast between it and fine-grained selection on the same kernels, and the
-imports that keep the oracle independent of the production kernels."""
+contrast between it and fine-grained selection on the same kernels, the
+sizes the oracles read from their tensors, and the imports that keep the
+oracle independent of the production kernels."""
 
 import ast
 import inspect
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resfu import ops, oracle
-from resfu.ops import ShapeMismatch, _neighbor_views, softmax_rows
-from resfu.oracle import max_rel_error, oracle_gather_neighbors, oracle_kernel_apply_gridwise
+from resfu.ops import ChannelGroupMismatch, ShapeMismatch, _neighbor_views, softmax_rows
+from resfu.oracle import max_rel_error, oracle_gather_neighbors, oracle_kernel_apply_gridwise, oracle_pcdc_direct
 from resfu.tensor import FeatureMap
 from resfu.upsampler import kernel_apply_fns
 
@@ -152,21 +153,21 @@ class TestGridwiseOracle:
         rng = np.random.default_rng(0)
         x = fm(rng.standard_normal((6, 7, 3)))
         weights = softmax_rows(fm(rng.standard_normal((6, 7, 9))))
-        grid = oracle_kernel_apply_gridwise(weights, x, ratio=1)
+        grid = oracle_kernel_apply_gridwise(weights, x)
         fns = kernel_apply_fns(weights, x)
         assert max_rel_error(fns.astype64(), grid) <= 1e-6
 
     def test_one_hot_center_replicates_blocks(self):
         rng = np.random.default_rng(1)
         x = fm(rng.standard_normal((3, 4, 2)))
-        out = oracle_kernel_apply_gridwise(one_hot_center(12, 16), x, ratio=4)
+        out = oracle_kernel_apply_gridwise(one_hot_center(12, 16), x)
         want = np.repeat(np.repeat(x.astype64(), 4, axis=0), 4, axis=1)
         assert np.array_equal(out, want)
 
     def test_uniform_ramp_makes_plateaus(self):
         ratio, h, w = 4, 4, 8
         x = ramp_columns(h, w)
-        out = oracle_kernel_apply_gridwise(uniform_weights(h * ratio, w * ratio), x, ratio)
+        out = oracle_kernel_apply_gridwise(uniform_weights(h * ratio, w * ratio), x)
         cols = out[0, :, 0]
         # constant within each ratio-wide block, jumping only at boundaries
         blocks = cols.reshape(w, ratio)
@@ -178,9 +179,32 @@ class TestGridwiseOracle:
     def test_shape_validation(self):
         x = fm(np.zeros((3, 3, 1)))
         with pytest.raises(ShapeMismatch):
-            oracle_kernel_apply_gridwise(uniform_weights(6, 6, slots=8), x, 2)
+            oracle_kernel_apply_gridwise(uniform_weights(6, 6, slots=8), x)
         with pytest.raises(ShapeMismatch):
-            oracle_kernel_apply_gridwise(uniform_weights(6, 5), x, 2)
+            oracle_kernel_apply_gridwise(uniform_weights(6, 5), x)
+        for h, w in ((7, 6), (6, 9), (2, 2)):  # no multiple, two multiples, smaller than x
+            with pytest.raises(ShapeMismatch, match=f"grid: {h}x{w} is not one integer multiple of 3x3"):
+                oracle_kernel_apply_gridwise(uniform_weights(h, w), x)
+
+
+class TestPcdcOracle:
+    @pytest.mark.parametrize("shape,error,message", [
+        ((8, 2, 8), ShapeMismatch, "8 neighbor slots is not an odd kernel squared"),
+        ((9, 3, 8), ShapeMismatch, "channels over weight group width: 8 is not one integer multiple of 3"),
+        ((9, 2, 6), ChannelGroupMismatch, "outputs over groups: 6 is not one integer multiple of 4"),
+    ])
+    def test_shape_validation(self, shape, error, message):
+        # K, the group count and their agreement with the maps come from the shapes
+        q = rand_map(np.random.default_rng(0), 4, 3, 8)
+        with pytest.raises(error, match=message):
+            oracle_pcdc_direct(q, q, np.zeros(shape), np.zeros(shape[2]), 1)
+
+    def test_takes_no_group_count(self):
+        # a stale call that passes a group count fails instead of mixing
+        # channels across the wrong groups
+        q = rand_map(np.random.default_rng(1), 4, 3, 8)
+        with pytest.raises(TypeError):
+            oracle_pcdc_direct(q, q, np.zeros((9, 2, 8)), np.zeros(8), 2, 1)
 
 
 class TestAntiMosaicContrast:
@@ -204,7 +228,7 @@ class TestAntiMosaicContrast:
 
     def test_grid_wise_interior_staircases(self):
         x, weights = self._setup()
-        out = oracle_kernel_apply_gridwise(weights, x, self.RATIO)
+        out = oracle_kernel_apply_gridwise(weights, x)
         cols = out[0, :, 0]
         second = np.abs(np.diff(cols[6 : self.W * self.RATIO - 6], 2))
         # a staircase has kinks: many second differences far from zero

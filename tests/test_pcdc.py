@@ -127,7 +127,7 @@ class TestPcdcLayer:
         k = rand_map(rng, 9, 8, 8)
         p = rand_pcdc(rng, groups=groups)
         got = pcdc_layer(q, k, p, dilation).astype64()
-        want = oracle_pcdc_direct(q, k, p.weight, p.bias, groups, dilation)
+        want = oracle_pcdc_direct(q, k, p.weight, p.bias, dilation)
         assert max_rel_error(got, want) <= 1e-5
 
     def test_matches_direct_oracle_across_row_chunks(self):
@@ -136,7 +136,7 @@ class TestPcdcLayer:
         k = rand_map(rng, 70, 9, 8)
         p = rand_pcdc(rng)
         got = pcdc_layer(q, k, p).astype64()
-        want = oracle_pcdc_direct(q, k, p.weight, p.bias, 2, 1)
+        want = oracle_pcdc_direct(q, k, p.weight, p.bias, 1)
         assert max_rel_error(got, want) <= 1e-5
 
     @pytest.mark.parametrize("threads", [2, 4, 8])
@@ -190,7 +190,7 @@ class TestPcdcLayer:
         params = rand_pcdc(rng, d=4, groups=2)
         for d, groups in ((2, 1), (4, 2), (8, 4)):
             q, k = rand_map(rng, 6, 5, d), rand_map(rng, 6, 5, d)
-            want = oracle_pcdc_direct(q, k, params.weight, params.bias, groups, 2)
+            want = oracle_pcdc_direct(q, k, params.weight, params.bias, 2)
             assert max_rel_error(pcdc_layer(q, k, params, 2).astype64(), want) <= 1e-5
 
 
@@ -327,7 +327,7 @@ class TestPcdcBlock:
         p = rand_block(rng, groups=groups)
         got = pcdc_block(q, k, p, dilation).astype64()
         v = oracle_pcdc_direct(group_normalize(q, p.norm), group_normalize(k, p.norm),
-                               p.pcdc.weight, p.pcdc.bias, groups, dilation)
+                               p.pcdc.weight, p.pcdc.bias, dilation)
         want = channel_compressor(FeatureMap(v), p.comp).astype64()
         assert max_rel_error(got, want) <= 1e-5
 

@@ -391,6 +391,8 @@ class TestKernelApplyFns:
         for fused in (True, False):
             with pytest.raises(RatioMismatch, match=f"weights are {h}x{w}, not one integer multiple"):
                 kernel_apply_fns(self._one_hot(h, w), x, fused=fused)
+        with pytest.raises(ShapeMismatch, match=f"grid: {h}x{w} is not one integer multiple of 2x2"):
+            _apply_naive(self._one_hot(h, w).data, x.data)
 
     def test_takes_no_positional_ratio(self):
         # an old caller's ratio must not be taken for `fused`
@@ -405,7 +407,7 @@ class TestKernelApplyFns:
         rng = np.random.default_rng(30 + slots)
         x = rand_map(rng, 5, 6, 2)
         weights = softmax_rows(rand_map(rng, 5, 6, slots))
-        want = oracle_kernel_apply_gridwise(weights, x, 1)
+        want = oracle_kernel_apply_gridwise(weights, x)
         for fused in (False, True):
             assert max_rel_error(kernel_apply_fns(weights, x, fused=fused).data, want) <= 1e-6
 
@@ -416,9 +418,9 @@ class TestKernelApplyFns:
         for fused in (True, False):
             with pytest.raises(ShapeMismatch, match=f"{slots} neighbor slots is not an odd kernel squared"):
                 kernel_apply_fns(weights, x, fused=fused)
-        for apply in (_apply_naive, _apply_fused):
+        for apply in (_apply_naive, lambda w, v: _apply_fused(w, v, 2)):
             with pytest.raises(ShapeMismatch, match=f"{slots} neighbor slots is not an odd kernel squared"):
-                apply(weights.data, x.data, 2)
+                apply(weights.data, x.data)
 
     def test_fused_skips_full_upsampled_buffer(self):
         # traced peak minus the output: the fused path's scratch stays below
@@ -429,7 +431,7 @@ class TestKernelApplyFns:
         one_map = 256 * 256 * 8 * 4
         scratch = {}
         for name, apply in (("fused", lambda: _apply_fused(weights, x, 4)),
-                            ("naive", lambda: _apply_naive(weights, x, 4))):
+                            ("naive", lambda: _apply_naive(weights, x))):
             tracemalloc.start()
             try:
                 out = apply()
