@@ -73,7 +73,7 @@ def _cmd_upsample(args) -> int:
     if args.baseline in ("bilinear", "nearest"):
         check_guide(x, y, cfg.ratio)
         resize = bilinear_resize if args.baseline == "bilinear" else nearest_resize
-        save_tensor(args.out, resize(x, y.height, y.width))
+        fill = lambda write: write(resize(x, y.height, y.width).data)  # noqa: E731
     else:
         if args.dump_dir is not None:
             os.makedirs(args.dump_dir, exist_ok=True)
@@ -82,9 +82,9 @@ def _cmd_upsample(args) -> int:
             if args.dump_dir is not None and name in DUMPED:
                 save_tensor(os.path.join(args.dump_dir, f"{name}.rsft"), fmap)
 
-        save_tensor(args.out, (y.height, y.width, x.channels),
-                    lambda write: run_pipeline(x, y, params, cfg, fused=args.fused == "true",
-                                               similarity=args.baseline or "pcdc", sink=dump, rows=write))
+        fill = lambda write: run_pipeline(x, y, params, cfg, fused=args.fused == "true",  # noqa: E731
+                                          similarity=args.baseline or "pcdc", sink=dump, rows=write)
+    save_tensor(args.out, (y.height, y.width, x.channels), fill)
     print(f"wrote {args.out} ({y.height}x{y.width}x{x.channels})")
     return 0
 

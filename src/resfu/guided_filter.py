@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ShapeMismatch, _carried_window_sums, _positive_int, _positive_real, _window_counts, _window_sums
+from .ops import ShapeMismatch, _positive_int, _positive_real, _window_counts, _window_sums
 from .tensor import FeatureMap
 
 
@@ -65,13 +65,14 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     """Filter `query` toward the local linear structure of `key_up`.
 
     Both maps must share the same H x W x C shape; channels are filtered
-    independently.  One pass down the rows in tiles of T rows (_tile_rows):
+    independently.  One pass down the rows in tiles of T rows (_tile_rows),
+    every window sum one running-window recurrence (_window_sums):
 
     1. The vertical window sums of q, q*q, q*k and k are carried from row
-       to row as one (4, W, C) float64 state (_carried_window_sums), each
-       row made from the inputs as it enters or leaves the window.  Each
-       tile's sums are stored W-leading, (W, 4, T, C), so that the
-       horizontal window sums, taken along W, read one contiguous (4, T, C)
+       to row in one (4, W, C) float64 buffer, each row made from the
+       inputs as it enters or leaves the window.  Each tile's sums are
+       stored W-leading, (W, 4, T, C), so that the horizontal window sums,
+       taken along W into a view per column, read one contiguous (4, T, C)
        slab per step; mean, var, m and n follow elementwise.
     2. The horizontal window sums of m and n are taken the same way and
        kept in a ring of the last 2r + 1 + T rows; the vertical sum, carried
@@ -95,23 +96,21 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
     out = np.empty(q.shape, np.float32)
 
     row, vsum = np.empty((2, 4, w, c))
-    vsums = _carried_window_sums(h, r, lambda i: _row_products(q, k, i, row), vsum)
-    # The tiles are stored W-leading, (W, 4, T, C), so each step of the
-    # horizontal running sums reads one contiguous (4, T, C) slab.
-    a = np.empty((w, 4, t, c))
-    b = np.empty((w, 4, t, c))
+    vsums = _window_sums(h, r, lambda i: _row_products(q, k, i, row), lambda i: vsum)
+    a, b = np.empty((2, w, 4, t, c))  # W-leading tiles (step 1)
     ring_rows = min(h, t + 2 * r + 1)
     ring = np.empty((2, ring_rows, w, c))
     vsum2, mean = np.empty((2, 2, w, c))
     cnt = np.empty((w, 1))
-    vsums2 = _carried_window_sums(h, r, lambda i: ring[:, i % ring_rows], vsum2)
+    vsums2 = _window_sums(h, r, lambda i: ring[:, i % ring_rows], lambda i: vsum2)
     for t0 in range(0, h, t):
         t1 = min(t0 + t, h)
         nt = t1 - t0
         for i, _ in zip(range(t0, t1), vsums):
             a[:, :, i - t0] = vsum.transpose(1, 0, 2)
         at, bt = a[:, :, :nt], b[:, :, :nt]
-        _window_sums(at, r, out=bt)
+        for _ in _window_sums(w, r, at.__getitem__, bt.__getitem__):
+            pass
         bt /= (cols[:, None] * rows[None, t0:t1])[:, None, :, None]
         mean_q, var, m, n = bt.transpose(1, 0, 2, 3)  # the means of q, q*q, q*k and k, in place
         tmp = at[:, 0]
@@ -124,7 +123,8 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
         np.multiply(m, mean_q, out=tmp)
         n -= tmp
 
-        _window_sums(bt[:, 2:], r, out=at[:, :2])
+        for _ in _window_sums(w, r, bt[:, 2:].__getitem__, at[:, :2].__getitem__):
+            pass
         ring[:, np.arange(t0, t1) % ring_rows] = at[:, :2].transpose(1, 2, 0, 3)
 
         stop = h if t1 == h else t1 - r

@@ -8,6 +8,7 @@ Conventions used throughout:
 * every gather that walks off the border clamps indices to the edge; a
   dilated KxK neighborhood is read as views of one edge-padded copy;
 * box means normalize by the number of in-bounds pixels in the window;
+  every window sum is one running-window recurrence, _window_sums;
 * results are stored as float32.  What computes in float64: window (box)
   sums, group-norm statistics (one pixel block at a time, so no float64
   copy of the map exists), Gaussian smoothing (in L2-sized row tiles,
@@ -216,45 +217,35 @@ def nearest_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     return FeatureMap.adopt(src.data[np.ix_(ri, ci)])
 
 
-def _window_sums(arr: np.ndarray, radius: int, out: np.ndarray) -> np.ndarray:
-    """Write into `out` the float64 sums over the windows [i - r, i + r]
-    along axis 0 of `arr`, truncated at the borders, and return it.
+def _window_sums(n: int, radius: int, row, out):
+    """Yield i = 0 ... n - 1 once out(i) holds the float64 sum of rows
+    row(i - r) ... row(i + r), truncated at the borders.
 
-    A running sum in index order, whatever the strides: the first window
-    adds slices 0 ... r one by one, and each later one is the previous one
-    plus the slice that enters and minus the slice that leaves (np.cumsum
-    along a leading axis ran several times slower).  `out` is a float64
-    array of arr's shape; both may be views.  Each step is one call over a
-    whole leading slice, so stacked quantities cost no extra calls.
+    One running sum in index order, whatever the strides: the first window
+    adds rows 0 ... r one by one, and each later one is the previous one
+    plus the row that enters and minus the row that leaves (np.cumsum along
+    a leading axis ran several times slower).  row(j) is called as row j
+    enters or leaves a window, so each row is made once on entering and at
+    most once more on leaving.  out(i) may return one buffer for every i,
+    a sum carried from row to row, or a distinct view per i, such as out[i]
+    of a float64 array; either way every sum gets the same bits.  Each step
+    is one call over a whole row, so stacked quantities cost no extra calls.
     """
-    n = arr.shape[0]
-    out[0] = arr[0]
-    for i in range(1, min(radius, n - 1) + 1):
-        out[0] += arr[i]
-    for i in range(1, n):
-        if i + radius < n:
-            np.add(out[i - 1], arr[i + radius], out=out[i])
-        else:
-            out[i] = out[i - 1]
-        if i > radius:
-            np.subtract(out[i], arr[i - radius - 1], out=out[i])
-    return out
-
-
-def _carried_window_sums(n: int, radius: int, row, acc: np.ndarray):
-    """Yield i = 0 ... n - 1 with `acc` set to window i's sum of the rows
-    row(0) ... row(n - 1): _window_sums's adds and subtracts in its order,
-    each row made by row(j) as it enters or leaves a window."""
-    acc[...] = row(0)
-    for i in range(1, min(radius, n - 1) + 1):
-        acc += row(i)
+    prev = out(0)
+    prev[...] = row(0)
+    for j in range(1, min(radius, n - 1) + 1):
+        prev += row(j)
     yield 0
     for i in range(1, n):
+        cur = out(i)
         if i + radius < n:
-            acc += row(i + radius)
+            np.add(prev, row(i + radius), out=cur)
+        elif cur is not prev:
+            cur[...] = prev
         if i > radius:
-            acc -= row(i - radius - 1)
+            cur -= row(i - radius - 1)
         yield i
+        prev = cur
 
 
 def _window_counts(n: int, radius: int) -> np.ndarray:

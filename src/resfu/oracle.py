@@ -89,12 +89,17 @@ def oracle_pcdc_direct(q_bar: FeatureMap, k_bar: FeatureMap, weight, bias, dilat
     neighbor slot; only the pixel axis is vectorized.  Neighbor slot n is
     the n-th row-major offset of the dilated KxK window, clamped at edges.
     K is read from the (K*K, D/G, L) weight's slot count (an odd square,
-    else ShapeMismatch) and G from its group width (_integer_multiple).
+    else ShapeMismatch) and G from its group width (_integer_multiple); a
+    key not of the query's shape or a bias not L long raises ShapeMismatch.
     """
     q, k = q_bar.astype64(), k_bar.astype64()
     w64, b64 = np.asarray(weight, np.float64), np.asarray(bias, np.float64)
     h, w, d_in = q.shape
     ksq, in_per, l_out = w64.shape
+    if k.shape != q.shape:
+        raise ShapeMismatch(f"key {k.shape} must match query {q.shape}")
+    if b64.shape != (l_out,):
+        raise ShapeMismatch(f"bias {b64.shape} must hold the weight's {l_out} outputs")
     groups = _integer_multiple((d_in,), (in_per,), "channels over weight group width")
     _integer_multiple((l_out,), (groups,), "outputs over groups", ChannelGroupMismatch)
     slots = _clamped_index_maps(h, w, _odd_kernel(ksq), dilation)
@@ -116,10 +121,13 @@ def oracle_guided_filter_window(query: FeatureMap, key_up: FeatureMap, cfg: Guid
 
     For each window and channel, fits k ~ m*q + n by solving the 2x2 ridge
     normal equations, then averages the coefficient fields over each pixel's
-    window (truncated at the borders) and applies them.
+    window (truncated at the borders) and applies them; key and query must
+    share one shape (else ShapeMismatch).
     """
     q = query.astype64()
     k = key_up.astype64()
+    if k.shape != q.shape:
+        raise ShapeMismatch(f"key {k.shape} must match query {q.shape}")
     h, w, d = q.shape
     r = cfg.radius
 

@@ -502,6 +502,20 @@ class TestStreamedOut:
             assert out.read_bytes() == before
         assert sorted(p.name for p in workspace.iterdir()) == ["dump", "out.rsft", "w.rsfw", "x.rsft", "y.rsft"]
 
+    @pytest.mark.parametrize("baseline", ["bilinear", "nearest"])
+    def test_full_disk_for_out_exits_two_before_any_resize(self, workspace, capsys, monkeypatch, baseline):
+        # the resize baselines write through the same reserved --out (the
+        # bilinear one resized once before it failed)
+        no_room_for(monkeypatch, HEADER_SIZE + 16 * 16 * 6 * 4)
+        ran = []
+        for name in ("bilinear_resize", "nearest_resize"):
+            monkeypatch.setattr(cli, name, lambda *args: ran.append(args))
+        assert cli.main(upsample_args(workspace) + ["--baseline", baseline]) == 2
+        err = capsys.readouterr().err
+        assert str(workspace / "out.rsft") in err and "Traceback" not in err
+        assert ran == []
+        assert sorted(p.name for p in workspace.iterdir()) == ["w.rsfw", "x.rsft", "y.rsft"]
+
     def test_peak_stays_below_the_output(self, tmp_path):
         # 16x16x384 -> 128x128 at ratio 8: the 24 MiB output goes into --out
         # band by band, so the traced peak of the whole command stays below

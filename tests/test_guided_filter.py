@@ -96,6 +96,12 @@ def test_shape_and_config_validation():
     rng = np.random.default_rng(8)
     with pytest.raises(ShapeMismatch):
         guided_filter(rand_map(rng, 4, 4, 2), rand_map(rng, 4, 5, 2), GuidedFilterConfig())
+    # the window oracle raised numpy's "matmul: ..." ValueError for these
+    q = rand_map(rng, 5, 5, 2)
+    for key in ((7, 6, 2), (5, 5, 3), (5, 5, 1), (4, 5, 2)):
+        for fn in (guided_filter, oracle_guided_filter_window):
+            with pytest.raises(ShapeMismatch, match="must match"):
+                fn(q, rand_map(rng, *key), GuidedFilterConfig(radius=1))
     with pytest.raises(ShapeMismatch):
         GuidedFilterConfig(radius=0)
     with pytest.raises(ShapeMismatch):

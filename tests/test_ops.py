@@ -26,7 +26,7 @@ from resfu.oracle import max_rel_error
 from resfu.tensor import FeatureMap
 from resfu.upsampler import COMPRESSOR_GROUPS, generate_params
 
-from gf_reference import box_mean_array
+from gf_reference import box_mean_array, window_sums_array
 
 
 def fm(values, channels_last=True):
@@ -175,10 +175,44 @@ class TestBoxMean:
         rng = np.random.default_rng(7)
         stack = rng.standard_normal((4, *shape))
         out = np.empty_like(stack)
-        _window_sums(np.moveaxis(stack, 1, 0), 2, out=np.moveaxis(out, 1, 0))
+        window_sums_array(np.moveaxis(stack, 1, 0), 2, np.moveaxis(out, 1, 0))
         for j in range(4):
             alone = np.ascontiguousarray(stack[j])
-            assert np.array_equal(out[j], _window_sums(alone, 2, np.empty_like(alone)))
+            assert np.array_equal(out[j], window_sums_array(alone, 2, np.empty_like(alone)))
+
+    @pytest.mark.parametrize("n, radius", [(12, 2), (9, 4), (5, 7), (1, 3), (20, 0)])
+    def test_window_sums_into_one_carried_buffer_match_a_view_per_index(self, n, radius):
+        # The guided filter's vertical passes carry one buffer from window
+        # to window; its horizontal passes and the whole-map reference write
+        # a view per index.  Both take the same adds and subtracts, also
+        # where both window ends are clamped (5 rows, radius 7); rows far
+        # from zero with little spread show a sum taken in another order.
+        rows = 1000.0 + 0.01 * np.random.default_rng(n + radius).standard_normal((n, 4, 3))
+        per_view = window_sums_array(rows, radius, np.empty(rows.shape))
+        carried = np.empty((4, 3))
+        for i in _window_sums(n, radius, rows.__getitem__, lambda i: carried):
+            assert np.array_equal(carried, per_view[i]), i
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3, 8])
+    def test_window_sums_make_each_row_once_entering_and_once_leaving(self, n, radius):
+        # Each row is made when it enters a window and again only if it
+        # leaves one, and never before window i needs it: the rows are made
+        # on demand.
+        values = np.arange(n, dtype=np.float64) ** 2  # integers: every sum exact
+        calls, acc = [], np.empty(())
+
+        def row(j):
+            calls.append(j)
+            return values[j]
+
+        done = []
+        for i in _window_sums(n, radius, row, lambda i: acc):
+            assert max(calls) == min(i + radius, n - 1), (i, calls)
+            assert acc == values[max(i - radius, 0) : i + radius + 1].sum(), i
+            done.append(i)
+        assert done == list(range(n))
+        assert [calls.count(j) for j in range(n)] == [1 + (j + radius + 1 < n) for j in range(n)], calls
 
     def test_window_sums_of_a_lone_column_match_it_inside_a_wider_array(self):
         # Far from zero with little spread, so a sum in another order shows;
@@ -187,8 +221,8 @@ class TestBoxMean:
         col = 1000.0 + 0.01 * np.random.default_rng(0).standard_normal(20)
         wide = np.stack([col, col[::-1]], axis=1)[:, :, None]
         alone = np.ascontiguousarray(wide[:, :1])
-        got = _window_sums(alone, 8, np.empty(alone.shape))
-        assert np.array_equal(got, _window_sums(wide, 8, np.empty(wide.shape))[:, :1])
+        got = window_sums_array(alone, 8, np.empty(alone.shape))
+        assert np.array_equal(got, window_sums_array(wide, 8, np.empty(wide.shape))[:, :1])
 
 
 class TestGaussianSmooth3:

@@ -199,6 +199,17 @@ class TestPcdcOracle:
         with pytest.raises(error, match=message):
             oracle_pcdc_direct(q, q, np.zeros(shape), np.zeros(shape[2]), 1)
 
+    @pytest.mark.parametrize("key,bias,message", [
+        ((6, 5, 8), 8, r"key \(6, 5, 8\) must match query \(4, 3, 8\)"),  # gave a 4x3x8 map
+        ((4, 3, 8), 7, r"bias \(7,\) must hold the weight's 8 outputs"),  # IndexError
+        ((4, 3, 8), 9, r"bias \(9,\) must hold the weight's 8 outputs"),  # silently cut
+    ])
+    def test_shape_validation_of_key_and_bias(self, key, bias, message):
+        rng = np.random.default_rng(0)
+        q, k = rand_map(rng, 4, 3, 8), rand_map(rng, *key)
+        with pytest.raises(ShapeMismatch, match=message):
+            oracle_pcdc_direct(q, k, np.zeros((9, 2, 8)), np.zeros(bias), 1)
+
     def test_takes_no_group_count(self):
         # a stale call that passes a group count fails instead of mixing
         # channels across the wrong groups
