@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import ChannelGroupMismatch, ShapeMismatch, _odd_kernel, _resize_linear, _softmax64, axis_linear_coords
-from .oracle import CheckResult, _clamped_index_maps, _integer_multiple, max_rel_error
+from .oracle import CheckResult, _clamped_index_maps, _dims, _integer_multiple, max_rel_error
 from .pcdc import _pcdc_core
 from .upsampler import _apply_naive
 
@@ -73,8 +73,8 @@ def pcdc_backward(upstream, q_bar, k_bar, weight, bias, dilation: int):
     gradient accumulates upstream-times-difference outer products.
     """
     upstream, q, k, weight = (np.asarray(a, np.float64) for a in (upstream, q_bar, k_bar, weight))
-    h, w, d_total = q.shape
-    ksq, in_per, l_out = weight.shape
+    h, w, d_total = _dims(q, 3, "query")
+    ksq, in_per, l_out = _dims(weight, 3, "weight")
     if upstream.shape != (h, w, l_out) or k.shape != q.shape:
         raise ShapeMismatch(f"upstream {upstream.shape}, key {k.shape} must fit query {q.shape}, {l_out} outputs")
     groups = _integer_multiple((d_total,), (in_per,), "channels over weight group width")
@@ -116,8 +116,8 @@ def kernel_apply_backward(upstream, weights, x):
     and then through the adjoint of the bilinear resize.
     """
     upstream, weights, x = (np.asarray(a, np.float64) for a in (upstream, weights, x))
-    out_h, out_w, slots = weights.shape
-    h, w, c = x.shape
+    out_h, out_w, slots = _dims(weights, 3, "weights")
+    h, w, c = _dims(x, 3, "values")
     if upstream.shape != (out_h, out_w, c):
         raise ShapeMismatch(f"upstream {upstream.shape} does not match output {(out_h, out_w, c)}")
     ratio = _integer_multiple((out_h, out_w), (h, w), "weights' grid over value grid")

@@ -11,8 +11,9 @@ Conventions used throughout:
   every window sum is one running-window recurrence, _window_sums;
 * results are stored as float32.  What computes in float64: window (box)
   sums, group-norm statistics (one pixel block at a time, so no float64
-  copy of the map exists), Gaussian smoothing (in L2-sized row tiles,
-  TILE_BYTES) and softmax.  What computes in float32: 1x1 convolutions (one
+  copy of the map exists, or from the sums and second moments of an
+  affine map's source, _affine_norm), Gaussian smoothing (in L2-sized row
+  tiles, TILE_BYTES) and softmax.  What computes in float32: 1x1 convolutions (one
   product per pixel block against the block-diagonal weight), the
   group-norm scale and shift, and the paired difference contraction of a
   score block (resfu.pcdc).  Resizes compute in the dtype of their input,
@@ -106,8 +107,11 @@ def _positive_real(name: str, x) -> float:
 
 
 def _as_float32(name: str, arr, rank: int) -> np.ndarray:
-    """arr as a float32 array of rank `rank` (else ShapeMismatch) that holds
-    no NaN or Inf (else NonFiniteInput): the rule for every model array."""
+    """arr as a float32 array of rank `rank` (else ShapeMismatch; complex
+    too) that holds no NaN or Inf (else NonFiniteInput): the rule for every
+    model array."""
+    if np.iscomplexobj(arr):
+        raise ShapeMismatch(f"{name} must be real, got a complex array")
     with np.errstate(over="ignore"):  # a value past float32's range becomes Inf, rejected below
         arr = np.asarray(arr, np.float32)
     if arr.ndim != rank:
@@ -176,15 +180,25 @@ def lerp_take(src: np.ndarray, lo: np.ndarray, hi: np.ndarray, frac: np.ndarray,
     dst += tmp
 
 
-def _resize_linear(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Separable bilinear resize of an (H, W, C) array, dtype preserved.
+def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
+    """The (n_out, n_in) float64 matrix of axis_linear_coords' sampling."""
+    lo, hi, frac = axis_linear_coords(n_in, n_out)
+    mat = np.zeros((n_out, n_in))
+    np.add.at(mat, (np.arange(n_out), lo), 1 - frac)
+    np.add.at(mat, (np.arange(n_out), hi), frac)
+    return mat
+
+
+def _resize_linear(arr: np.ndarray, out_h: int, out_w: int, row_coords=None, col_coords=None) -> np.ndarray:
+    """Separable bilinear resize of an (H, W, C) array, dtype preserved;
+    the coordinates, if given, replace axis_linear_coords' (lo, hi, frac).
 
     Runs in output row tiles through reused tile buffers, so the only
     output-sized allocation is the result.
     """
     h, w, c = arr.shape
-    r0, r1, tr = axis_linear_coords(h, out_h)
-    c0, c1, tc = axis_linear_coords(w, out_w)
+    r0, r1, tr = row_coords or axis_linear_coords(h, out_h)
+    c0, c1, tc = col_coords or axis_linear_coords(w, out_w)
     tr = tr.astype(arr.dtype)[:, None, None]
     tc = tc.astype(arr.dtype)[None, :, None]
     out = np.empty((out_h, out_w, c), arr.dtype)
@@ -200,17 +214,24 @@ def _resize_linear(arr: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+def _out_size(src: FeatureMap, out_h, out_w) -> tuple[int, int]:
+    """out_h and out_w as integers >= 1 (else ShapeMismatch) for which an
+    out_h x out_w map of src's channels fits the address space (else
+    MemoryError, naming the size)."""
+    out_h, out_w = _positive_int("out_h", out_h), _positive_int("out_w", out_w)
+    if out_h * out_w * src.channels * 4 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a {out_h}x{out_w}x{src.channels} float32 map is more than this platform can address")
+    return out_h, out_w
+
+
 def bilinear_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     """Resize with half-pixel-center bilinear interpolation."""
-    out_h = _positive_int("out_h", out_h)
-    out_w = _positive_int("out_w", out_w)
-    return FeatureMap.adopt(_resize_linear(src.data, out_h, out_w))
+    return FeatureMap.adopt(_resize_linear(src.data, *_out_size(src, out_h, out_w)))
 
 
 def nearest_resize(src: FeatureMap, out_h: int, out_w: int) -> FeatureMap:
     """Resize by picking floor((i + 0.5) * in / out) along each axis."""
-    out_h = _positive_int("out_h", out_h)
-    out_w = _positive_int("out_w", out_w)
+    out_h, out_w = _out_size(src, out_h, out_w)
     h, w, _ = src.shape
     ri = np.clip(np.floor((np.arange(out_h) + 0.5) * (h / out_h)).astype(np.intp), 0, h - 1)
     ci = np.clip(np.floor((np.arange(out_w) + 0.5) * (w / out_w)).astype(np.intp), 0, w - 1)
@@ -348,6 +369,32 @@ def _norm_scale_shift(blocks, n_pixels: int, affine: GroupNormAffine) -> tuple[n
         sums += ones[: len(rows)] @ block
         block *= block
         squares += ones[: len(rows)] @ block
+    return _group_scale_shift(sums, squares, n_pixels, affine)
+
+
+def _affine_norm(z: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                 affine: GroupNormAffine) -> tuple[np.ndarray, np.ndarray]:
+    """_norm_scale_shift of the map z @ weight.T + bias, which is never made:
+    its channel sums and sums of squares follow from the float64 sums and
+    C x C second moments of the (H, W, C) array z, taken by pixel blocks."""
+    flat = z.reshape(-1, z.shape[-1])
+    n_pixels = flat.shape[0]
+    sums, gram = np.zeros(flat.shape[1]), np.zeros((flat.shape[1],) * 2)
+    for p0, p1 in _pixel_blocks(n_pixels):
+        block = flat[p0:p1].astype(np.float64)
+        sums += block.sum(axis=0)
+        gram += block.T @ block
+    w64, b64 = weight.astype(np.float64), bias.astype(np.float64)
+    proj = w64 @ sums
+    squares = np.einsum("cj,jl,cl->c", w64, gram, w64) + 2 * b64 * proj + n_pixels * b64 * b64
+    return _group_scale_shift(proj + n_pixels * b64, squares, n_pixels, affine)
+
+
+def _group_scale_shift(sums: np.ndarray, squares: np.ndarray, n_pixels: int,
+                       affine: GroupNormAffine) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 scale and shift of _norm_scale_shift from the float64
+    per-channel sums and sums of squares over `n_pixels` pixels."""
+    c = affine.channels
     per = c // NORM_GROUPS
     count = n_pixels * per
     mean = sums.reshape(NORM_GROUPS, per).sum(axis=1) / count
@@ -400,6 +447,8 @@ def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray
     through matmul_rows) writes the block's output rows, and the bias is
     added to them in place.
     """
+    if np.iscomplexobj(weight) or np.iscomplexobj(bias):
+        raise ShapeMismatch("conv weight and bias must be real, got a complex array")
     weight = np.asarray(weight, np.float32)
     bias = np.asarray(bias, np.float32)
     if weight.ndim != 2 or bias.ndim != 1 or bias.size != weight.shape[0]:

@@ -64,6 +64,13 @@ def _clamped_index_maps(h: int, w: int, kernel: int, dilation: int) -> list[tupl
             for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)]
 
 
+def _dims(arr: np.ndarray, rank: int, what: str) -> tuple:
+    """arr's shape if it has `rank` axes, else ShapeMismatch naming `what`."""
+    if np.ndim(arr) != rank:
+        raise ShapeMismatch(f"{what} must have rank {rank}, got shape {np.shape(arr)}")
+    return np.shape(arr)
+
+
 def _integer_multiple(whole: tuple, part: tuple, what: str, error: type[Exception] = ShapeMismatch) -> int:
     """The integer n >= 1 with whole == n * part on every axis, else `error`
     naming `what`: the group count is the maps' channels over the weight's
@@ -90,12 +97,13 @@ def oracle_pcdc_direct(q_bar: FeatureMap, k_bar: FeatureMap, weight, bias, dilat
     the n-th row-major offset of the dilated KxK window, clamped at edges.
     K is read from the (K*K, D/G, L) weight's slot count (an odd square,
     else ShapeMismatch) and G from its group width (_integer_multiple); a
-    key not of the query's shape or a bias not L long raises ShapeMismatch.
+    weight not of rank 3, a key not of the query's shape or a bias not L
+    long raises ShapeMismatch.
     """
     q, k = q_bar.astype64(), k_bar.astype64()
     w64, b64 = np.asarray(weight, np.float64), np.asarray(bias, np.float64)
     h, w, d_in = q.shape
-    ksq, in_per, l_out = w64.shape
+    ksq, in_per, l_out = _dims(w64, 3, "weight")
     if k.shape != q.shape:
         raise ShapeMismatch(f"key {k.shape} must match query {q.shape}")
     if b64.shape != (l_out,):

@@ -90,7 +90,8 @@ class FeatureMap:
     The constructor copies its input into a fresh C-contiguous float32 array
     and freezes it, so a FeatureMap never aliases caller-owned memory and all
     operations on it are non-mutating by construction.  Maps compare by
-    value and, like ndarrays, are unhashable.
+    value and, like ndarrays, are unhashable.  Input that is not of rank 3,
+    has an empty axis or holds complex values raises TensorFormatError.
     """
 
     __slots__ = ("_data",)
@@ -98,6 +99,8 @@ class FeatureMap:
     def __init__(self, data):
         # np.array (not asarray) so exactly one owned copy is made even when
         # the input already is a contiguous float32 array
+        if np.iscomplexobj(data):
+            raise TensorFormatError("feature map must be real, got complex values")
         arr = np.array(data, dtype=np.float32, order="C")
         if arr.ndim != 3:
             raise TensorFormatError(f"feature map needs rank 3, got rank {arr.ndim}")

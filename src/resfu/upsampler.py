@@ -1,7 +1,7 @@
 """The full upsampling pipeline.
 
 Given a low-resolution value/key feature x (h x w x C) and a high-resolution
-guide y (H x W x c), the pipeline is:
+guide y (H x W x C_g), the pipeline is:
 
     q, k    <- per-pixel linear projections of y and x        (D channels)
     k_up    <- bilinear_resize(k, H, W)
@@ -14,31 +14,39 @@ guide y (H x W x c), the pipeline is:
     out_i   <- sum_n kernels[i, n] * x_up[N(i)_n]
 
 run_pipeline is the one path through these stages, the inner-product
-baseline's too (it makes no q_gf, s_s, q_gs or s_d).  It either collects
-every intermediate or hands each one to a sink as it is made and keeps a
-map only until the last stage that reads it; resfu_upsample keeps none, so
-when the value channels C far exceed D its peak is little more than the
-output.  Given `rows`, it streams the output too, band by band, and the
-fused path allocates no output-sized array.  The last reader takes a map
-as a temporary, and each score block drops its inputs once it has
-normalized them, so under CPython >= 3.11 q_gf, k_up and q_gs are freed
-before their block's contraction; the compressor keeps no hidden map, so
-the peak is set in the detail block's contraction.  Every upsampling entry
-point starts with check_guide, which rejects a guide that is not ratio
-times the input's size and NaN or Inf in either map.  ResfuParams holds
-exactly what a weight bundle stores; the guided filter always runs with
-GuidedFilterConfig() and every group norm with ops.NORM_GROUPS and
-ops.NORM_EPS.  Neighborhoods are K x K, K taken from the weights' shapes,
-with dilation equal to the upsampling ratio, on the high-resolution grids
-("fine-grained neighbor selection"); both score branches use the same
-dilation.  The value gather runs either naively (materialize
-x_up = bilinear_resize(x)) or fused: the kernel weights and the bilinear
-taps fold into weights on each input cell's (K+2) x (K+2) window, and one
-small float32 matrix product per cell writes its ratio x ratio output
-pixels, so the full H x W x C upsampled buffer never exists and no
-output-sized temporary is allocated.  The two paths round differently and
-agree within 1e-6 relative; each is bit-reproducible from run to run.
-Every stage runs on the calling thread.
+baseline's too (it makes no q_gf, s_s, q_gs or s_d).  The score head runs
+on the low-channel sources of its D-channel maps: q = P y + b is affine in
+the guide's C_g channels and k_up is a resize of the LR key.  So the
+guided filter takes its box statistics of q from the guide's box moments
+and those of k_up from k (guided_filter_projected, while
+C_g (C_g + 3) / 2 < 3 D), the semantic block takes its key taps at low
+resolution (pcdc.pcdc_block_resized_key), and the detail block works on
+the guide and its smoothing (pcdc.pcdc_block_projected, or on q and
+q_gs when C_g >= D).  No difference layer, input group norm or smoothing
+runs on a high-resolution D-channel map, and q_gs = P G(y) + b is made
+only as the observed intermediate.  The results agree with the D-channel
+stages within 1e-6 relative.
+
+run_pipeline either collects every intermediate or hands each one to a
+sink as it is made and keeps a map only until the last stage that reads
+it; resfu_upsample keeps none, so when the value channels C far exceed D
+its peak is little more than the output.  Given `rows`, it streams the
+output too, band by band, and the fused path allocates no output-sized
+array.  Every upsampling entry point starts with check_guide, which
+rejects a guide that is not ratio times the input's size and NaN or Inf
+in either map.  ResfuParams holds exactly what a weight bundle stores; the
+guided filter always runs with GuidedFilterConfig() and every group norm
+with ops.NORM_GROUPS and ops.NORM_EPS.  Neighborhoods are K x K, K taken
+from the weights' shapes, with dilation equal to the upsampling ratio, on
+the high-resolution grids ("fine-grained neighbor selection"); both score
+branches use the same dilation.  The value gather runs either naively
+(materialize x_up = bilinear_resize(x)) or fused: the kernel weights and
+the bilinear taps fold into weights on each input cell's (K+2) x (K+2)
+window, and one small float32 matrix product per cell writes its
+ratio x ratio output pixels, so the full H x W x C upsampled buffer never
+exists and no output-sized temporary is allocated.  The two paths round
+differently and agree within 1e-6 relative; each is bit-reproducible from
+run to run.  Every stage runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from math import prod
 
 import numpy as np
 
-from .guided_filter import GuidedFilterConfig, guided_filter
+from .guided_filter import GuidedFilterConfig, guided_filter, guided_filter_projected
 from .ops import (
     BLAS_PIECE,
     GroupNormAffine,
@@ -69,7 +77,7 @@ from .ops import (
     softmax_rows,
 )
 from .oracle import _integer_multiple
-from .pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block
+from .pcdc import CompressorParams, PcdcBlockParams, PcdcParams, pcdc_block_projected, pcdc_block_resized_key
 from .tensor import FeatureMap
 
 PROJ_DIM = 32  # D: projection width of q and k
@@ -337,16 +345,13 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     sink(name, fmap) is called once per intermediate, named after its
     PipelineResult field, in stage order as soon as the map exists, and
     the result carries only the output.  The pipeline holds each map only
-    until the stage that reads it last, which takes it as a temporary: k
-    goes to the k_up resize, q_gf and k_up to the semantic block, q_gs to
-    the detail block, s_s and s_d to their sum, scores to the softmax and
-    kernels to the kernel apply.  The score blocks drop their inputs once
-    normalized, so under CPython >= 3.11, which moves call arguments into
-    the callee's frame, q_gf, k_up and q_gs are freed before each block's
-    contraction (see pcdc_block).  q is held until the detail block
-    returns, and the peak is set in that block's contraction.  q_gs is
-    computed after the semantic block so that fewer D-channel maps are
-    live at once.
+    until the stage that reads it last, which takes it as a temporary: k_up
+    goes to the guided filter, q_gf and k to the semantic block, s_s and
+    s_d to their sum, scores to the softmax and kernels to the kernel
+    apply.  q is read again only by the general guided filter and, for a
+    guide of C_g >= D channels, by the detail block; q_gs is only handed
+    out.  With a sink and C_g < D, the peak is set in the guided filter,
+    which holds k_up, its output and its row tiles.
 
     With `rows`, the output goes to rows(band) band by band (see
     kernel_apply_fns) and the result's output is None.
@@ -368,15 +373,30 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     made("q", q)
     made("k", k)
     del q, k
-    made("k_up", bilinear_resize(live.pop("k"), y.height, y.width))
+    made("k_up", bilinear_resize(live["k"], y.height, y.width))
     if similarity == "innerprod":
+        del live["k"]
         made("scores", inner_product_scores(live.pop("q"), live.pop("k_up"), params.kernel, cfg.ratio))
     else:
-        made("q_gf", guided_filter(live["q"], live["k_up"], GuidedFilterConfig()))
-        made("s_s", pcdc_block(live.pop("q_gf"), live.pop("k_up"), params.block_s, cfg.ratio))
-        made("q_gs", gaussian_smooth3(live["q"]))
-        made("s_d", pcdc_block(live["q"], live.pop("q_gs"), params.block_d, cfg.ratio))
-        del live["q"]
+        proj, c_g, q = params.proj, y.channels, live.pop("q")
+        guide = y if c_g < proj.dim else q  # the lower of C_g and D channels
+        if c_g * (c_g + 3) < 6 * proj.dim:  # fewer box channels from y than from q, q*q and k_up
+            del q
+            made("q_gf", guided_filter_projected(y, proj.weight_q, proj.bias_q, live["k"], live.pop("k_up"),
+                                                 GuidedFilterConfig()))
+        else:
+            made("q_gf", guided_filter(q, live.pop("k_up"), GuidedFilterConfig()))
+            del q
+        made("s_s", pcdc_block_resized_key(live.pop("q_gf"), live.pop("k"), params.block_s, cfg.ratio))
+        guide_gs = gaussian_smooth3(guide)
+        if guide is y:
+            weight, bias = proj.weight_q, proj.bias_q
+            emit("q_gs", grouped_pointwise_conv(guide_gs, weight, bias))
+        else:
+            weight, bias = np.eye(proj.dim, dtype=np.float32), np.zeros(proj.dim, np.float32)
+            emit("q_gs", guide_gs)
+        made("s_d", pcdc_block_projected(guide, guide_gs, weight, bias, params.block_d, cfg.ratio))
+        del guide, guide_gs
         made("scores", FeatureMap.adopt(live.pop("s_s").data + live.pop("s_d").data))
     made("kernels", softmax_rows(live.pop("scores")))
     output = kernel_apply_fns(live.pop("kernels"), x, fused=fused, rows=rows)

@@ -203,3 +203,20 @@ class TestCheckDrivers:
 
     def test_kernel_checks_pass_other_seeds(self):
         assert all(r.passed for r in check_kernel_apply_gradients(seed=5))
+
+
+@pytest.mark.parametrize("shape", [(9, 16), (9, 2, 8, 1)])
+def test_pcdc_backward_rejects_a_weight_not_of_rank_three(shape):
+    q = np.zeros((4, 3, 8))
+    with pytest.raises(ShapeMismatch, match="weight must have rank 3"):
+        pcdc_backward(np.zeros((4, 3, 8)), q, q, np.zeros(shape), np.zeros(8), 1)
+
+
+@pytest.mark.parametrize("weights, x, what", [
+    (np.zeros((8, 8)), np.zeros((4, 4, 2)), "weights"),
+    (np.zeros((8, 8, 9, 1)), np.zeros((4, 4, 2)), "weights"),
+    (np.full((8, 8, 9), 1 / 9), np.zeros((4, 4)), "values"),
+])
+def test_kernel_apply_backward_rejects_misranked_inputs(weights, x, what):
+    with pytest.raises(ShapeMismatch, match=f"{what} must have rank 3"):
+        kernel_apply_backward(np.zeros((8, 8, 2)), weights, x)

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from resfu.guided_filter import MAX_TILE_ROWS, GuidedFilterConfig, _tile_rows, guided_filter
-from resfu.ops import ShapeMismatch
+from resfu.guided_filter import MAX_TILE_ROWS, GuidedFilterConfig, _tile_rows, guided_filter, guided_filter_projected
+from resfu.ops import ShapeMismatch, bilinear_resize, grouped_pointwise_conv
 from resfu.oracle import max_rel_error, oracle_guided_filter_window
 from resfu.tensor import FeatureMap
 
@@ -229,3 +229,39 @@ def test_every_tile_height_gives_the_recipe_bits(h, w, c, radius, monkeypatch):
     for t in range(1, h + 1):
         monkeypatch.setattr(module, "_tile_rows", lambda rows: t)
         assert np.array_equal(guided_filter(q, k, cfg).data, want), t
+
+
+@pytest.mark.parametrize(
+    "h, w, ratio, c_guide",
+    [
+        (16, 16, 4, 4),
+        (8, 8, 8, 3),
+        (4, 4, 16, 4),
+        (13, 13, 3, 3),
+        (5, 3, 3, 1),  # odd H, W = 9 < 2r + 1
+        (7, 5, 2, 12),  # the most guide channels the pipeline sends this way at D = 32
+    ],
+)
+def test_projected_filter_matches_the_whole_map_recipe(h, w, ratio, c_guide):
+    # box(q) and box(q^2) from the guide's box moments, box(k_up) from the
+    # LR key through the resize matrices: the recipe on q and k_up within 1e-6
+    rng = np.random.default_rng(h * ratio + c_guide)
+    y = FeatureMap(rng.random((h * ratio, w * ratio, c_guide), dtype=np.float32))
+    weight = (rng.standard_normal((32, c_guide)) / np.sqrt(c_guide)).astype(np.float32)
+    bias = rng.uniform(-0.5, 0.5, 32).astype(np.float32)
+    key = rand_map(rng, h, w, 32)
+    key_up = bilinear_resize(key, h * ratio, w * ratio)
+    cfg = GuidedFilterConfig()
+    got = guided_filter_projected(y, weight, bias, key, key_up, cfg).data
+    want = filter64(grouped_pointwise_conv(y, weight, bias).data, key_up.data, cfg)
+    assert max_rel_error(got, want) <= 1e-6
+
+
+def test_projected_filter_checks_its_shapes():
+    rng = np.random.default_rng(12)
+    y, key = FeatureMap(rng.random((8, 8, 3), dtype=np.float32)), rand_map(rng, 4, 4, 8)
+    cfg = GuidedFilterConfig()
+    with pytest.raises(ShapeMismatch):
+        guided_filter_projected(y, np.ones((8, 4)), np.zeros(8), key, bilinear_resize(key, 8, 8), cfg)
+    with pytest.raises(ShapeMismatch):
+        guided_filter_projected(y, np.ones((8, 3)), np.zeros(8), key, bilinear_resize(key, 8, 6), cfg)

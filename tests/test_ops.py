@@ -65,6 +65,12 @@ class TestResize:
         assert peak <= 1.1 * out.data.nbytes
         assert out.data.tobytes() == np.repeat(np.repeat(src.data, 8, axis=0), 8, axis=1).tobytes()
 
+    @pytest.mark.parametrize("resize", [bilinear_resize, nearest_resize])
+    def test_an_unaddressable_size_raises_memory_error(self, resize):
+        # numpy's own error for it was ValueError: Maximum allowed size exceeded
+        with pytest.raises(MemoryError, match=r"a 10{30}x2x3 float32 map"):
+            resize(rand_map(np.random.default_rng(8), 2, 2, 3), 10**30, 2)
+
     def test_identity_resize_is_exact(self):
         src = rand_map(np.random.default_rng(7), 5, 9, 3)
         assert np.array_equal(bilinear_resize(src, 5, 9).data, src.data)
@@ -291,6 +297,10 @@ class TestGaussianSmooth3:
 
 
 class TestGroupNormalize:
+    def test_affine_rejects_complex_values(self):
+        with pytest.raises(ShapeMismatch, match="gamma must be real"):
+            GroupNormAffine(np.ones(4) + 1j, np.zeros(4))
+
     def test_normalizes_per_group(self):
         rng = np.random.default_rng(21)
         src = rand_map(rng, 6, 5, 8)
@@ -370,6 +380,14 @@ def dense_conv_oracle(src, weight, bias, groups):
 
 
 class TestGroupedPointwiseConv:
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_rejects_complex_parameters(self, part):
+        # the imaginary part used to be dropped with only a ComplexWarning
+        params = {"weight": np.ones((4, 2), np.float32), "bias": np.zeros(4, np.float32)}
+        params[part] = params[part] + 1j
+        with pytest.raises(ShapeMismatch, match="must be real"):
+            grouped_pointwise_conv(rand_map(np.random.default_rng(9), 3, 3, 2), **params)
+
     @pytest.mark.parametrize("groups", [1, 2, 4, 8])
     def test_matches_dense_oracle(self, groups):
         rng = np.random.default_rng(31 + groups)

@@ -266,3 +266,10 @@ def test_reference_side_imports_no_production_kernel():
                 for alias in node.names:
                     obj = getattr(ops, alias.name)
                     assert alias.name in allowed or (isinstance(obj, type) and issubclass(obj, Exception)), alias.name
+
+
+@pytest.mark.parametrize("shape", [(9, 16), (9, 2, 8, 1)])
+def test_pcdc_oracle_rejects_a_weight_not_of_rank_three(shape):
+    q = rand_map(np.random.default_rng(60), 4, 3, 8)
+    with pytest.raises(ShapeMismatch, match="weight must have rank 3"):
+        oracle_pcdc_direct(q, q, np.zeros(shape), np.zeros(8), 1)

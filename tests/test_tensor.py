@@ -230,6 +230,12 @@ class TestFeatureMap:
         with pytest.raises(TensorFormatError):
             FeatureMap(np.zeros((2, 2), np.float32))
 
+    def test_rejects_complex_values(self):
+        # the imaginary part used to be dropped with only a ComplexWarning
+        for make in (FeatureMap, FeatureMap.adopt):
+            with pytest.raises(TensorFormatError, match="must be real"):
+                make(np.ones((2, 2, 1), np.complex64))
+
     def test_rejects_a_zero_dim(self):
         with pytest.raises(TensorFormatError, match=r"dims must be >= 1, got \(2, 0, 3\)"):
             FeatureMap(np.zeros((2, 0, 3), np.float32))
