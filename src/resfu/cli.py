@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -75,15 +76,12 @@ def _cmd_upsample(args) -> int:
         resize = bilinear_resize if args.baseline == "bilinear" else nearest_resize
         fill = lambda write: write(resize(x, y.height, y.width).data)  # noqa: E731
     else:
+        sink = {}
         if args.dump_dir is not None:
             os.makedirs(args.dump_dir, exist_ok=True)
-
-        def dump(name, fmap):
-            if args.dump_dir is not None and name in DUMPED:
-                save_tensor(os.path.join(args.dump_dir, f"{name}.rsft"), fmap)
-
+            sink = {name: partial(save_tensor, os.path.join(args.dump_dir, f"{name}.rsft")) for name in DUMPED}
         fill = lambda write: run_pipeline(x, y, params, cfg, fused=args.fused == "true",  # noqa: E731
-                                          similarity=args.baseline or "pcdc", sink=dump, rows=write)
+                                          similarity=args.baseline or "pcdc", sink=sink, rows=write)
     save_tensor(args.out, (y.height, y.width, x.channels), fill)
     print(f"wrote {args.out} ({y.height}x{y.width}x{x.channels})")
     return 0

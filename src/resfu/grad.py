@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ops import ChannelGroupMismatch, ShapeMismatch, _odd_kernel, _resize_linear, _softmax64, axis_linear_coords
-from .oracle import CheckResult, _clamped_index_maps, _dims, _integer_multiple, max_rel_error
+from .oracle import CheckResult, _clamped_index_maps, _dims, _integer_multiple, _real64, max_rel_error
 from .pcdc import _pcdc_core
 from .upsampler import _apply_naive
 
@@ -72,7 +72,7 @@ def pcdc_backward(upstream, q_bar, k_bar, weight, bias, dilation: int):
     gradient scatter-adds through the clamped neighbor maps; the weight
     gradient accumulates upstream-times-difference outer products.
     """
-    upstream, q, k, weight = (np.asarray(a, np.float64) for a in (upstream, q_bar, k_bar, weight))
+    upstream, q, k, weight = map(_real64, (upstream, q_bar, k_bar, weight), ("upstream", "query", "key", "weight"))
     h, w, d_total = _dims(q, 3, "query")
     ksq, in_per, l_out = _dims(weight, 3, "weight")
     if upstream.shape != (h, w, l_out) or k.shape != q.shape:
@@ -115,7 +115,7 @@ def kernel_apply_backward(upstream, weights, x):
     value gradient scatters the weighted upstream through the neighbor maps
     and then through the adjoint of the bilinear resize.
     """
-    upstream, weights, x = (np.asarray(a, np.float64) for a in (upstream, weights, x))
+    upstream, weights, x = map(_real64, (upstream, weights, x), ("upstream", "weights", "values"))
     out_h, out_w, slots = _dims(weights, 3, "weights")
     h, w, c = _dims(x, 3, "values")
     if upstream.shape != (out_h, out_w, c):

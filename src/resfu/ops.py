@@ -21,7 +21,7 @@ Conventions used throughout:
   products and norm statistics (_norm_scale_shift) without whole maps;
 * all kernels are pure functions, run on the calling thread and are
   bit-reproducible: work is split only into pieces fixed by the operand
-  shapes (CHUNK_ROWS row chunks, pixel blocks, BLAS row pieces).
+  shapes (pixel blocks, BLAS row pieces, row tiles).
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ class ChannelGroupMismatch(Exception):
 
 class NonFiniteInput(Exception):
     """A map or a model array holds a NaN or an infinite value."""
-
-
-# Output rows per chunk of the row-chunked difference convolution
-# (resfu.pcdc): bounds its per-chunk scratch, and fixes where its work
-# splits.
-CHUNK_ROWS = 32
 
 
 # Pixels per working block of the per-pixel kernels (1x1 convolutions,
@@ -330,14 +324,12 @@ class GroupNormAffine:
     beta: np.ndarray
 
     def __post_init__(self):
-        gamma = _as_float32("gamma", self.gamma, 1)
-        beta = _as_float32("beta", self.beta, 1)
-        if gamma.shape != beta.shape:
-            raise ShapeMismatch(f"gamma/beta must be equal-length vectors, got {gamma.shape} vs {beta.shape}")
-        if gamma.size % NORM_GROUPS:
-            raise ChannelGroupMismatch(f"{gamma.size} channels not divisible into {NORM_GROUPS} groups")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "beta", beta)
+        for name in ("gamma", "beta"):
+            object.__setattr__(self, name, _as_float32(name, getattr(self, name), 1))
+        if self.gamma.shape != self.beta.shape:
+            raise ShapeMismatch(f"gamma/beta must be equal-length vectors, got {self.gamma.shape} vs {self.beta.shape}")
+        if self.channels % NORM_GROUPS:
+            raise ChannelGroupMismatch(f"{self.channels} channels not divisible into {NORM_GROUPS} groups")
 
     @property
     def channels(self) -> int:
@@ -438,20 +430,18 @@ def _block_diagonal(weight: np.ndarray, groups: int) -> np.ndarray:
 def grouped_pointwise_conv(src: FeatureMap, weight: np.ndarray, bias: np.ndarray) -> FeatureMap:
     """1x1 convolution with channel groups.
 
-    weight has shape (c_out, width); the group count G is src's channels
-    over the group width (_group_count: ShapeMismatch if the width does not
-    split them, ChannelGroupMismatch if G does not split c_out), and output
+    weight has shape (c_out, width), and it and the bias pass the model
+    array rule (_as_float32); the group count G is src's channels over the
+    group width (_group_count: ShapeMismatch if the width does not split
+    them, ChannelGroupMismatch if G does not split c_out), and output
     channel l belongs to group floor(l * G / c_out) and only sees the
     matching input slice.  Computes in float32: per pixel block, one
     product against the dense block-diagonal weight (_block_diagonal,
     through matmul_rows) writes the block's output rows, and the bias is
     added to them in place.
     """
-    if np.iscomplexobj(weight) or np.iscomplexobj(bias):
-        raise ShapeMismatch("conv weight and bias must be real, got a complex array")
-    weight = np.asarray(weight, np.float32)
-    bias = np.asarray(bias, np.float32)
-    if weight.ndim != 2 or bias.ndim != 1 or bias.size != weight.shape[0]:
+    weight, bias = _as_float32("conv weight", weight, 2), _as_float32("conv bias", bias, 1)
+    if bias.size != weight.shape[0]:
         raise ShapeMismatch(f"weight {weight.shape} / bias {bias.shape} are not a conv parameter pair")
     c_out, width = weight.shape
     dense = _block_diagonal(weight.T, _group_count("1x1 conv", src.channels, width, c_out))
@@ -475,11 +465,13 @@ def neighbor_offsets(kernel: int, dilation: int) -> list[tuple[int, int]]:
 def _edge_pad(arr: np.ndarray, kernel: int, dilation: int):
     """arr edge-padded on both spatial axes by (K-1)/2 * dilation, and the
     (r_n, c_n) of each slot in neighbor_offsets order: slot n of pixel (i, j)
-    is padded[i + r_n, j + c_n], arr at (i + di, j + dj) clamped to the map."""
+    is padded[i + r_n, j + c_n], arr at (i + di, j + dj) clamped to the map.
+    Each axis's pad and offsets stop at its length, which already reaches the edge."""
     offsets = neighbor_offsets(kernel, dilation)
-    reach = (kernel - 1) // 2 * dilation
-    padded = np.pad(arr, ((reach, reach), (reach, reach), (0, 0)), mode="edge")
-    return padded, [(reach + di, reach + dj) for di, dj in offsets]
+    reach = offsets[-1][0]  # (K-1)/2 * dilation
+    rows, cols = min(reach, arr.shape[0]), min(reach, arr.shape[1])
+    padded = np.pad(arr, ((rows, rows), (cols, cols), (0, 0)), mode="edge")
+    return padded, [(rows + max(-rows, min(di, rows)), cols + max(-cols, min(dj, cols))) for di, dj in offsets]
 
 
 def _neighbor_views(arr: np.ndarray, kernel: int, dilation: int) -> list[np.ndarray]:

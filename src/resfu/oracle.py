@@ -60,8 +60,16 @@ def _clamped_index_maps(h: int, w: int, kernel: int, dilation: int) -> list[tupl
     kernel, dilation = _positive_int("kernel", kernel), _positive_int("dilation", dilation)
     reach = (_odd_kernel(kernel * kernel) - 1) // 2
     rows, cols = np.arange(h)[:, None], np.arange(w)[None, :]
-    return [(np.clip(rows + di * dilation, 0, h - 1), np.clip(cols + dj * dilation, 0, w - 1))
+    step_h, step_w = min(dilation, h), min(dilation, w)  # a step of an axis's length already reaches its edge
+    return [(np.clip(rows + di * step_h, 0, h - 1), np.clip(cols + dj * step_w, 0, w - 1))
             for di in range(-reach, reach + 1) for dj in range(-reach, reach + 1)]
+
+
+def _real64(arr, what: str) -> np.ndarray:
+    """arr as float64; ShapeMismatch naming `what` if it is complex."""
+    if np.iscomplexobj(arr):
+        raise ShapeMismatch(f"{what} must be real, got a complex array")
+    return np.asarray(arr, np.float64)
 
 
 def _dims(arr: np.ndarray, rank: int, what: str) -> tuple:
@@ -97,11 +105,11 @@ def oracle_pcdc_direct(q_bar: FeatureMap, k_bar: FeatureMap, weight, bias, dilat
     the n-th row-major offset of the dilated KxK window, clamped at edges.
     K is read from the (K*K, D/G, L) weight's slot count (an odd square,
     else ShapeMismatch) and G from its group width (_integer_multiple); a
-    weight not of rank 3, a key not of the query's shape or a bias not L
-    long raises ShapeMismatch.
+    weight not of rank 3, a key not of the query's shape, a bias not L
+    long or a complex weight or bias raises ShapeMismatch.
     """
     q, k = q_bar.astype64(), k_bar.astype64()
-    w64, b64 = np.asarray(weight, np.float64), np.asarray(bias, np.float64)
+    w64, b64 = _real64(weight, "weight"), _real64(bias, "bias")
     h, w, d_in = q.shape
     ksq, in_per, l_out = _dims(w64, 3, "weight")
     if k.shape != q.shape:

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import (
-    CHUNK_ROWS,
     PIXEL_BLOCK,
     GroupNormAffine,
     ShapeMismatch,
@@ -64,14 +63,11 @@ class PcdcParams:
     bias: np.ndarray
 
     def __post_init__(self):
-        weight = _as_float32("weight", self.weight, 3)
-        bias = _as_float32("bias", self.bias, 1)
-        ksq, _, l_out = weight.shape
-        _odd_kernel(ksq)
-        if bias.size != l_out:
-            raise ShapeMismatch(f"bias has {bias.size} entries, weight implies {l_out}")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "bias", bias)
+        for name, rank in (("weight", 3), ("bias", 1)):
+            object.__setattr__(self, name, _as_float32(name, getattr(self, name), rank))
+        _odd_kernel(self.weight.shape[0])
+        if self.bias.size != self.out_channels:
+            raise ShapeMismatch(f"bias has {self.bias.size} entries, weight implies {self.out_channels}")
 
     @property
     def kernel(self) -> int:
@@ -91,10 +87,10 @@ def _pcdc_core(q: np.ndarray | None, k: np.ndarray, weight: np.ndarray, bias: np
                 - sum_d' (sum_n weight[n, d', l]) * q[i, d] + bias[l]
 
     With q None the query term is left out.  The key map is edge-padded
-    once (ops._edge_pad).  Per CHUNK_ROWS row chunk and tap, one
-    block-diagonal matmul takes the chunk's whole padded key rows at the
-    tap's row offset to its contributions, which are added at the tap's
-    column offset; the query term is one more matmul.
+    once (ops._edge_pad).  Per tap, one block-diagonal matmul takes the
+    whole padded key rows at the tap's row offset to its contributions,
+    which are added at the tap's column offset; the query term is one more
+    matmul.
     """
     h, w, d_in = k.shape
     ksq, width, l_out = weight.shape
@@ -103,21 +99,14 @@ def _pcdc_core(q: np.ndarray | None, k: np.ndarray, weight: np.ndarray, bias: np
     q_taps = -_block_diagonal(weight.sum(axis=0), groups).astype(k.dtype)
     k_pad, starts = _edge_pad(k, math.isqrt(ksq), dilation)
     w_pad = k_pad.shape[1]
-    out = np.empty((h, w, l_out), k.dtype)
-    for r0 in range(0, h, CHUNK_ROWS):
-        r1 = min(r0 + CHUNK_ROWS, h)
-        m = r1 - r0
-        chunk = out[r0:r1]
-        if q is None:
-            chunk[...] = 0
-        else:
-            matmul_rows(q[r0:r1].reshape(m * w, d_in), q_taps, chunk.reshape(m * w, l_out))
-        chunk += bias
-        tap_out = np.empty((m, w_pad, l_out), k.dtype)
-        for n, (r, c) in enumerate(starts):
-            rows = k_pad[r0 + r : r1 + r].reshape(m * w_pad, d_in)
-            matmul_rows(rows, taps[n], tap_out.reshape(m * w_pad, l_out))
-            chunk += tap_out[:, c : c + w]
+    out = np.zeros((h, w, l_out), k.dtype)
+    if q is not None:
+        matmul_rows(q.reshape(h * w, d_in), q_taps, out.reshape(h * w, l_out))
+    out += bias
+    tap_out = np.empty((h, w_pad, l_out), k.dtype)
+    for n, (r, c) in enumerate(starts):
+        matmul_rows(k_pad[r : r + h].reshape(h * w_pad, d_in), taps[n], tap_out.reshape(h * w_pad, l_out))
+        out += tap_out[:, c : c + w]
     return out
 
 

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .grad import check_gradients
-from .guided_filter import GuidedFilterConfig, guided_filter
+from .guided_filter import GuidedFilterConfig, guided_filter, guided_filter_projected
 from .ops import bilinear_resize, softmax_rows
 from .oracle import (
     CheckResult,
@@ -80,17 +80,25 @@ def check_pcdc_equivalence(seed: int = 0, cases: int = 200) -> CheckResult:
 
 
 def check_guided_filter(seed: int = 0, cases: int = 20) -> CheckResult:
-    """Closed-form filter vs the per-window regression oracle (interior)."""
+    """Closed-form filters vs the per-window regression oracle (interior): the
+    general one, and in odd cases the pipeline's, from a C_g <= 4 guide and an LR key."""
     rng = np.random.default_rng(seed)
     cfg = GuidedFilterConfig(radius=2, eps=1e-3)
     worst = 0.0
-    for _ in range(cases):
-        q = _rand_map(rng, 12, 12, 4)
-        k = _rand_map(rng, 12, 12, 4)
-        got = guided_filter(q, k, cfg).astype64()
+    for i in range(cases):
+        if i % 2 == 0:
+            q, k = _rand_map(rng, 12, 12, 4), _rand_map(rng, 12, 12, 4)
+            got = guided_filter(q, k, cfg)
+        else:
+            ratio, c_g = int(rng.choice([2, 3, 4])), int(rng.integers(1, 5))
+            guide, key = _rand_map(rng, 12, 12, c_g), _rand_map(rng, 12 // ratio, 12 // ratio, 4)
+            weight = (rng.standard_normal((4, c_g)) / np.sqrt(c_g)).astype(np.float32)
+            bias = (0.1 * rng.standard_normal(4)).astype(np.float32)
+            q, k = FeatureMap(guide.astype64() @ weight.T.astype(np.float64) + bias), bilinear_resize(key, 12, 12)
+            got = guided_filter_projected(guide, weight, bias, key, k, cfg)
         want = oracle_guided_filter_window(q, k, cfg)
         interior = np.s_[cfg.radius : -cfg.radius, cfg.radius : -cfg.radius]
-        worst = max(worst, max_rel_error(got[interior], want[interior]))
+        worst = max(worst, max_rel_error(got.astype64()[interior], want[interior]))
     return CheckResult("guided-filter-window-oracle", worst, 1e-4, f"{cases} cases, interior")
 
 

@@ -24,35 +24,31 @@ resolution (pcdc.pcdc_block_resized_key), and the detail block works on
 the guide and its smoothing (pcdc.pcdc_block_projected, or on q and
 q_gs when C_g >= D).  No difference layer, input group norm or smoothing
 runs on a high-resolution D-channel map, and q_gs = P G(y) + b is made
-only as the observed intermediate.  The results agree with the D-channel
+only when the caller observes it.  The results agree with the D-channel
 stages within 1e-6 relative.
 
-run_pipeline either collects every intermediate or hands each one to a
-sink as it is made and keeps a map only until the last stage that reads
-it; resfu_upsample keeps none, so when the value channels C far exceed D
-its peak is little more than the output.  Given `rows`, it streams the
-output too, band by band, and the fused path allocates no output-sized
-array.  Every upsampling entry point starts with check_guide, which
-rejects a guide that is not ratio times the input's size and NaN or Inf
-in either map.  ResfuParams holds exactly what a weight bundle stores; the
-guided filter always runs with GuidedFilterConfig() and every group norm
-with ops.NORM_GROUPS and ops.NORM_EPS.  Neighborhoods are K x K, K taken
-from the weights' shapes, with dilation equal to the upsampling ratio, on
-the high-resolution grids ("fine-grained neighbor selection"); both score
-branches use the same dilation.  The value gather runs either naively
-(materialize x_up = bilinear_resize(x)) or fused: the kernel weights and
-the bilinear taps fold into weights on each input cell's (K+2) x (K+2)
-window, and one small float32 matrix product per cell writes its
-ratio x ratio output pixels, so the full H x W x C upsampled buffer never
-exists and no output-sized temporary is allocated.  The two paths round
-differently and agree within 1e-6 relative; each is bit-reproducible from
-run to run.  Every stage runs on the calling thread.
+run_pipeline runs the stages in a straight line and frees each map after
+the last stage that reads it; its one observer, `sink`, gets the
+intermediates it names (without one, all are collected).  resfu_upsample
+names none, so when C far exceeds D its peak is little more than the
+output, and given `rows` the output is streamed band by band too.  Every
+entry point starts with check_guide.  ResfuParams holds exactly what a
+weight bundle stores; the guided filter always runs with
+GuidedFilterConfig() and every group norm with ops.NORM_GROUPS and
+ops.NORM_EPS.  Neighborhoods are K x K, K taken from the weights' shapes,
+dilated by the upsampling ratio on the high-resolution grids
+("fine-grained neighbor selection") in both score branches.  The value
+gather runs naively (x_up = bilinear_resize(x) is made) or fused, one
+small matrix product per input cell (_apply_fused), with no output-sized
+temporary; the two agree within 1e-6 relative and each is
+bit-reproducible.  Every stage runs on the calling thread.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, fields
+from functools import partial
 from math import prod
 
 import numpy as np
@@ -318,8 +314,9 @@ def kernel_apply_fns(weights: SimilarityScores, x: FeatureMap, *, fused: bool = 
 @dataclass
 class PipelineResult:
     """The output of one upsampling run (None when streamed to `rows`) and,
-    when run_pipeline collected them, its intermediates (None when a sink
-    received them, and q_gf, s_s, q_gs and s_d in the innerprod baseline)."""
+    when run_pipeline collected them, its intermediates (INTERMEDIATES; None
+    when the caller passed a sink, and q_gf, s_s, q_gs and s_d in the
+    innerprod baseline)."""
 
     output: FeatureMap | None
     q: FeatureMap | None = None
@@ -333,82 +330,89 @@ class PipelineResult:
     kernels: SimilarityScores | None = None
 
 
+# The intermediates a sink may name, in stage order.
+INTERMEDIATES = tuple(f.name for f in fields(PipelineResult))[1:]
+
+
 def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
                  fused: bool = True, threads: int = 1, *, similarity: str = "pcdc",
-                 sink: Callable[[str, FeatureMap], None] | None = None,
+                 sink: Mapping[str, Callable[[FeatureMap], None]] | None = None,
                  rows: Callable[[np.ndarray], None] | None = None) -> PipelineResult:
     """Run every stage once.  `similarity` is "pcdc", the two score blocks,
     or "innerprod", the baseline that scores with inner_product_scores(q,
     k_up) in their place; any other value raises ValueError.
 
-    Without a sink the result keeps every intermediate.  With one,
-    sink(name, fmap) is called once per intermediate, named after its
-    PipelineResult field, in stage order as soon as the map exists, and
-    the result carries only the output.  The pipeline holds each map only
-    until the stage that reads it last, which takes it as a temporary: k_up
-    goes to the guided filter, q_gf and k to the semantic block, s_s and
-    s_d to their sum, scores to the softmax and kernels to the kernel
-    apply.  q is read again only by the general guided filter and, for a
-    guide of C_g >= D channels, by the detail block; q_gs is only handed
-    out.  With a sink and C_g < D, the peak is set in the guided filter,
-    which holds k_up, its output and its row tiles.
-
-    With `rows`, the output goes to rows(band) band by band (see
-    kernel_apply_fns) and the result's output is None.
-
+    Without a sink the result keeps every intermediate.  A sink maps names
+    among INTERMEDIATES to callbacks, each called with its map as soon as
+    the map exists, in stage order, and the result carries only the
+    output; any other name raises ValueError before any stage.  Each map
+    is freed after the stage that reads it last; for C_g < D no stage
+    reads q_gs = P G(y) + b, so it is made only when the sink names it,
+    and with a sink the peak is set in the guided filter, which holds k_up,
+    its output and its row tiles.  With `rows`, the output goes to rows(band)
+    band by band (see kernel_apply_fns) and the result's output is None.
     `threads` is accepted and ignored: every stage runs on the calling
     thread."""
     if similarity not in ("pcdc", "innerprod"):
         raise ValueError(f"similarity must be 'pcdc' or 'innerprod', got {similarity!r}")
     maps: dict[str, FeatureMap] = {}
-    emit = maps.__setitem__ if sink is None else sink
-    live: dict[str, FeatureMap] = {}  # maps a later stage reads; the last reader pops them
+    if sink is None:
+        sink = {name: partial(maps.__setitem__, name) for name in INTERMEDIATES}
+    if not set(sink) <= set(INTERMEDIATES):
+        raise ValueError(f"sink names {sorted(set(sink) - set(INTERMEDIATES))}, not among the intermediates")
 
-    def made(name: str, fmap: FeatureMap) -> None:
-        emit(name, fmap)
-        live[name] = fmap
+    def observe(name: str, fmap: FeatureMap) -> FeatureMap:
+        if name in sink:
+            sink[name](fmap)
+        return fmap
 
     check_guide(x, y, cfg.ratio)
     q, k = project_qk(x, y, params.proj)
-    made("q", q)
-    made("k", k)
-    del q, k
-    made("k_up", bilinear_resize(live["k"], y.height, y.width))
+    observe("q", q)
+    observe("k", k)
+    k_up = observe("k_up", bilinear_resize(k, y.height, y.width))
     if similarity == "innerprod":
-        del live["k"]
-        made("scores", inner_product_scores(live.pop("q"), live.pop("k_up"), params.kernel, cfg.ratio))
+        del k
+        scores = inner_product_scores(q, k_up, params.kernel, cfg.ratio)
+        del q, k_up
     else:
-        proj, c_g, q = params.proj, y.channels, live.pop("q")
+        proj, c_g = params.proj, y.channels
         guide = y if c_g < proj.dim else q  # the lower of C_g and D channels
         if c_g * (c_g + 3) < 6 * proj.dim:  # fewer box channels from y than from q, q*q and k_up
             del q
-            made("q_gf", guided_filter_projected(y, proj.weight_q, proj.bias_q, live["k"], live.pop("k_up"),
-                                                 GuidedFilterConfig()))
+            q_gf = guided_filter_projected(y, proj.weight_q, proj.bias_q, k, k_up, GuidedFilterConfig())
         else:
-            made("q_gf", guided_filter(q, live.pop("k_up"), GuidedFilterConfig()))
+            q_gf = guided_filter(q, k_up, GuidedFilterConfig())
             del q
-        made("s_s", pcdc_block_resized_key(live.pop("q_gf"), live.pop("k"), params.block_s, cfg.ratio))
+        del k_up
+        observe("q_gf", q_gf)
+        s_s = pcdc_block_resized_key(q_gf, k, params.block_s, cfg.ratio)
+        del q_gf, k
+        observe("s_s", s_s)
         guide_gs = gaussian_smooth3(guide)
         if guide is y:
             weight, bias = proj.weight_q, proj.bias_q
-            emit("q_gs", grouped_pointwise_conv(guide_gs, weight, bias))
+            if "q_gs" in sink:
+                observe("q_gs", grouped_pointwise_conv(guide_gs, weight, bias))
         else:
             weight, bias = np.eye(proj.dim, dtype=np.float32), np.zeros(proj.dim, np.float32)
-            emit("q_gs", guide_gs)
-        made("s_d", pcdc_block_projected(guide, guide_gs, weight, bias, params.block_d, cfg.ratio))
+            observe("q_gs", guide_gs)
+        s_d = observe("s_d", pcdc_block_projected(guide, guide_gs, weight, bias, params.block_d, cfg.ratio))
         del guide, guide_gs
-        made("scores", FeatureMap.adopt(live.pop("s_s").data + live.pop("s_d").data))
-    made("kernels", softmax_rows(live.pop("scores")))
-    output = kernel_apply_fns(live.pop("kernels"), x, fused=fused, rows=rows)
-    return PipelineResult(output, **maps)
+        scores = FeatureMap.adopt(s_s.data + s_d.data)
+        del s_s, s_d
+    observe("scores", scores)
+    kernels = softmax_rows(scores)
+    del scores
+    observe("kernels", kernels)
+    return PipelineResult(kernel_apply_fns(kernels, x, fused=fused, rows=rows), **maps)
 
 
 def resfu_upsample(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: UpsampleConfig,
                    fused: bool = True, threads: int = 1) -> FeatureMap:
-    """Upsample x by cfg.ratio under the guidance of y, keeping no
-    intermediate beyond its last reader (`threads` is ignored, as in
-    run_pipeline)."""
-    return run_pipeline(x, y, params, cfg, fused=fused, sink=lambda name, fmap: None).output
+    """Upsample x by cfg.ratio under the guidance of y: run_pipeline with a
+    sink that names no intermediate (`threads` is ignored there too)."""
+    return run_pipeline(x, y, params, cfg, fused=fused, sink={}).output
 
 
 def inner_product_scores(q: FeatureMap, k_up: FeatureMap, kernel: int, ratio: int) -> SimilarityScores:

@@ -220,3 +220,21 @@ def test_pcdc_backward_rejects_a_weight_not_of_rank_three(shape):
 def test_kernel_apply_backward_rejects_misranked_inputs(weights, x, what):
     with pytest.raises(ShapeMismatch, match=f"{what} must have rank 3"):
         kernel_apply_backward(np.zeros((8, 8, 2)), weights, x)
+
+
+@pytest.mark.parametrize("what", ["upstream", "query", "key", "weight"])
+def test_pcdc_backward_rejects_complex_input(what):
+    # the float64 cast used to drop the imaginary part with only a ComplexWarning
+    args = {"upstream": np.zeros((4, 3, 8)), "query": np.zeros((4, 3, 8)), "key": np.zeros((4, 3, 8)),
+            "weight": np.zeros((9, 2, 8))}
+    args[what] = args[what] + 1j
+    with pytest.raises(ShapeMismatch, match=f"^{what} must be real"):
+        pcdc_backward(args["upstream"], args["query"], args["key"], args["weight"], np.zeros(8), 1)
+
+
+@pytest.mark.parametrize("what", ["upstream", "weights", "values"])
+def test_kernel_apply_backward_rejects_complex_input(what):
+    args = {"upstream": np.zeros((8, 8, 2)), "weights": np.full((8, 8, 9), 1 / 9), "values": np.zeros((4, 4, 2))}
+    args[what] = args[what] + 1j
+    with pytest.raises(ShapeMismatch, match=f"^{what} must be real"):
+        kernel_apply_backward(args["upstream"], args["weights"], args["values"])

@@ -388,6 +388,14 @@ class TestGroupedPointwiseConv:
         with pytest.raises(ShapeMismatch, match="must be real"):
             grouped_pointwise_conv(rand_map(np.random.default_rng(9), 3, 3, 2), **params)
 
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_rejects_non_finite_parameters(self, part):
+        # a NaN weight or bias used to give a NaN map
+        params = {"weight": np.ones((4, 2), np.float32), "bias": np.zeros(4, np.float32)}
+        params[part][0] = np.nan
+        with pytest.raises(NonFiniteInput, match=f"^conv {part} holds NaN"):
+            grouped_pointwise_conv(rand_map(np.random.default_rng(9), 3, 3, 2), **params)
+
     @pytest.mark.parametrize("groups", [1, 2, 4, 8])
     def test_matches_dense_oracle(self, groups):
         rng = np.random.default_rng(31 + groups)

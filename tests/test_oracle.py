@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 from resfu import ops, oracle
 from resfu.ops import ChannelGroupMismatch, ShapeMismatch, _neighbor_views, softmax_rows
 from resfu.oracle import max_rel_error, oracle_gather_neighbors, oracle_kernel_apply_gridwise, oracle_pcdc_direct
+from resfu.pcdc import PcdcParams, pcdc_layer
 from resfu.tensor import FeatureMap
-from resfu.upsampler import kernel_apply_fns
+from resfu.upsampler import inner_product_scores, kernel_apply_fns
 
 
 def fm(values):
@@ -273,3 +274,46 @@ def test_pcdc_oracle_rejects_a_weight_not_of_rank_three(shape):
     q = rand_map(np.random.default_rng(60), 4, 3, 8)
     with pytest.raises(ShapeMismatch, match="weight must have rank 3"):
         oracle_pcdc_direct(q, q, np.zeros(shape), np.zeros(8), 1)
+
+
+@pytest.mark.parametrize("part", ["weight", "bias"])
+def test_pcdc_oracle_rejects_complex_parameters(part):
+    # the float64 cast used to drop the imaginary part with only a ComplexWarning
+    q = rand_map(np.random.default_rng(61), 4, 3, 8)
+    params = {"weight": np.zeros((9, 2, 8)), "bias": np.zeros(8)}
+    params[part] = params[part] + 1j
+    with pytest.raises(ShapeMismatch, match=f"^{part} must be real"):
+        oracle_pcdc_direct(q, q, params["weight"], params["bias"], 1)
+
+
+class TestHugeDilation:
+    """A dilation past the map's size clamps every neighbor to the edge, on
+    both sides, so 10**30 and 2**40 read exactly what max(H, W) reads; they
+    used to raise TypeError, ValueError or OverflowError."""
+
+    H, W = 5, 7
+
+    def _maps(self):
+        rng = np.random.default_rng(62)
+        return rand_map(rng, self.H, self.W, 8), rand_map(rng, self.H, self.W, 8), rng
+
+    @pytest.mark.parametrize("dilation", [10**30, 2**40])
+    def test_production_reads_the_edge(self, dilation):
+        q, k, rng = self._maps()
+        p = PcdcParams(rng.standard_normal((9, 2, 8)).astype(np.float32), np.zeros(8, np.float32))
+        edge = max(self.H, self.W)
+        assert pcdc_layer(q, k, p, dilation).data.tobytes() == pcdc_layer(q, k, p, edge).data.tobytes()
+        assert (inner_product_scores(q, k, 3, dilation).data.tobytes()
+                == inner_product_scores(q, k, 3, edge).data.tobytes())
+        padded, starts = ops._edge_pad(k.data, 5, dilation)
+        assert padded.shape[:2] == (3 * self.H, 3 * self.W)
+        assert all(0 <= r <= 2 * self.H and 0 <= c <= 2 * self.W for r, c in starts)
+
+    @pytest.mark.parametrize("dilation", [10**30, 2**40])
+    def test_reference_reads_the_edge(self, dilation):
+        q, k, rng = self._maps()
+        weight, bias = rng.standard_normal((9, 2, 8)), rng.standard_normal(8)
+        edge = max(self.H, self.W)
+        assert (oracle_pcdc_direct(q, k, weight, bias, dilation).tobytes()
+                == oracle_pcdc_direct(q, k, weight, bias, edge).tobytes())
+        assert oracle_gather_neighbors(k, 3, dilation).tobytes() == oracle_gather_neighbors(k, 3, edge).tobytes()

@@ -139,7 +139,7 @@ class TestPcdcLayer:
 
     def test_matches_direct_oracle_across_row_chunks(self):
         rng = np.random.default_rng(3)
-        q = rand_map(rng, 70, 9, 8)  # three CHUNK_ROWS chunks, the last partial
+        q = rand_map(rng, 70, 9, 8)  # three 32-row chunks, the last partial, when the layer ran in chunks
         k = rand_map(rng, 70, 9, 8)
         p = rand_pcdc(rng)
         got = pcdc_layer(q, k, p).astype64()
@@ -151,7 +151,7 @@ class TestPcdcLayer:
         # The layer runs on its caller's thread; that many callers at once
         # must each get the bits of a lone call (no shared scratch buffers).
         rng = np.random.default_rng(3)
-        q = rand_map(rng, 70, 9, 8)  # several row chunks
+        q = rand_map(rng, 70, 9, 8)  # several 32-row chunks, when the layer ran in chunks
         k = rand_map(rng, 70, 9, 8)
         p = rand_pcdc(rng)
         a = pcdc_layer(q, k, p)

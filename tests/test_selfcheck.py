@@ -161,6 +161,12 @@ class TestNanFailsEveryCheck:
                             _nan_output(selfcheck_mod.guided_filter, (5, 6, 1)))
         self._fails(check_guided_filter(seed=4, cases=2))
 
+    def test_projected_guided_filter_interior_pixel(self, monkeypatch):
+        # the second case runs the filter the pipeline runs
+        monkeypatch.setattr(selfcheck_mod, "guided_filter_projected",
+                            _nan_output(selfcheck_mod.guided_filter_projected, (5, 6, 1)))
+        self._fails(check_guided_filter(seed=4, cases=2))
+
     def test_fused_vs_naive(self, monkeypatch):
         _nan_fused(monkeypatch)
         self._fails(check_fused_vs_naive(seed=5, cases=4))

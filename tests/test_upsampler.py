@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from innerprod_reference import innerprod_chain
 
+import resfu
 from resfu import upsampler
 from resfu.guided_filter import GuidedFilterConfig, guided_filter
 from resfu.ops import (
@@ -207,7 +208,8 @@ class TestRunPipelineSink:
         x, y, params = self._inputs(14)
         collected = run_pipeline(x, y, params, UpsampleConfig(ratio=3))
         seen = []
-        res = run_pipeline(x, y, params, UpsampleConfig(ratio=3), sink=lambda name, fmap: seen.append((name, fmap)))
+        res = run_pipeline(x, y, params, UpsampleConfig(ratio=3),
+                           sink={name: lambda fmap, name=name: seen.append((name, fmap)) for name in STAGE_ORDER})
         assert [name for name, _ in seen] == list(STAGE_ORDER)
         for name, fmap in seen:
             assert fmap.data.tobytes() == getattr(collected, name).data.tobytes()
@@ -217,8 +219,65 @@ class TestRunPipelineSink:
     def test_sink_output_bytes_equal_collected(self, fused):
         x, y, params = self._inputs(15)
         collected = run_pipeline(x, y, params, UpsampleConfig(ratio=3), fused=fused)
-        streamed = run_pipeline(x, y, params, UpsampleConfig(ratio=3), fused=fused, sink=lambda name, fmap: None)
+        streamed = run_pipeline(x, y, params, UpsampleConfig(ratio=3), fused=fused, sink={})
         assert streamed.output.data.tobytes() == collected.output.data.tobytes()
+
+    def test_sink_naming_a_subset_gets_those_maps_in_stage_order(self):
+        x, y, params = self._inputs(16)
+        collected = run_pipeline(x, y, params, UpsampleConfig(ratio=3))
+        seen = []
+        named = ("kernels", "q_gf", "q", "s_d")  # out of stage order
+        res = run_pipeline(x, y, params, UpsampleConfig(ratio=3),
+                           sink={name: lambda fmap, name=name: seen.append((name, fmap)) for name in named})
+        assert [name for name, _ in seen] == ["q", "q_gf", "s_d", "kernels"]
+        for name, fmap in seen:
+            assert fmap.data.tobytes() == getattr(collected, name).data.tobytes()
+        assert all(getattr(res, name) is None for name in STAGE_ORDER)
+        assert res.output.data.tobytes() == collected.output.data.tobytes()
+
+    @pytest.mark.parametrize("name", ["qgs", "output"])
+    def test_unknown_name_raises_before_any_stage(self, monkeypatch, name):
+        x, y, params = self._inputs(17)
+
+        def project_qk(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(upsampler, "project_qk", project_qk)
+        with pytest.raises(ValueError, match="not among the intermediates"):
+            run_pipeline(x, y, params, UpsampleConfig(ratio=3), sink={"q": print, name: print})
+
+    def test_q_gs_is_projected_only_when_named(self, monkeypatch):
+        # a guide of C_g < D: the detail block works on the guide, so only
+        # the observer reads q_gs = P G(y) + b
+        x, y, params = self._inputs(18)
+        assert y.channels < params.proj.dim
+        collected = run_pipeline(x, y, params, UpsampleConfig(ratio=3))
+        calls = []
+        real = upsampler.grouped_pointwise_conv
+        monkeypatch.setattr(upsampler, "grouped_pointwise_conv", lambda *args: calls.append(1) or real(*args))
+        resfu_upsample(x, y, params, UpsampleConfig(ratio=3))
+        assert len(calls) == 2  # q and k
+        calls.clear()
+        seen = []
+        run_pipeline(x, y, params, UpsampleConfig(ratio=3), sink={"q_gs": seen.append})
+        assert len(calls) == 3  # q, k and q_gs
+        assert [fmap.data.tobytes() for fmap in seen] == [collected.q_gs.data.tobytes()]
+
+
+def test_the_benchmark_calls():
+    # perfbench (outside tier-1's test paths) drives resfu through exactly
+    # these two calls and reads every field of the collected result
+    rng = np.random.default_rng(19)
+    x = rand_map(rng, 8, 8, 6)
+    y = FeatureMap(rng.random((32, 32, 3), dtype=np.float32))
+    params, cfg = generate_params(c_in=6, c_guide=3), UpsampleConfig(ratio=4)
+    lean = resfu.resfu_upsample(x, y, params, cfg, fused=True, threads=1)
+    assert lean.shape == (32, 32, 6)
+    result = resfu.run_pipeline(x, y, params, cfg, fused=False, threads=1)
+    assert result.kernels.shape == (32, 32, 9) and result.output.shape == (32, 32, 6)
+    for field in dataclasses.fields(result):
+        assert isinstance(getattr(result, field.name), FeatureMap), field.name
+    assert max_rel_error(result.output.astype64(), lean.astype64()) <= 1e-5
 
 
 class TestRunPipelineRows:
@@ -233,7 +292,7 @@ class TestRunPipelineRows:
         params = generate_params(c_in=c, c_guide=c_guide, seed=1)
         cfg = UpsampleConfig(ratio=ratio)
         bands = []
-        res = run_pipeline(x, y, params, cfg, fused=fused, sink=lambda name, fmap: None,
+        res = run_pipeline(x, y, params, cfg, fused=fused, sink={},
                            rows=lambda band: bands.append(band.copy()))
         assert res.output is None
         assert [band.shape for band in bands] == (
@@ -541,12 +600,13 @@ class TestResfuUpsample:
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="older CPython holds call arguments until the call returns")
     def test_discarding_sink_frees_block_inputs_early(self):
-        # q_gf, k_up and q_gs reach their score blocks as temporaries and are
-        # freed once normalized, and the compressor holds no hidden map, so
-        # the peak is set in the detail block's contraction with q, s_s, the
-        # normalized pair, the padded key and the difference map live: 5.6x
-        # the 8 MiB output (6.3x while the compressor's 32 MiB hidden map set
-        # it, 8.0x while the block inputs stayed live to the end of each block).
+        # q is dropped before the guided filter, each map after its last
+        # reader, the score blocks work from the guide and the LR key, and
+        # the compressor holds no hidden map, so the peak is set in the
+        # guided filter, which holds k_up, its output and its row tiles:
+        # about 4.5x the 8 MiB output (5.6x while the detail block's
+        # contraction set it, 6.3x while the compressor's 32 MiB hidden map
+        # did, 8.0x while the block inputs stayed live to the end of each block).
         rng = np.random.default_rng(36)
         x = rand_map(rng, 64, 64, 32)
         y = FeatureMap(rng.random((256, 256, 4), dtype=np.float32))
@@ -554,7 +614,7 @@ class TestResfuUpsample:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = run_pipeline(x, y, params, UpsampleConfig(ratio=4), sink=lambda name, fmap: None).output
+            out = run_pipeline(x, y, params, UpsampleConfig(ratio=4), sink={}).output
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -719,7 +779,7 @@ class TestInnerProductScores:
             want = innerprod_chain(x, y, params, 2, fused=fused)["output"]
             bands = []
             res = run_pipeline(x, y, params, UpsampleConfig(ratio=2), fused=fused, similarity="innerprod",
-                               sink=lambda name, fmap: None, rows=lambda band: bands.append(band.copy()))
+                               sink={}, rows=lambda band: bands.append(band.copy()))
             assert res.output is None
             assert [band.shape for band in bands] == ([(2, 10, 3)] * 6 if fused else [(12, 10, 3)])
             assert np.concatenate(bands).tobytes() == want.data.tobytes()
@@ -747,7 +807,8 @@ class TestInnerProductBaseline:
         want = innerprod_chain(x, y, params, 3, fused=fused)
         seen = []
         res = run_pipeline(x, y, params, UpsampleConfig(ratio=3), fused=fused, similarity="innerprod",
-                           sink=lambda name, fmap: seen.append((name, fmap.data.tobytes())))
+                           sink={name: lambda fmap, name=name: seen.append((name, fmap.data.tobytes()))
+                                 for name in STAGE_ORDER})
         assert [name for name, _ in seen] == ["q", "k", "k_up", "scores", "kernels"]
         assert all(blob == want[name].data.tobytes() for name, blob in seen)
         assert res.output.data.tobytes() == want["output"].data.tobytes()
