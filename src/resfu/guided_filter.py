@@ -17,7 +17,8 @@ height ever exists and the working memory does not grow with the height.
 guided_filter takes its four box means from the D-channel maps;
 guided_filter_projected, which the pipeline runs, takes those of q from
 the guide's C_g channels and those of the resized key from the LR key, so
-only q * k_up is summed at high resolution in D channels.
+only q * k_up is summed at high resolution in D channels, and it resizes
+the key tile by tile, so neither q nor k_up is ever made whole.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from .ops import (
     ShapeMismatch,
     _positive_int,
     _positive_real,
+    _resize_linear,
     _resize_matrix,
     _window_counts,
     _window_sums,
+    axis_linear_coords,
     matmul_rows,
     tile_rows,
 )
@@ -106,14 +109,15 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
 
 
 def guided_filter_projected(guide: FeatureMap, weight: np.ndarray, bias: np.ndarray, key: FeatureMap,
-                            key_up: FeatureMap, cfg: GuidedFilterConfig) -> FeatureMap:
-    """guided_filter(q, key_up, cfg) for q = guide @ weight.T + bias and
-    key_up = bilinear_resize(key) at the guide's size, from the guide's C_g
-    channels and the low-resolution key; q is never made whole.
+                            cfg: GuidedFilterConfig) -> FeatureMap:
+    """guided_filter(q, k_up, cfg) for q = guide @ weight.T + bias and
+    k_up = bilinear_resize(key) at the guide's size, from the guide's C_g
+    channels and the low-resolution key; neither q nor k_up is made whole.
 
     Of the four box means only box(q*k_up) needs D channels at high
-    resolution; its rows of q are made as they are read, with the bits of
-    the whole-map projection:
+    resolution; its rows of q and of k_up are made as they are read, with
+    the bits of the whole-map projection and resize (each k_up row is its
+    own row lerp, then column lerp, in ops._resize_linear):
 
         box(q) = P box(y) + b,   var(q)_c = P_c (box(y y^T) - box(y) box(y)^T) P_c^T,
         box(k_up) = M_h k M_w^T,
@@ -124,11 +128,11 @@ def guided_filter_projected(guide: FeatureMap, weight: np.ndarray, bias: np.ndar
     products y_j y_l, y, a channel of ones and q*k_up, so this pays while
     C_g (C_g + 3) / 2 < 3 D.  Agrees with guided_filter within 1e-6.
     """
-    y, k, k_up = guide.data, key.data, key_up.data
-    (h, w, c_g), d = y.shape, key.channels
-    if np.shape(weight) != (d, c_g) or np.shape(bias) != (d,) or k_up.shape != (h, w, d):
-        raise ShapeMismatch(f"weight {np.shape(weight)}, bias {np.shape(bias)} and key {k_up.shape} do not "
-                            f"take {c_g} guide channels to the key's {d} at the guide's size")
+    y, k = guide.data, key.data
+    (h, w, c_g), (h_lr, w_lr, d) = y.shape, k.shape
+    if np.shape(weight) != (d, c_g) or np.shape(bias) != (d,):
+        raise ShapeMismatch(f"weight {np.shape(weight)} and bias {np.shape(bias)} do not take "
+                            f"{c_g} guide channels to the key's {d}")
     r, t = cfg.radius, _tile_rows(h)
     weight_t = np.ascontiguousarray(weight.T)
     q_rows = np.empty((min(h, t + r), w, d), np.float32)
@@ -150,6 +154,7 @@ def guided_filter_projected(guide: FeatureMap, weight: np.ndarray, bias: np.ndar
     made = np.zeros((min(h, t * -(-(2 * r + 1 + t) // t)), 1, w, n_y + d))
     made[:, 0, :, n_y - 1] = 1.0
     latest = [0]
+    (up_lo, up_hi, up_frac), up_cols = axis_linear_coords(h_lr, h), axis_linear_coords(w_lr, w)
 
     def products(i: int) -> np.ndarray:
         if i == latest[0]:
@@ -158,7 +163,8 @@ def guided_filter_projected(guide: FeatureMap, weight: np.ndarray, bias: np.ndar
             y_i = rows[..., n_y - 1 - c_g : n_y - 1]
             y_i[...] = y[i:i1]
             pairs(y_i, rows)
-            np.multiply(query(i, i1), k_up[i:i1], out=rows[..., n_y:], dtype=np.float64)
+            k_up = _resize_linear(k, i1 - i, w, (up_lo[i:i1], up_hi[i:i1], up_frac[i:i1]), up_cols)
+            np.multiply(query(i, i1), k_up, out=rows[..., n_y:], dtype=np.float64)
         return made[i % len(made)]
 
     p64 = weight.T.astype(np.float64)
@@ -174,7 +180,7 @@ def guided_filter_projected(guide: FeatureMap, weight: np.ndarray, bias: np.ndar
             pass
         return out / _window_counts(n_out, r)[:, None]
 
-    rows_lr, cols_lr = box_of_resize(key.height, h), box_of_resize(key.width, w)
+    rows_lr, cols_lr = box_of_resize(h_lr, h), box_of_resize(w_lr, w)
     key_t = np.ascontiguousarray(k.transpose(1, 0, 2), np.float64)  # (w_lr, h_lr, D)
     cov_y = np.ones((w * t, len(pair_j) + 1))
     mn = np.empty((w, 2, t, d))

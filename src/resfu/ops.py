@@ -489,9 +489,14 @@ def _softmax64(scores: np.ndarray) -> np.ndarray:
 
 
 def softmax_rows(scores: SimilarityScores) -> SimilarityScores:
-    """Max-stabilized softmax across the slot (channel) axis of a score map;
-    NaN or Inf scores raise NonFiniteInput, counting bad rows, before any exp."""
+    """Max-stabilized softmax across the slot (channel) axis of a score map,
+    in float64 by pixel blocks into one float32 map; NaN or Inf scores
+    raise NonFiniteInput, counting bad rows, before any exp."""
     if not np.isfinite(scores.data).all():
         bad = ~np.isfinite(scores.data).all(axis=-1)
         raise NonFiniteInput(f"similarity scores: {np.count_nonzero(bad)} of {bad.size} rows hold NaN or Inf")
-    return FeatureMap(_softmax64(scores.astype64()))
+    flat = scores.data.reshape(-1, scores.channels)
+    out = np.empty(flat.shape, np.float32)
+    for p0, p1 in _pixel_blocks(len(flat)):
+        out[p0:p1] = _softmax64(flat[p0:p1].astype(np.float64))
+    return FeatureMap.adopt(out.reshape(scores.shape))

@@ -4,7 +4,7 @@ Given a low-resolution value/key feature x (h x w x C) and a high-resolution
 guide y (H x W x C_g), the pipeline is:
 
     q, k    <- per-pixel linear projections of y and x        (D channels)
-    k_up    <- bilinear_resize(k, H, W)
+    k_up    <- bilinear_resize(k, H, W)        # by tiles inside the filter
     q_gf    <- guided_filter(q, k_up)          # align q to k's structure
     s_s     <- pcdc_block(q_gf, k_up)          # semantic branch scores
     q_gs    <- gaussian_smooth3(q)             # self-similarity reference
@@ -18,14 +18,15 @@ baseline's too (it makes no q_gf, s_s, q_gs or s_d).  The score head runs
 on the low-channel sources of its D-channel maps: q = P y + b is affine in
 the guide's C_g channels and k_up is a resize of the LR key.  So the
 guided filter takes its box statistics of q from the guide's box moments
-and those of k_up from k (guided_filter_projected, while
-C_g (C_g + 3) / 2 < 3 D), the semantic block takes its key taps at low
-resolution (pcdc.pcdc_block_resized_key), and the detail block works on
-the guide and its smoothing (pcdc.pcdc_block_projected, or on q and
-q_gs when C_g >= D).  No difference layer, input group norm or smoothing
-runs on a high-resolution D-channel map, and q_gs = P G(y) + b is made
-only when the caller observes it.  The results agree with the D-channel
-stages within 1e-6 relative.
+and those of k_up from k, resizing k's rows as its tiles reach them
+(guided_filter_projected, while C_g (C_g + 3) / 2 < 3 D), the semantic
+block takes its key taps at low resolution (pcdc.pcdc_block_resized_key),
+and the detail block works on the guide and its smoothing
+(pcdc.pcdc_block_projected, or on q and q_gs when C_g >= D).  No
+difference layer, input group norm or smoothing runs on a
+high-resolution D-channel map, and k_up and q_gs = P G(y) + b are made
+whole only when observed or, for k_up, read whole.  The results agree
+with the D-channel stages within 1e-6 relative.
 
 run_pipeline runs the stages in a straight line and frees each map after
 the last stage that reads it; its one observer, `sink`, gets the
@@ -346,10 +347,12 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     among INTERMEDIATES to callbacks, each called with its map as soon as
     the map exists, in stage order, and the result carries only the
     output; any other name raises ValueError before any stage.  Each map
-    is freed after the stage that reads it last; for C_g < D no stage
-    reads q_gs = P G(y) + b, so it is made only when the sink names it,
-    and with a sink the peak is set in the guided filter, which holds k_up,
-    its output and its row tiles.  With `rows`, the output goes to rows(band)
+    is freed after the stage that reads it last.  k_up is made whole only
+    when the sink names it or a stage reads it whole (innerprod, or
+    guided_filter when C_g (C_g + 3) >= 6 D); q_gs = P G(y) + b, which no
+    stage reads for C_g < D, only when the sink names it.  With a sink
+    naming neither, the peak is set in the guided filter, which holds its
+    output and its row tiles.  With `rows`, the output goes to rows(band)
     band by band (see kernel_apply_fns) and the result's output is None.
     `threads` is accepted and ignored: every stage runs on the calling
     thread."""
@@ -370,21 +373,23 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     q, k = project_qk(x, y, params.proj)
     observe("q", q)
     observe("k", k)
-    k_up = observe("k_up", bilinear_resize(k, y.height, y.width))
+    proj, c_g = params.proj, y.channels
+    # fewer box channels from y than from q, q*q and k_up: the filter resizes k tile by tile
+    projected = similarity == "pcdc" and c_g * (c_g + 3) < 6 * proj.dim
+    k_up = bilinear_resize(k, y.height, y.width) if "k_up" in sink or not projected else None
+    observe("k_up", k_up)
     if similarity == "innerprod":
         del k
         scores = inner_product_scores(q, k_up, params.kernel, cfg.ratio)
         del q, k_up
     else:
-        proj, c_g = params.proj, y.channels
         guide = y if c_g < proj.dim else q  # the lower of C_g and D channels
-        if c_g * (c_g + 3) < 6 * proj.dim:  # fewer box channels from y than from q, q*q and k_up
-            del q
-            q_gf = guided_filter_projected(y, proj.weight_q, proj.bias_q, k, k_up, GuidedFilterConfig())
+        if projected:
+            del q, k_up
+            q_gf = guided_filter_projected(y, proj.weight_q, proj.bias_q, k, GuidedFilterConfig())
         else:
             q_gf = guided_filter(q, k_up, GuidedFilterConfig())
-            del q
-        del k_up
+            del q, k_up
         observe("q_gf", q_gf)
         s_s = pcdc_block_resized_key(q_gf, k, params.block_s, cfg.ratio)
         del q_gf, k

@@ -252,9 +252,41 @@ def test_projected_filter_matches_the_whole_map_recipe(h, w, ratio, c_guide):
     key = rand_map(rng, h, w, 32)
     key_up = bilinear_resize(key, h * ratio, w * ratio)
     cfg = GuidedFilterConfig()
-    got = guided_filter_projected(y, weight, bias, key, key_up, cfg).data
+    got = guided_filter_projected(y, weight, bias, key, cfg).data
     want = filter64(grouped_pointwise_conv(y, weight, bias).data, key_up.data, cfg)
     assert max_rel_error(got, want) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "h, w, ratio, tile",
+    [
+        (5, 7, 3, None),  # odd H and W
+        (9, 5, 1, None),
+        (2, 3, 16, None),
+        (3, 5, 3, 40),  # H = 9 < T
+        (4, 3, 16, 5),  # T = 5 splits the 64 rows unevenly
+    ],
+)
+def test_projected_filter_resizes_the_key_with_the_whole_map_bits(monkeypatch, h, w, ratio, tile):
+    # k_up's rows, made per tile from the LR key, concatenate to
+    # bilinear_resize(key) bit for bit, and the filter stays within 1e-6 of
+    # guided_filter on that whole map
+    rng = np.random.default_rng(h * w * ratio)
+    y = FeatureMap(rng.random((h * ratio, w * ratio, 3), dtype=np.float32))
+    weight = (rng.standard_normal((16, 3)) / np.sqrt(3)).astype(np.float32)
+    bias = rng.uniform(-0.5, 0.5, 16).astype(np.float32)
+    key = rand_map(rng, h, w, 16)
+    module = importlib.import_module("resfu.guided_filter")
+    if tile is not None:
+        monkeypatch.setattr(module, "_tile_rows", lambda rows: tile)
+    tiles, real = [], module._resize_linear
+    monkeypatch.setattr(module, "_resize_linear", lambda *args: tiles.append(real(*args)) or tiles[-1])
+    cfg = GuidedFilterConfig(radius=2)
+    got = guided_filter_projected(y, weight, bias, key, cfg)
+    key_up = bilinear_resize(key, h * ratio, w * ratio)
+    assert np.concatenate(tiles).tobytes() == key_up.data.tobytes()
+    want = guided_filter(grouped_pointwise_conv(y, weight, bias), key_up, cfg).astype64()
+    assert max_rel_error(got.astype64(), want) <= 1e-6
 
 
 def test_projected_filter_checks_its_shapes():
@@ -262,6 +294,6 @@ def test_projected_filter_checks_its_shapes():
     y, key = FeatureMap(rng.random((8, 8, 3), dtype=np.float32)), rand_map(rng, 4, 4, 8)
     cfg = GuidedFilterConfig()
     with pytest.raises(ShapeMismatch):
-        guided_filter_projected(y, np.ones((8, 4)), np.zeros(8), key, bilinear_resize(key, 8, 8), cfg)
+        guided_filter_projected(y, np.ones((8, 4)), np.zeros(8), key, cfg)
     with pytest.raises(ShapeMismatch):
-        guided_filter_projected(y, np.ones((8, 3)), np.zeros(8), key, bilinear_resize(key, 8, 6), cfg)
+        guided_filter_projected(y, np.ones((8, 3)), np.zeros(7), key, cfg)

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resfu.ops import (
+    PIXEL_BLOCK,
     ChannelGroupMismatch,
     GroupNormAffine,
     NonFiniteInput,
     ShapeMismatch,
+    _softmax64,
     _window_sums,
     bilinear_resize,
     gaussian_smooth3,
@@ -499,6 +501,23 @@ class TestSoftmaxRows:
             with pytest.raises(NonFiniteInput, match=r"^similarity scores: 2 of 6 rows hold NaN or Inf$"):
                 softmax_rows(FeatureMap(raw))
         assert not seen
+
+    @pytest.mark.parametrize("shape", [(37, 40, 25), (256, 259, 9), (1, 3, 1)])
+    def test_pixel_blocks_give_the_whole_map_bits_in_one_map(self, shape):
+        # float64 by ops.PIXEL_BLOCK pixels: the whole-map softmax's bits, and
+        # a traced peak of one float32 map and a few float64 blocks (8.2x the
+        # map at 256x259x9 while it ran whole)
+        rng = np.random.default_rng(shape[0])
+        scores = FeatureMap((4 * rng.standard_normal(shape)).astype(np.float32))
+        want = _softmax64(scores.astype64()).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = softmax_rows(scores)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.tobytes() == want.tobytes()
+        assert peak <= out.data.nbytes + 6 * PIXEL_BLOCK * shape[2] * 8
 
     def test_extreme_scores_stay_finite(self):
         scores = FeatureMap(np.array([[[500.0, -500.0, 499.0]]], np.float32))

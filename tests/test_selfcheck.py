@@ -88,6 +88,15 @@ class TestIndividualChecks:
         result = check_guided_filter(seed=4, cases=2)
         assert result.passed and result.tolerance == 1e-4
 
+    def test_mis_scaled_projection_fails_the_guided_filter(self, monkeypatch):
+        # with eps near var(q) the filter sees q's scale: a 1 % weight error
+        # reads about 2e-3 (6.2e-5 with eps 1e-3, inside the 1e-4 tolerance)
+        real = selfcheck_mod.guided_filter_projected
+        monkeypatch.setattr(selfcheck_mod, "guided_filter_projected",
+                            lambda guide, weight, bias, key, cfg: real(guide, weight * 1.01, bias, key, cfg))
+        result = check_guided_filter(seed=0, cases=4)
+        assert not result.passed and math.isfinite(result.max_error), result
+
     def test_fused_vs_naive_reduced(self):
         result = check_fused_vs_naive(seed=5, cases=8)
         assert result.passed and result.tolerance == 1e-5
