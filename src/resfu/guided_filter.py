@@ -16,9 +16,8 @@ is a running sum carried from row to row, so no float64 map of the full
 height ever exists and the working memory does not grow with the height.
 guided_filter takes its four box means from the D-channel maps;
 guided_filter_projected, which the pipeline runs, takes those of q from
-the guide's C_g channels and those of the resized key from the LR key, so
-only q * k_up is summed at high resolution in D channels, and it resizes
-the key tile by tile, so neither q nor k_up is ever made whole.
+the guide's C_g channels and those of k_up from the LR key, making neither
+whole, while C_g (C_g + 3) < 3 D, and runs guided_filter past that.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import numpy as np
 
 from .ops import (
     ShapeMismatch,
+    _as_float32,
     _positive_int,
     _positive_real,
     _resize_linear,
@@ -36,6 +36,8 @@ from .ops import (
     _window_counts,
     _window_sums,
     axis_linear_coords,
+    bilinear_resize,
+    grouped_pointwise_conv,
     matmul_rows,
     tile_rows,
 )
@@ -111,13 +113,14 @@ def guided_filter(query: FeatureMap, key_up: FeatureMap, cfg: GuidedFilterConfig
 def guided_filter_projected(guide: FeatureMap, weight: np.ndarray, bias: np.ndarray, key: FeatureMap,
                             cfg: GuidedFilterConfig) -> FeatureMap:
     """guided_filter(q, k_up, cfg) for q = guide @ weight.T + bias and
-    k_up = bilinear_resize(key) at the guide's size, from the guide's C_g
-    channels and the low-resolution key; neither q nor k_up is made whole.
+    k_up = bilinear_resize(key) at the guide's size, within 1e-6, from the
+    guide's C_g channels and the low-resolution key.
 
-    Of the four box means only box(q*k_up) needs D channels at high
-    resolution; its rows of q and of k_up are made as they are read, with
-    the bits of the whole-map projection and resize (each k_up row is its
-    own row lerp, then column lerp, in ops._resize_linear):
+    While C_g (C_g + 3) < 3 D, neither q nor k_up is made whole: of the
+    four box means only box(q*k_up) needs D channels at high resolution,
+    and its rows of q and of k_up are made as they are read, with the bits
+    of the whole-map projection and resize (each k_up row is its own row
+    lerp, then column lerp, in ops._resize_linear):
 
         box(q) = P box(y) + b,   var(q)_c = P_c (box(y y^T) - box(y) box(y)^T) P_c^T,
         box(k_up) = M_h k M_w^T,
@@ -125,14 +128,21 @@ def guided_filter_projected(guide: FeatureMap, weight: np.ndarray, bias: np.ndar
     with P = weight, y the guide and M_h, M_w the box means of each axis's
     resize matrix (ops._resize_matrix), applied per tile to the key rows
     its windows reach.  The first pass stacks the C_g (C_g + 1) / 2
-    products y_j y_l, y, a channel of ones and q*k_up, so this pays while
-    C_g (C_g + 3) / 2 < 3 D.  Agrees with guided_filter within 1e-6.
+    products y_j y_l, y, a channel of ones and q*k_up, which costs more
+    than guided_filter on q and the whole k_up once C_g (C_g + 3) >= 3 D
+    (measured; README), so from there on that runs, q being the guide
+    itself for weight I and bias 0 (the pipeline's source for C_g >= D).
     """
     y, k = guide.data, key.data
     (h, w, c_g), (h_lr, w_lr, d) = y.shape, k.shape
-    if np.shape(weight) != (d, c_g) or np.shape(bias) != (d,):
-        raise ShapeMismatch(f"weight {np.shape(weight)} and bias {np.shape(bias)} do not take "
+    weight, bias = _as_float32("weight", weight, 2), _as_float32("bias", bias, 1)
+    if weight.shape != (d, c_g) or bias.shape != (d,):
+        raise ShapeMismatch(f"weight {weight.shape} and bias {bias.shape} do not take "
                             f"{c_g} guide channels to the key's {d}")
+    if c_g * (c_g + 3) >= 3 * d:  # the D-channel maps cost less
+        as_is = c_g == d and np.array_equal(weight, np.eye(d)) and not bias.any()
+        return guided_filter(guide if as_is else grouped_pointwise_conv(guide, weight, bias),
+                             bilinear_resize(key, h, w), cfg)
     r, t = cfg.radius, _tile_rows(h)
     weight_t = np.ascontiguousarray(weight.T)
     q_rows = np.empty((min(h, t + r), w, d), np.float32)

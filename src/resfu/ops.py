@@ -264,8 +264,10 @@ def _window_sums(n: int, radius: int, row, out):
 
 
 def _window_counts(n: int, radius: int) -> np.ndarray:
-    """(n,) float64 number of in-bounds positions of each truncated window."""
-    i = np.arange(n)
+    """(n,) float64 number of in-bounds positions of each truncated window.
+    A radius of n or more reaches both edges from every position, so it is
+    capped at n (a larger Python int would not fit numpy's integers)."""
+    i, radius = np.arange(n), min(radius, n)
     return (np.minimum(i + radius, n - 1) - np.maximum(i - radius, 0) + 1).astype(np.float64)
 
 

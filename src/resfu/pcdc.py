@@ -45,6 +45,7 @@ from .ops import (
     _norm_scale_shift,
     _odd_kernel,
     _pixel_blocks,
+    _positive_int,
     _resize_linear,
     _resize_matrix,
     axis_linear_coords,
@@ -273,8 +274,9 @@ def pcdc_block_projected(guide: FeatureMap, guide_gs: FeatureMap, weight: np.nda
     """
     z, z_gs = guide.data, guide_gs.data
     h, w, c = z.shape
-    if z_gs.shape != z.shape or np.shape(weight) != (params.norm.channels, c):
-        raise ShapeMismatch(f"guides {z.shape}, {z_gs.shape} and weight {np.shape(weight)} do not match")
+    weight, bias = _as_float32("weight", weight, 2), _as_float32("bias", bias, 1)
+    if z_gs.shape != z.shape or weight.shape != (params.norm.channels, c) or bias.shape != weight.shape[:1]:
+        raise ShapeMismatch(f"guides {z.shape}, {z_gs.shape}, weight {weight.shape} and bias {bias.shape} do not match")
     s, t = _affine_norm(z, weight, bias, params.norm)
     s_gs, t_gs = _affine_norm(z_gs, weight, bias, params.norm)
     taps, wp, b64 = _dense_taps(params), weight.T.astype(np.float64), bias.astype(np.float64)
@@ -333,7 +335,7 @@ def pcdc_block_resized_key(q: FeatureMap, key: FeatureMap, params: PcdcBlockPara
     query's norm folds into the query term's weights, and its shift into
     the taps' bias.
     """
-    (kh, kw), d = key.shape[:2], params.norm.channels
+    (kh, kw), d, ratio = key.shape[:2], params.norm.channels, _positive_int("ratio", ratio)
     if q.shape != (ratio * kh, ratio * kw, d) or key.channels != d:
         raise ShapeMismatch(f"query {q.shape} is not ratio {ratio} times the key {key.shape}")
     k64 = key.astype64()

@@ -81,9 +81,10 @@ def check_pcdc_equivalence(seed: int = 0, cases: int = 200) -> CheckResult:
 
 def check_guided_filter(seed: int = 0, cases: int = 20) -> CheckResult:
     """Closed-form filters vs the per-window regression oracle (interior): the
-    general one, and in odd cases the pipeline's, from a C_g <= 4 guide and an
-    LR key, with eps near var(q) ~ 1 (for eps << var(q) the filter barely
-    sees q's scale, so a mis-scaled projection would pass)."""
+    general one, and in odd cases the projected one on its moment recipe,
+    from a C_g <= 4 guide and a 10-channel LR key (C_g (C_g + 3) < 3 D),
+    with eps near var(q) ~ 1 (for eps << var(q) the filter barely sees q's
+    scale, so a mis-scaled projection would pass)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(cases):
@@ -93,9 +94,9 @@ def check_guided_filter(seed: int = 0, cases: int = 20) -> CheckResult:
             got = guided_filter(q, k, cfg)
         else:
             ratio, c_g = int(rng.choice([2, 3, 4])), int(rng.integers(1, 5))
-            guide, key = _rand_map(rng, 12, 12, c_g), _rand_map(rng, 12 // ratio, 12 // ratio, 4)
-            weight = (rng.standard_normal((4, c_g)) / np.sqrt(c_g)).astype(np.float32)
-            bias = (0.1 * rng.standard_normal(4)).astype(np.float32)
+            guide, key = _rand_map(rng, 12, 12, c_g), _rand_map(rng, 12 // ratio, 12 // ratio, 10)
+            weight = (rng.standard_normal((10, c_g)) / np.sqrt(c_g)).astype(np.float32)
+            bias = (0.1 * rng.standard_normal(10)).astype(np.float32)
             q, k = FeatureMap(guide.astype64() @ weight.T.astype(np.float64) + bias), bilinear_resize(key, 12, 12)
             got = guided_filter_projected(guide, weight, bias, key, cfg)
         want = oracle_guided_filter_window(q, k, cfg)

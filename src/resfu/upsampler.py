@@ -15,18 +15,18 @@ guide y (H x W x C_g), the pipeline is:
 
 run_pipeline is the one path through these stages, the inner-product
 baseline's too (it makes no q_gf, s_s, q_gs or s_d).  The score head runs
-on the low-channel sources of its D-channel maps: q = P y + b is affine in
-the guide's C_g channels and k_up is a resize of the LR key.  So the
-guided filter takes its box statistics of q from the guide's box moments
-and those of k_up from k, resizing k's rows as its tiles reach them
-(guided_filter_projected, while C_g (C_g + 3) / 2 < 3 D), the semantic
-block takes its key taps at low resolution (pcdc.pcdc_block_resized_key),
-and the detail block works on the guide and its smoothing
-(pcdc.pcdc_block_projected, or on q and q_gs when C_g >= D).  No
-difference layer, input group norm or smoothing runs on a
-high-resolution D-channel map, and k_up and q_gs = P G(y) + b are made
-whole only when observed or, for k_up, read whole.  The results agree
-with the D-channel stages within 1e-6 relative.
+on the low-channel sources of its D-channel maps: k_up is a resize of the
+LR key, and q's source is the guide with q = P y + b while C_g < D, else
+q itself with P = I and b = 0 (run_pipeline's one width test).  The
+guided filter takes that source and the LR key
+(guided_filter_projected, which picks its own recipe by the source's
+width), the semantic block takes its key taps at low resolution
+(pcdc.pcdc_block_resized_key), and the detail block works on the source
+and its smoothing (pcdc.pcdc_block_projected).  No difference layer,
+input group norm or smoothing runs on a high-resolution map wider than
+the guide, and run_pipeline makes k_up and q_gs = P G(y) + b whole only
+for an observer that names them or, k_up, for the inner-product scores.
+The results agree with the D-channel stages within 1e-6 relative.
 
 run_pipeline runs the stages in a straight line and frees each map after
 the last stage that reads it; its one observer, `sink`, gets the
@@ -54,7 +54,7 @@ from math import prod
 
 import numpy as np
 
-from .guided_filter import GuidedFilterConfig, guided_filter, guided_filter_projected
+from .guided_filter import GuidedFilterConfig, guided_filter_projected
 from .ops import (
     BLAS_PIECE,
     GroupNormAffine,
@@ -347,13 +347,13 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     among INTERMEDIATES to callbacks, each called with its map as soon as
     the map exists, in stage order, and the result carries only the
     output; any other name raises ValueError before any stage.  Each map
-    is freed after the stage that reads it last.  k_up is made whole only
-    when the sink names it or a stage reads it whole (innerprod, or
-    guided_filter when C_g (C_g + 3) >= 6 D); q_gs = P G(y) + b, which no
-    stage reads for C_g < D, only when the sink names it.  With a sink
-    naming neither, the peak is set in the guided filter, which holds its
-    output and its row tiles.  With `rows`, the output goes to rows(band)
-    band by band (see kernel_apply_fns) and the result's output is None.
+    is freed after the stage that reads it last.  The score head's source
+    is the guide y with weight_q and bias_q while C_g < D, else q with I
+    and 0; the guided filter and the detail block both take it.  k_up is
+    made whole only when the sink names it or for innerprod, and q_gs =
+    P G(y) + b, which no stage reads for C_g < D, only when the sink names
+    it.  With `rows`, the output goes to rows(band) band by band (see
+    kernel_apply_fns) and the result's output is None.
     `threads` is accepted and ignored: every stage runs on the calling
     thread."""
     if similarity not in ("pcdc", "innerprod"):
@@ -373,35 +373,26 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     q, k = project_qk(x, y, params.proj)
     observe("q", q)
     observe("k", k)
-    proj, c_g = params.proj, y.channels
-    # fewer box channels from y than from q, q*q and k_up: the filter resizes k tile by tile
-    projected = similarity == "pcdc" and c_g * (c_g + 3) < 6 * proj.dim
-    k_up = bilinear_resize(k, y.height, y.width) if "k_up" in sink or not projected else None
+    k_up = bilinear_resize(k, y.height, y.width) if "k_up" in sink or similarity == "innerprod" else None
     observe("k_up", k_up)
     if similarity == "innerprod":
         del k
         scores = inner_product_scores(q, k_up, params.kernel, cfg.ratio)
         del q, k_up
     else:
-        guide = y if c_g < proj.dim else q  # the lower of C_g and D channels
-        if projected:
-            del q, k_up
-            q_gf = guided_filter_projected(y, proj.weight_q, proj.bias_q, k, GuidedFilterConfig())
-        else:
-            q_gf = guided_filter(q, k_up, GuidedFilterConfig())
-            del q, k_up
+        proj, d = params.proj, params.proj.dim
+        # the score head's source, the lower of C_g and D channels: q = P y + b, or q as it is
+        guide, weight, bias = ((y, proj.weight_q, proj.bias_q) if y.channels < d
+                               else (q, np.eye(d, dtype=np.float32), np.zeros(d, np.float32)))
+        del q, k_up
+        q_gf = guided_filter_projected(guide, weight, bias, k, GuidedFilterConfig())
         observe("q_gf", q_gf)
         s_s = pcdc_block_resized_key(q_gf, k, params.block_s, cfg.ratio)
         del q_gf, k
         observe("s_s", s_s)
         guide_gs = gaussian_smooth3(guide)
-        if guide is y:
-            weight, bias = proj.weight_q, proj.bias_q
-            if "q_gs" in sink:
-                observe("q_gs", grouped_pointwise_conv(guide_gs, weight, bias))
-        else:
-            weight, bias = np.eye(proj.dim, dtype=np.float32), np.zeros(proj.dim, np.float32)
-            observe("q_gs", guide_gs)
+        if "q_gs" in sink:
+            observe("q_gs", grouped_pointwise_conv(guide_gs, weight, bias) if guide is y else guide_gs)
         s_d = observe("s_d", pcdc_block_projected(guide, guide_gs, weight, bias, params.block_d, cfg.ratio))
         del guide, guide_gs
         scores = FeatureMap.adopt(s_s.data + s_d.data)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from resfu.guided_filter import MAX_TILE_ROWS, GuidedFilterConfig, _tile_rows, guided_filter, guided_filter_projected
-from resfu.ops import ShapeMismatch, bilinear_resize, grouped_pointwise_conv
+from resfu.ops import NonFiniteInput, ShapeMismatch, bilinear_resize, grouped_pointwise_conv
 from resfu.oracle import max_rel_error, oracle_guided_filter_window
 from resfu.tensor import FeatureMap
 
@@ -239,7 +239,8 @@ def test_every_tile_height_gives_the_recipe_bits(h, w, c, radius, monkeypatch):
         (4, 4, 16, 4),
         (13, 13, 3, 3),
         (5, 3, 3, 1),  # odd H, W = 9 < 2r + 1
-        (7, 5, 2, 12),  # the most guide channels the pipeline sends this way at D = 32
+        (7, 5, 2, 8),  # the most guide channels of the moment recipe at D = 32
+        (7, 5, 2, 12),  # C_g (C_g + 3) >= 3 D: the D-channel recipe
     ],
 )
 def test_projected_filter_matches_the_whole_map_recipe(h, w, ratio, c_guide):
@@ -297,3 +298,51 @@ def test_projected_filter_checks_its_shapes():
         guided_filter_projected(y, np.ones((8, 4)), np.zeros(8), key, cfg)
     with pytest.raises(ShapeMismatch):
         guided_filter_projected(y, np.ones((8, 3)), np.zeros(7), key, cfg)
+
+
+@pytest.mark.parametrize(
+    "weight, bias, error",
+    [
+        (np.full((8, 3), np.nan), np.zeros(8), NonFiniteInput),
+        (np.ones((8, 3)), np.full(8, np.inf), NonFiniteInput),
+        (np.ones((8, 3), complex), np.zeros(8), ShapeMismatch),
+        (np.ones((8, 3)), np.zeros(8, complex), ShapeMismatch),
+        (np.ones(8), np.zeros(8), ShapeMismatch),
+    ],
+)
+def test_projected_filter_takes_the_model_array_rule(weight, bias, error):
+    # weight and bias pass ops._as_float32 like every model array, so a NaN
+    # weight no longer fills the output with NaN, nor a complex one lose its
+    # imaginary part
+    rng = np.random.default_rng(13)
+    y, key = FeatureMap(rng.random((8, 8, 3), dtype=np.float32)), rand_map(rng, 4, 4, 8)
+    with pytest.raises(error):
+        guided_filter_projected(y, weight, bias, key, GuidedFilterConfig())
+
+
+def test_projected_filter_takes_nested_lists():
+    rng = np.random.default_rng(14)
+    y, key = FeatureMap(rng.random((8, 8, 3), dtype=np.float32)), rand_map(rng, 4, 4, 8)
+    weight, bias = rng.standard_normal((8, 3)).astype(np.float32), rng.uniform(-0.5, 0.5, 8).astype(np.float32)
+    cfg = GuidedFilterConfig(radius=2)
+    want = guided_filter_projected(y, weight, bias, key, cfg).data.tobytes()
+    assert guided_filter_projected(y, weight.tolist(), bias.tolist(), key, cfg).data.tobytes() == want
+
+
+def test_a_radius_past_the_map_gives_the_bits_of_the_whole_map_radius():
+    # a window that reaches both edges covers the axis from every pixel, so
+    # any larger radius, even one past numpy's integers, is the same filter
+    rng = np.random.default_rng(15)
+    huge = GuidedFilterConfig(radius=10**30)
+    q, k = rand_map(rng, 7, 5, 3), rand_map(rng, 7, 5, 3)
+    got = guided_filter(q, k, huge)
+    assert got.data.tobytes() == guided_filter(q, k, GuidedFilterConfig(radius=7)).data.tobytes()
+    assert max_rel_error(got.astype64(), oracle_guided_filter_window(q, k, huge)) <= 1e-6
+    y, key = FeatureMap(rng.random((14, 10, 2), dtype=np.float32)), rand_map(rng, 7, 5, 16)
+    weight, bias = rng.standard_normal((16, 2)).astype(np.float32), rng.uniform(-0.5, 0.5, 16).astype(np.float32)
+    got = guided_filter_projected(y, weight, bias, key, huge)
+    edge = guided_filter_projected(y, weight, bias, key, GuidedFilterConfig(radius=14))
+    assert got.data.tobytes() == edge.data.tobytes()
+    q = FeatureMap(y.astype64() @ weight.T.astype(np.float64) + bias)
+    want = oracle_guided_filter_window(q, bilinear_resize(key, 14, 10), huge)
+    assert max_rel_error(got.astype64(), want) <= 1e-6

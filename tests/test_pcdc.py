@@ -475,6 +475,28 @@ class TestProjectedBlock:
         with pytest.raises(ShapeMismatch):
             pcdc_block_projected(y, y, np.ones((8, 4)), np.zeros(8), block, 1)
 
+    @pytest.mark.parametrize(
+        "weight, bias, error",
+        [
+            (np.full((8, 3), np.nan), np.zeros(8), NonFiniteInput),
+            (np.ones((8, 3), complex), np.zeros(8), ShapeMismatch),
+            (np.ones((8, 3)), np.zeros(8, complex), ShapeMismatch),
+            (np.ones((8, 3)), np.zeros(5), ShapeMismatch),
+        ],
+    )
+    def test_weight_and_bias_take_the_model_array_rule(self, weight, bias, error):
+        rng = np.random.default_rng(103)
+        y = FeatureMap(rng.random((6, 7, 3), dtype=np.float32))
+        with pytest.raises(error):
+            pcdc_block_projected(y, y, weight, bias, rand_block(rng), 1)
+
+    def test_takes_nested_lists(self):
+        rng = np.random.default_rng(104)
+        block, y = rand_block(rng), FeatureMap(rng.random((6, 7, 3), dtype=np.float32))
+        weight, bias = rng.standard_normal((8, 3)).astype(np.float32), rng.uniform(-0.5, 0.5, 8).astype(np.float32)
+        want = pcdc_block_projected(y, y, weight, bias, block, 2).data.tobytes()
+        assert pcdc_block_projected(y, y, weight.tolist(), bias.tolist(), block, 2).data.tobytes() == want
+
 
 class TestResizedKeyBlock:
     """pcdc_block_resized_key: the semantic block with its key taps at low
@@ -508,3 +530,17 @@ class TestResizedKeyBlock:
         rng = np.random.default_rng(113)
         with pytest.raises(ShapeMismatch):
             pcdc_block_resized_key(rand_map(rng, 8, 9, 8), rand_map(rng, 4, 4, 8), rand_block(rng), 2)
+
+    @pytest.mark.parametrize("ratio", [True, 4.0, "4", 0])
+    def test_ratio_must_be_an_integer_of_at_least_one(self, ratio):
+        # True would run as ratio 1 on a query of the key's size
+        rng = np.random.default_rng(114)
+        q, key = rand_map(rng, 4, 4, 8), rand_map(rng, 4, 4, 8)
+        with pytest.raises(ShapeMismatch):
+            pcdc_block_resized_key(q if ratio is True else rand_map(rng, 16, 16, 8), key, rand_block(rng), ratio)
+
+    def test_ratio_may_be_a_numpy_integer(self):
+        rng = np.random.default_rng(115)
+        q, key, block = rand_map(rng, 4, 6, 8), rand_map(rng, 2, 3, 8), rand_block(rng)
+        want = pcdc_block_resized_key(q, key, block, 2).data.tobytes()
+        assert pcdc_block_resized_key(q, key, block, np.int64(2)).data.tobytes() == want

@@ -16,11 +16,11 @@ from resfu.params_io import param_arrays, params_from_arrays
 from resfu.tensor import FeatureMap
 from resfu.upsampler import UpsampleConfig, generate_params, run_pipeline
 
-# input h x w x C, ratio, guide channels, seed; the last two guides are wide
-# enough for the general guided filter, and at 40 channels the detail block
-# reads q itself
+# input h x w x C, ratio, guide channels, seed; the last three guides are
+# wide enough for the guided filter's D-channel recipe, and at 40 channels
+# the detail block reads q itself
 CASES = [(8, 9, 8, 4, 4, 0), (6, 7, 16, 5, 3, 1), (4, 5, 32, 8, 4, 2), (9, 10, 5, 3, 3, 7),
-         (4, 5, 6, 2, 13, 4), (5, 6, 8, 3, 40, 3)]
+         (4, 5, 6, 2, 13, 4), (5, 4, 8, 3, 12, 5), (5, 6, 8, 3, 40, 3)]
 TOLERANCE = 1e-5
 
 

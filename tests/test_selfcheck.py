@@ -4,6 +4,7 @@ reduced case counts, and the micro-benchmark harness."""
 import dataclasses
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ class TestIndividualChecks:
                             lambda guide, weight, bias, key, cfg: real(guide, weight * 1.01, bias, key, cfg))
         result = check_guided_filter(seed=0, cases=4)
         assert not result.passed and math.isfinite(result.max_error), result
+
+    def test_guided_filter_checks_the_moment_recipe(self, monkeypatch):
+        # the projected cases' C_g <= 4 guides and 10-channel keys keep
+        # C_g (C_g + 3) < 3 D, the moment recipe the pipeline runs on an
+        # image guide, so the projected filter never hands them to the
+        # general one
+        module = sys.modules["resfu.guided_filter"]
+        monkeypatch.setattr(module, "guided_filter", lambda *args: pytest.fail("D-channel recipe"))
+        assert check_guided_filter(seed=0).passed
 
     def test_fused_vs_naive_reduced(self):
         result = check_fused_vs_naive(seed=5, cases=8)

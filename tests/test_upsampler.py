@@ -48,6 +48,8 @@ from resfu.upsampler import (
     run_pipeline,
 )
 
+GF_MODULE = sys.modules["resfu.guided_filter"]  # the package binds the function to that name
+
 
 def fm(values):
     return FeatureMap(np.asarray(values, np.float32))
@@ -263,23 +265,37 @@ class TestRunPipelineSink:
         assert len(calls) == 3  # q, k and q_gs
         assert [fmap.data.tobytes() for fmap in seen] == [collected.q_gs.data.tobytes()]
 
-    @pytest.mark.parametrize("c_guide, similarity, sink, made", [
-        (3, "pcdc", {}, 0),  # the projected filter resizes the key by tiles
-        (3, "pcdc", {"k_up": print}, 1),  # the observer reads it whole
-        (3, "innerprod", {}, 1),  # the inner-product scores read it whole
-        (16, "pcdc", {}, 1),  # C_g (C_g + 3) >= 6 D: the general filter reads it whole
+    @pytest.mark.parametrize("c_guide, similarity, sink, made, filtered", [
+        (3, "pcdc", {}, 0, 0),  # the filter's moment recipe resizes the key by tiles
+        (3, "pcdc", {"k_up": print}, 1, 0),  # the observer reads it whole
+        (3, "innerprod", {}, 1, 0),  # the inner-product scores read it whole
+        (16, "pcdc", {}, 0, 1),  # C_g (C_g + 3) >= 3 D: the filter's D-channel recipe resizes it whole
     ])
-    def test_k_up_is_made_whole_only_when_read_whole(self, monkeypatch, c_guide, similarity, sink, made):
+    def test_k_up_is_made_whole_only_when_read_whole(self, monkeypatch, c_guide, similarity, sink, made, filtered):
         rng = np.random.default_rng(20 + c_guide)
         x, y = rand_map(rng, 6, 5, 7), FeatureMap(rng.random((24, 20, c_guide), dtype=np.float32))
         params, cfg = generate_params(c_in=7, c_guide=c_guide), UpsampleConfig(ratio=4)
         want = run_pipeline(x, y, params, cfg, similarity=similarity).output.data.tobytes()
-        calls = []
+        calls, in_filter = [], []
         real = upsampler.bilinear_resize
         monkeypatch.setattr(upsampler, "bilinear_resize", lambda *args: calls.append(args[1:]) or real(*args))
+        monkeypatch.setattr(GF_MODULE, "bilinear_resize", lambda *args: in_filter.append(args[1:]) or real(*args))
         out = run_pipeline(x, y, params, cfg, similarity=similarity, sink=sink).output
         assert calls == [(24, 20)] * made
+        assert in_filter == [(24, 20)] * filtered
         assert out.data.tobytes() == want
+
+    @pytest.mark.parametrize("c_guide, general", [(3, 0), (4, 0), (8, 0), (9, 1), (12, 1), (16, 1), (48, 1)])
+    def test_the_guided_filter_picks_its_recipe_by_the_guide_width(self, monkeypatch, c_guide, general):
+        # D = 32: the guide's moments while C_g (C_g + 3) < 3 D, else the
+        # D-channel maps through the general filter
+        rng = np.random.default_rng(50 + c_guide)
+        x, y = rand_map(rng, 6, 5, 7), FeatureMap(rng.random((24, 20, c_guide), dtype=np.float32))
+        params = generate_params(c_in=7, c_guide=c_guide)
+        calls, real = [], GF_MODULE.guided_filter
+        monkeypatch.setattr(GF_MODULE, "guided_filter", lambda *args: calls.append(1) or real(*args))
+        resfu_upsample(x, y, params, UpsampleConfig(ratio=4))
+        assert len(calls) == general
 
 
 def test_the_benchmark_calls():
@@ -564,6 +580,25 @@ class TestScoreHeadSources:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * 28.0 * 2**20
+
+    @pytest.mark.parametrize("c_guide, bound_mib", [(12, 38.0), (48, 1.01 * 37.45)])
+    def test_wide_guide_peak(self, c_guide, bound_mib):
+        # tracemalloc peak above entry: 37.45 MiB from C_g 9 on, set in the
+        # general filter on q and k_up; the guide's moments would hold
+        # 44.20 MiB at C_g 12, and a copy of q as the filter's query 45.46
+        # MiB at C_g 48
+        rng = np.random.default_rng(36)
+        x = rand_map(rng, 64, 64, 32)
+        y = FeatureMap(rng.random((256, 256, c_guide), dtype=np.float32))
+        params = generate_params(c_in=32, c_guide=c_guide)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            resfu_upsample(x, y, params, UpsampleConfig(ratio=4))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
     @pytest.mark.parametrize("c_guide", [3, 4])
     def test_no_stage_runs_on_a_high_resolution_d_channel_map(self, monkeypatch, c_guide):
