@@ -78,7 +78,10 @@ def _cmd_upsample(args) -> int:
     else:
         sink = {}
         if args.dump_dir is not None:
-            os.makedirs(args.dump_dir, exist_ok=True)
+            try:
+                os.makedirs(args.dump_dir, exist_ok=True)
+            except OSError as err:
+                raise OSError(f"--dump-dir {args.dump_dir!r} cannot be made a directory: {err.strerror}") from None
             sink = {name: partial(save_tensor, os.path.join(args.dump_dir, f"{name}.rsft")) for name in DUMPED}
         fill = lambda write: run_pipeline(x, y, params, cfg, fused=args.fused == "true",  # noqa: E731
                                           similarity=args.baseline or "pcdc", sink=sink, rows=write)

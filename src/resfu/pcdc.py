@@ -20,8 +20,9 @@ channels down to one score per neighbor slot, in two passes over pixel
 blocks, so its 128-channel hidden map never exists.  The pipeline's two
 blocks run the same arithmetic from lower-channel sources: the semantic
 block takes its key taps from the LR key (pcdc_block_resized_key), and
-the detail block takes q and its smoothing from the guide's channels
-(pcdc_block_projected), feeding conv1 from one im2col product.
+the detail block builds its difference map from the guide's channels
+(pcdc_block_projected) by one im2col product per pixel block; all three
+end in channel_compressor.
 """
 
 from __future__ import annotations
@@ -152,10 +153,9 @@ class CompressorParams:
             raise ShapeMismatch(f"conv2 expects {self.conv2_weight.shape[1]} channels, conv1 makes {hidden}")
 
 
-def _compress(conv1, shape: tuple[int, int], params: CompressorParams) -> SimilarityScores:
-    """The (H, W, K*K) scores of the compressor whose conv1 pre-activation,
-    bias included, conv1(p0, p1, out) writes into the float32 rows `out` of
-    pixel block [p0, p1).
+def channel_compressor(v: FeatureMap, params: CompressorParams) -> SimilarityScores:
+    """Compress L difference channels to K*K per-slot scores: conv1, ReLU,
+    group norm, conv2, with the bits of running them as separate maps.
 
     The hidden map never exists.  Two passes run over the pixel blocks,
     each making a block's conv1 and ReLU in one reused buffer: the first
@@ -164,13 +164,17 @@ def _compress(conv1, shape: tuple[int, int], params: CompressorParams) -> Simila
     scale and shift and runs conv2 into the block's scores.  So the peak
     above entry is the scores and a few block buffers.
     """
-    n_pixels = shape[0] * shape[1]
+    n_hidden, width = params.conv1_weight.shape
+    dense1 = _block_diagonal(params.conv1_weight.T, _group_count("1x1 conv", v.channels, width, n_hidden))
+    flat = v.data.reshape(-1, v.channels)
+    n_pixels = flat.shape[0]
     blocks = _pixel_blocks(n_pixels)
-    buf = np.empty((min(PIXEL_BLOCK, n_pixels), params.conv1_weight.shape[0]), np.float32)
+    buf = np.empty((min(PIXEL_BLOCK, n_pixels), n_hidden), np.float32)
     dense2 = np.ascontiguousarray(params.conv2_weight.T)
 
     def hidden(p0: int, p1: int) -> np.ndarray:
-        rows = conv1(p0, p1, buf[: p1 - p0])
+        rows = matmul_rows(flat[p0:p1], dense1, buf[: p1 - p0])
+        rows += params.conv1_bias
         return np.maximum(rows, 0.0, out=rows)
 
     scale, shift = _norm_scale_shift((hidden(p0, p1) for p0, p1 in blocks), n_pixels, params.norm)
@@ -181,23 +185,7 @@ def _compress(conv1, shape: tuple[int, int], params: CompressorParams) -> Simila
         rows += shift
         matmul_rows(rows, dense2, out[p0:p1])
         out[p0:p1] += params.conv2_bias
-    return FeatureMap.adopt(out.reshape(*shape, -1))
-
-
-def channel_compressor(v: FeatureMap, params: CompressorParams) -> SimilarityScores:
-    """Compress L difference channels to K*K per-slot scores: conv1, ReLU,
-    group norm, conv2 (_compress), with the bits of running them as
-    separate maps."""
-    n_hidden, width = params.conv1_weight.shape
-    dense1 = _block_diagonal(params.conv1_weight.T, _group_count("1x1 conv", v.channels, width, n_hidden))
-    flat = v.data.reshape(-1, v.channels)
-
-    def conv1(p0: int, p1: int, out: np.ndarray) -> np.ndarray:
-        matmul_rows(flat[p0:p1], dense1, out)
-        out += params.conv1_bias
-        return out
-
-    return _compress(conv1, v.shape[:2], params)
+    return FeatureMap.adopt(out.reshape(*v.shape[:2], -1))
 
 
 @dataclass(frozen=True)
@@ -264,13 +252,13 @@ def pcdc_block_projected(guide: FeatureMap, guide_gs: FeatureMap, weight: np.nda
         v[i] = sum_n A_n guide_gs[N(i)_n] + B guide[i] + c,
         A_n = W_n diag(s') P,  B = -(sum_n W_n) diag(s) P.
 
-    conv1 is linear, so per pixel block the compressor's pre-activation is
-    one float32 product of a (K*K + 1) * C + 1-column im2col (one np.take
-    from the edge-padded guide_gs, ops._edge_pad; then guide[i] and a one)
-    with conv1 @ [A_0 ... B c], and v never exists.  Both guides enter less
-    their mean, so that the terms which cancel round at the guides' spread.
-    The guides' C should be below the maps' D; else pass q and q_gs
-    themselves with weight = I and bias = 0.
+    Per pixel block, v is one float32 product of a (K*K + 1) * C + 1-column
+    im2col (one np.take from the edge-padded guide_gs, ops._edge_pad; then
+    guide[i] and a one) with [A_0 ... B c], written into one (H, W, L) map;
+    the padded copy is dropped before channel_compressor reads v.  Both
+    guides enter less their mean, so that the terms which cancel round at
+    the guides' spread.  The guides' C should be below the maps' D; else
+    pass q and q_gs themselves with weight = I and bias = 0.
     """
     z, z_gs = guide.data, guide_gs.data
     h, w, c = z.shape
@@ -281,14 +269,10 @@ def pcdc_block_projected(guide: FeatureMap, guide_gs: FeatureMap, weight: np.nda
     s_gs, t_gs = _affine_norm(z_gs, weight, bias, params.norm)
     taps, wp, b64 = _dense_taps(params), weight.T.astype(np.float64), bias.astype(np.float64)
     wsum = taps.sum(axis=0)
-    comp = params.comp
-    hidden, width = comp.conv1_weight.shape
-    conv1 = _block_diagonal(comp.conv1_weight.T.astype(np.float64), _group_count("conv1", wsum.shape[1], width, hidden))
     center = z.reshape(-1, c).mean(axis=0).astype(np.float32)  # q = P (z - center) + b + P center
     b64 += center @ wp
-    shift = (((s_gs - s) * b64 + t_gs - t) @ wsum + params.pcdc.bias) @ conv1 + comp.conv1_bias
-    lift = np.concatenate([(wp * s_gs) @ tap for tap in taps] + [-(wp * s) @ wsum]) @ conv1
-    lift = np.vstack([lift, shift]).astype(np.float32)  # the im2col ends in a column of ones
+    shift = ((s_gs - s) * b64 + t_gs - t) @ wsum + params.pcdc.bias  # c: the im2col ends in a column of ones
+    lift = np.concatenate([(wp * s_gs) @ tap for tap in taps] + [-(wp * s) @ wsum, shift[None]]).astype(np.float32)
     padded, starts = _edge_pad(z_gs, params.pcdc.kernel, dilation)
     padded -= center
     source, width = padded.reshape(-1, c), padded.shape[1]
@@ -297,15 +281,15 @@ def pcdc_block_projected(guide: FeatureMap, guide_gs: FeatureMap, weight: np.nda
     cols = np.ones((min(PIXEL_BLOCK, h * w), len(lift)), np.float32)
     taps_in, flat = cols[:, : len(starts) * c].reshape(len(cols), -1, c), z.reshape(-1, c)
     index = np.empty((len(cols), len(starts)), np.intp)
-
-    def im2col_conv1(p0: int, p1: int, out: np.ndarray) -> np.ndarray:
+    v = np.empty((h * w, lift.shape[1]), np.float32)
+    for p0, p1 in _pixel_blocks(h * w):
         n = p1 - p0
         np.add(corner[p0:p1, None], offsets, out=index[:n])
         np.take(source, index[:n], axis=0, out=taps_in[:n], mode="clip")
         np.subtract(flat[p0:p1], center, out=cols[:n, -1 - c : -1])
-        return matmul_rows(cols[:n], lift, out)
-
-    return _compress(im2col_conv1, (h, w), comp)
+        matmul_rows(cols[:n], lift, v[p0:p1])
+    del padded, source
+    return channel_compressor(FeatureMap.adopt(v.reshape(h, w, -1)), params.comp)
 
 
 def _key_taps(k: np.ndarray, weight: np.ndarray, bias, ratio: int) -> np.ndarray:

@@ -346,14 +346,15 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     Without a sink the result keeps every intermediate.  A sink maps names
     among INTERMEDIATES to callbacks, each called with its map as soon as
     the map exists, in stage order, and the result carries only the
-    output; any other name raises ValueError before any stage.  Each map
-    is freed after the stage that reads it last.  The score head's source
-    is the guide y with weight_q and bias_q while C_g < D, else q with I
-    and 0; the guided filter and the detail block both take it.  k_up is
-    made whole only when the sink names it or for innerprod, and q_gs =
-    P G(y) + b, which no stage reads for C_g < D, only when the sink names
-    it.  With `rows`, the output goes to rows(band) band by band (see
-    kernel_apply_fns) and the result's output is None.
+    output; any other name, or a sink that is not a Mapping of callables,
+    raises ValueError before any stage.  Each map is freed after the stage
+    that reads it last.  The score head's source is the guide y with
+    weight_q and bias_q while C_g < D, else q with I and 0; the guided
+    filter and the detail block both take it.  k_up is made whole only
+    when the sink names it or for innerprod, and q_gs = P G(y) + b, which
+    no stage reads for C_g < D, only when the sink names it.  With `rows`,
+    the output goes to rows(band) band by band (see kernel_apply_fns) and
+    the result's output is None.
     `threads` is accepted and ignored: every stage runs on the calling
     thread."""
     if similarity not in ("pcdc", "innerprod"):
@@ -361,6 +362,8 @@ def run_pipeline(x: FeatureMap, y: FeatureMap, params: ResfuParams, cfg: Upsampl
     maps: dict[str, FeatureMap] = {}
     if sink is None:
         sink = {name: partial(maps.__setitem__, name) for name in INTERMEDIATES}
+    if not isinstance(sink, Mapping) or not all(callable(fn) for fn in sink.values()):
+        raise ValueError(f"sink must map names to callables, got {sink!r}")
     if not set(sink) <= set(INTERMEDIATES):
         raise ValueError(f"sink names {sorted(set(sink) - set(INTERMEDIATES))}, not among the intermediates")
 

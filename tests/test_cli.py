@@ -174,6 +174,14 @@ class TestUpsample:
         assert str(taken) in capsys.readouterr().err
         assert not (workspace / "out.rsft").exists()
 
+    @pytest.mark.parametrize("dump", ["taken", "taken/dump"])
+    def test_dump_dir_that_cannot_be_made_is_named(self, workspace, capsys, dump):
+        # the error names the option, as --out's checks do, not just the errno
+        (workspace / "taken").write_bytes(b"")
+        assert cli.main(upsample_args(workspace) + ["--dump-dir", str(workspace / dump)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --dump-dir {str(workspace / dump)!r} ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("out", ["nodir/o.rsft", "subdir"])
     def test_unwritable_out_exits_two_before_loading(self, workspace, capsys, monkeypatch, out):
         # both ran every stage and wrote every dump before exiting 2

@@ -466,6 +466,17 @@ class TestProjectedBlock:
         assert max_rel_error(got.data, definition) <= 1e-6
         assert max_rel_error(got.data, want) <= max_rel_error(want, definition) + 1e-6
 
+    def test_wide_source_peak(self):
+        # Traced peak above entry at 256x256x32 with (q, G(q), I, 0): 18.37
+        # MiB, set in the compressor beside the 8 MiB difference map; 20.36
+        # MiB when the edge-padded copy of G(q) lives through the compressor.
+        rng = np.random.default_rng(105)
+        block = generate_params(32, 4, seed=1).block_d
+        q = FeatureMap(rng.random((256, 256, 32), dtype=np.float32))
+        q_gs = gaussian_smooth3(q)
+        eye, zero = np.eye(32, dtype=np.float32), np.zeros(32, np.float32)
+        assert traced_peak(lambda: pcdc_block_projected(q, q_gs, eye, zero, block, 4)) <= 19.4 * 2**20
+
     def test_guides_and_weight_must_agree(self):
         rng = np.random.default_rng(102)
         block = rand_block(rng)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from innerprod_reference import innerprod_chain
 
 import resfu
-from resfu import upsampler
+from resfu import pcdc, upsampler
 from resfu.guided_filter import GuidedFilterConfig, guided_filter
 from resfu.ops import (
     GroupNormAffine,
@@ -247,6 +247,19 @@ class TestRunPipelineSink:
         monkeypatch.setattr(upsampler, "project_qk", project_qk)
         with pytest.raises(ValueError, match="not among the intermediates"):
             run_pipeline(x, y, params, UpsampleConfig(ratio=3), sink={"q": print, name: print})
+
+    @pytest.mark.parametrize("sink", [["q"], {"q"}, {"q": 1}, {"q": None}], ids=["list", "set", "int", "none"])
+    def test_a_sink_that_is_not_a_mapping_of_callables_raises_before_any_stage(self, monkeypatch, sink):
+        # a list or set of names passes the name check, and a non-callable
+        # would fail only at its map's observe, after stages have run
+        x, y, params = self._inputs(17)
+
+        def project_qk(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(upsampler, "project_qk", project_qk)
+        with pytest.raises(ValueError, match="sink must map names to callables"):
+            run_pipeline(x, y, params, UpsampleConfig(ratio=3), sink=sink)
 
     def test_q_gs_is_projected_only_when_named(self, monkeypatch):
         # a guide of C_g < D: the detail block works on the guide, so only
@@ -599,6 +612,19 @@ class TestScoreHeadSources:
         finally:
             tracemalloc.stop()
         assert peak <= bound_mib * 2**20
+
+    @pytest.mark.parametrize("c_guide", [3, 48])
+    def test_both_score_blocks_end_in_the_one_compressor(self, monkeypatch, c_guide):
+        # the detail block hands its L-channel difference map to
+        # pcdc.channel_compressor as the semantic block does, from the
+        # guide (C_g 3) and from q itself (C_g 48)
+        rng = np.random.default_rng(50 + c_guide)
+        x, y = rand_map(rng, 9, 7, 16), fm(rng.random((36, 28, c_guide)))
+        params = generate_params(16, c_guide, seed=1)
+        shapes, real = [], pcdc.channel_compressor
+        monkeypatch.setattr(pcdc, "channel_compressor", lambda v, p: shapes.append(v.shape) or real(v, p))
+        resfu_upsample(x, y, params, UpsampleConfig(ratio=4))
+        assert shapes == [(36, 28, upsampler.PCDC_CHANNELS)] * 2
 
     @pytest.mark.parametrize("c_guide", [3, 4])
     def test_no_stage_runs_on_a_high_resolution_d_channel_map(self, monkeypatch, c_guide):
